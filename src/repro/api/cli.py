@@ -277,8 +277,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.snapshot is None:
         raise EngineError("serve requires --snapshot (or --health to probe)")
     engine = _open_engine(args.snapshot)
-    if args.readers or args.kernel != "numpy":
-        engine.set_plan_config(PlanConfig(kernel=args.kernel, readers=args.readers))
+    if args.readers:
+        engine.set_plan_config(PlanConfig(readers=args.readers))
     config = ServingConfig(
         max_batch=args.max_batch,
         max_delay_us=args.max_delay_us,
@@ -605,12 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="spawn N reader-pool worker processes mapping the plan arena "
         "from shared memory (0 answers on the event loop)",
-    )
-    serve.add_argument(
-        "--kernel",
-        choices=("numpy", "numba"),
-        default="numpy",
-        help="compiled kernel tier for plan gathers (numba requires numba)",
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -23,7 +23,6 @@ partitioned, sharded, windowed) stays a construction-time choice::
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence as SequenceABC
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
@@ -61,7 +60,7 @@ from repro.graph.stream import GraphStream
 from repro.observability import AccuracyTracker
 from repro.observability import metrics as _obs
 from repro.observability.metrics import MetricsRegistry, get_registry
-from repro.queries.kernels import get_kernel, scratch_capacity
+from repro.queries.kernels import NumpyScratchKernel, scratch_capacity
 from repro.queries.parallel import PlanConfig
 from repro.queries.workload import QueryWorkload
 
@@ -160,8 +159,7 @@ class SketchEngine:
             engine.query([EdgeQuery(3, 17), SubgraphQuery.from_edges(...)])
 
         This dispatcher is the only query surface the serving tier and the
-        CLI use; ``estimate_edges``/``query_many`` remain as deprecated
-        shims over it.
+        CLI use.
         """
         if isinstance(query, (EdgeQuery, SubgraphQuery, WindowQuery)):
             return self._dispatch_query(query)
@@ -221,26 +219,6 @@ class SketchEngine:
                 estimates[position] = estimate
         assert all(e is not None for e in estimates), "query batch left a slot unanswered"
         return estimates  # type: ignore[return-value]
-
-    def query_many(self, queries: Sequence[Union[Query, EdgeKey]]) -> List[Estimate]:
-        """Deprecated alias: pass the sequence straight to :meth:`query`."""
-        warnings.warn(
-            "SketchEngine.query_many is deprecated; pass the sequence to "
-            "engine.query([...]) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._dispatch_batch(list(queries))
-
-    def estimate_edges(self, keys: Sequence[EdgeKey]) -> List[Estimate]:
-        """Deprecated alias: build :class:`EdgeQuery` objects for :meth:`query`."""
-        warnings.warn(
-            "SketchEngine.estimate_edges is deprecated; use "
-            "engine.query([EdgeQuery(source, target), ...]) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._estimate_edge_keys(keys)
 
     def _estimate_edge_keys(self, keys: Sequence[EdgeKey]) -> List[Estimate]:
         """Typed estimates for a block of edge keys (lifetime semantics).
@@ -319,17 +297,15 @@ class SketchEngine:
         return self._plan_config
 
     def set_plan_config(self, config: PlanConfig) -> "SketchEngine":
-        """Apply a typed read-plane configuration (kernel tier + reader pool).
+        """Apply a typed read-plane configuration (scratch kernel + reader pool).
 
-        ``config.kernel`` selects the compiled kernel tier every plan
-        compile/refresh will use (``"numpy"`` scratch kernels by default,
-        ``"numba"`` when available); ``config.readers`` sizes the
+        Every later plan compile/refresh gathers through a
+        :class:`~repro.queries.kernels.NumpyScratchKernel` sized by
+        ``config.scratch_mb``; ``config.readers`` sizes the
         :class:`~repro.queries.parallel.ReaderPool` the serving tier spawns.
         Usually set at build time via ``EngineBuilder.plan(...)``; raises
         :class:`EngineError` for backends without a compiled read plan (the
-        windowed backend) and
-        :class:`~repro.queries.kernels.KernelUnavailableError` when the
-        requested tier's dependency is missing.
+        windowed backend).
         """
         set_kernel = getattr(self._estimator, "set_plan_kernel", None)
         backend_config = getattr(self._estimator, "config", None)
@@ -339,12 +315,8 @@ class SketchEngine:
                 f"the {self._backend!r} backend has no compiled read plan; "
                 "plan configuration applies to plan-serving backends only"
             )
-        kernel = get_kernel(
-            config.kernel,
-            depth=int(depth),
-            capacity=scratch_capacity(config.scratch_mb, int(depth)),
-        )
-        set_kernel(kernel)
+        capacity = scratch_capacity(config.scratch_mb, int(depth))
+        set_kernel(NumpyScratchKernel(int(depth), capacity=capacity))
         self._plan_config = config
         return self
 
@@ -683,10 +655,9 @@ class EngineBuilder:
     def executor(self, executor: Union[str, ShardExecutor]) -> "EngineBuilder":
         """Choose the sharded backend's execution strategy.
 
-        Accepts a canonical name — ``"sequential"`` (in-thread reference),
-        ``"threads"`` (shared thread pool), ``"processes"`` (persistent
-        worker process per shard, state pulled on sync), or ``"shared"``
-        (shared-memory arenas with pipelined dispatch; see
+        Accepts a canonical name — ``"sequential"`` (in-thread reference) or
+        ``"shared"`` (a worker process per shard over shared-memory arenas
+        with pipelined dispatch; see
         :class:`~repro.distributed.shared_memory.SharedMemoryExecutor`) — or
         an already-constructed
         :class:`~repro.distributed.executor.ShardExecutor`.  Only meaningful
@@ -732,22 +703,21 @@ class EngineBuilder:
         return self
 
     def plan(self, config: Optional[PlanConfig] = None, **kwargs) -> "EngineBuilder":
-        """Configure the compiled read plane: kernel tier and reader pool.
+        """Configure the compiled read plane: scratch kernel and reader pool.
 
         Accepts a ready :class:`~repro.queries.parallel.PlanConfig` or its
-        keyword arguments (``kernel``, ``readers``, ``scratch_mb``,
-        ``cache_bits``, ``max_pending``, ``batch_capacity``)::
+        keyword arguments (``readers``, ``scratch_mb``, ``cache_bits``,
+        ``max_pending``, ``batch_capacity``)::
 
             engine = (SketchEngine.builder()
                       .config(total_cells=60_000, depth=4)
                       .dataset(stream)
-                      .plan(PlanConfig(kernel="numpy", readers=4, scratch_mb=4.0))
+                      .plan(PlanConfig(readers=4, scratch_mb=4.0))
                       .build())
 
-        ``kernel`` selects the batched-hash/gather implementation every plan
-        compile uses (``"numpy"`` preallocated-scratch kernels, or
-        ``"numba"`` compiled loops when numba is installed — NumPy stays the
-        bit-exact parity oracle either way); ``readers`` > 0 makes
+        Every plan compile then gathers through the preallocated-scratch
+        :class:`~repro.queries.kernels.NumpyScratchKernel` (bit-exact with
+        the plain numpy oracle expressions); ``readers`` > 0 makes
         ``engine.serve()`` spawn that many reader-pool worker processes
         mapping the plan arena from shared memory.  Not applicable to the
         windowed backend (no compiled plan).

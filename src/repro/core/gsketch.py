@@ -306,7 +306,7 @@ class GSketch(PlanServingMixin):
         """Ingest one columnar block of stream elements.
 
         The block is hashed, routed and grouped by destination partition in a
-        single vectorized pass (:class:`~repro.distributed.batch_router.BatchRouter`),
+        single vectorized pass (:class:`~repro.core.batch_router.BatchRouter`),
         then each group lands in its sketch via one
         :meth:`~repro.sketches.countmin.CountMinSketch.update_batch` call.
         Because the grouping sort is stable and partitions are independent

@@ -9,15 +9,17 @@ Layers (coordinator → shards → localized sketches):
 
 * :class:`~repro.distributed.plan.ShardPlan` — frequency-balanced LPT bin
   packing of partition-tree leaves onto N shards;
-* :class:`~repro.distributed.batch_router.BatchRouter` — vectorized
+* :class:`~repro.core.batch_router.BatchRouter` — vectorized
   hash + route + group of columnar edge blocks;
 * :class:`~repro.distributed.shard.SketchShard` — partition-local sketch
   state: batch apply, serialize/deserialize checkpoints, exact merge;
-* :mod:`~repro.distributed.executor` — sequential, thread-pool and
-  per-shard-process execution backends behind one protocol;
-* :mod:`~repro.distributed.shared_memory` — per-shard workers over
-  shared-memory counter arenas with fused apply kernels and pipelined
-  (double-buffered) dispatch;
+* :mod:`~repro.distributed.executor` — the execution-backend protocol and
+  the in-process sequential reference backend;
+* :mod:`~repro.distributed.shared_memory` — the production backend:
+  per-shard workers over shared-memory counter arenas with fused apply
+  kernels and pipelined (double-buffered) dispatch;
+* :mod:`~repro.distributed.recovery` — supervised restart and journal
+  replay of shared-memory workers, and opt-in degraded serving;
 * :class:`~repro.distributed.coordinator.ShardedGSketch` — the engine:
   batch ingestion, vectorized queries, checkpointing and re-aggregation back
   into a plain :class:`~repro.core.gsketch.GSketch`.
@@ -26,15 +28,12 @@ Every configuration produces counters bit-identical to a single
 :class:`~repro.core.gsketch.GSketch` over the same stream.
 """
 
-from repro.distributed.batch_router import BatchRouter, PartitionGroup, RoutedBatch
+from repro.core.batch_router import BatchRouter, PartitionGroup, RoutedBatch
 from repro.distributed.coordinator import ShardedGSketch
 from repro.distributed.executor import (
-    InstrumentedExecutor,
-    ProcessPoolExecutor,
     SequentialExecutor,
     ShardExecutionError,
     ShardExecutor,
-    ThreadPoolExecutor,
     make_executor,
 )
 from repro.distributed.plan import ShardPlan
@@ -45,9 +44,7 @@ from repro.distributed.shared_memory import SharedMemoryExecutor
 __all__ = [
     "BatchJournal",
     "BatchRouter",
-    "InstrumentedExecutor",
     "PartitionGroup",
-    "ProcessPoolExecutor",
     "RecoveryPolicy",
     "RoutedBatch",
     "SequentialExecutor",
@@ -58,6 +55,5 @@ __all__ = [
     "ShardedGSketch",
     "SharedMemoryExecutor",
     "SketchShard",
-    "ThreadPoolExecutor",
     "make_executor",
 ]

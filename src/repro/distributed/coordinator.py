@@ -9,12 +9,12 @@ workers, each owning the localized sketches a
 1. columnarizes the incoming stream into :class:`~repro.graph.batch.EdgeBatch`
    blocks,
 2. hashes + routes + groups each block in one vectorized pass
-   (:class:`~repro.distributed.batch_router.BatchRouter`),
+   (:class:`~repro.core.batch_router.BatchRouter`),
 3. scatters the per-partition groups to shard workers through a pluggable
-   :class:`~repro.distributed.executor.ShardExecutor` (in-thread, thread
-   pool, or per-shard worker processes), and
-4. serves queries from the shard-resident sketches, re-synchronizing worker
-   state first when the executor runs out-of-process.
+   :class:`~repro.distributed.executor.ShardExecutor` (in-thread, or
+   per-shard worker processes over shared-memory arenas), and
+4. serves queries from the shard-resident sketches, draining in-flight
+   batches first when the executor runs out-of-process.
 
 Because shard sketches are constructed by the same factories — identical
 widths, depths and hash seeds — and intra-partition arrival order is
@@ -54,7 +54,7 @@ from repro.distributed.executor import (
     ShardExecutor,
 )
 from repro.distributed.plan import ShardPlan
-from repro.distributed.recovery import RecoveryPolicy, ShardSupervisor
+from repro.distributed.recovery import RecoveryPolicy, ShardSupervisor, can_supervise
 from repro.distributed.shard import SketchShard
 from repro.graph.batch import EdgeBatch
 from repro.graph.edge import EdgeKey, StreamEdge
@@ -285,9 +285,9 @@ class ShardedGSketch(PlanServingMixin):
         self._bump_generation()
         INGEST_BATCHES.inc()
         INGEST_ELEMENTS.inc(counted)
-        if self._supervisor is not None and self._supervisor.needs_flush(self._executor):
+        if self._supervisor is not None and self._supervisor.needs_flush():
             # The journal bound forces a pipeline drain: once every retained
-            # entry is settled the journal is cleared / pruned.
+            # entry is settled the journal is cleared.
             self._synchronize()
         return counted
 
@@ -304,7 +304,6 @@ class ShardedGSketch(PlanServingMixin):
         """
         sup = self._supervisor
         executor = self._executor
-        retention = getattr(executor, "journal_retention", "none")
         dropped = 0
         dropped_outliers = 0
 
@@ -324,7 +323,7 @@ class ShardedGSketch(PlanServingMixin):
                 live[shard_index] = groups
         if not live:
             return dropped, dropped_outliers
-        seq = sup.journal.append(live) if retention != "none" else None
+        seq = sup.journal.append(live) if can_supervise(executor) else None
         try:
             for shard_index in sorted(live):
                 groups = live[shard_index]
@@ -390,7 +389,7 @@ class ShardedGSketch(PlanServingMixin):
             self._started = True
 
     def _synchronize(self) -> None:
-        """Pull authoritative state back from out-of-process workers."""
+        """Drain in-flight batches so coordinator state is authoritative."""
         if self._sync_failed:
             raise RuntimeError(
                 "engine state is incomplete: worker synchronization failed "
@@ -408,10 +407,10 @@ class ShardedGSketch(PlanServingMixin):
         self._stale = False
 
     def _sync_supervised(self) -> None:
-        """Drain / pull worker state, recovering (or degrading) on failure.
+        """Drain in-flight batches, recovering (or degrading) on failure.
 
         Each retry only has the previously-failed shard left unsettled: the
-        executors' ``sync`` keeps servicing healthy shards even when one
+        executor's ``sync`` keeps draining healthy shards even when one
         fails, so this loop terminates after at most one incident per shard.
         """
         sup = self._supervisor
@@ -428,15 +427,15 @@ class ShardedGSketch(PlanServingMixin):
                     continue
                 self._sync_failed = True
                 raise
-        sup.on_sync(self._executor)
+        sup.on_sync()
 
     def flush(self) -> None:
         """Drain in-flight batches; coordinator state is authoritative after.
 
-        For the process executor this pulls worker state back; for the
-        shared-memory executor it only waits for outstanding acknowledgements
-        (counters are shared views).  Ingestion throughput measurements must
-        include this, or pipelined batches still in flight go uncounted.
+        For the shared-memory executor this waits for outstanding
+        acknowledgements (counters are shared views, so no state moves).
+        Ingestion throughput measurements must include this, or pipelined
+        batches still in flight go uncounted.
         """
         self._synchronize()
 
@@ -564,9 +563,8 @@ class ShardedGSketch(PlanServingMixin):
 
         The plan **copies** the tables (never attaches): the coordinator's
         sketch tables may already be zero-copy views into a shared-memory
-        ingest arena, and out-of-process syncs can swap the sketch objects
-        wholesale — so the read arena re-copies on each generation refresh
-        instead.
+        ingest arena, re-bound whenever the executor starts or closes — so
+        the read arena re-copies on each generation refresh instead.
         """
         sketches = [
             self._sketch_for_partition(partition)

@@ -1,39 +1,26 @@
 """Shard execution backends.
 
 The coordinator never touches sketch counters directly; it hands per-shard
-work lists to a :class:`ShardExecutor`.  Four interchangeable backends share
-the protocol (the fourth, :class:`~repro.distributed.shared_memory.SharedMemoryExecutor`,
-lives in its own module):
+work lists to a :class:`ShardExecutor`.  Two backends share the protocol:
 
 * :class:`SequentialExecutor` — applies work in the calling thread.  Zero
-  overhead, the reference for parity tests, and surprisingly competitive
-  because counter updates are numpy-bound.
-* :class:`ThreadPoolExecutor` — one task per shard per batch on a shared
-  thread pool.  Shards are disjoint by construction, so no locking is needed.
-* :class:`ProcessPoolExecutor` — one persistent worker **process per shard**,
-  each owning its shard's deserialized state; work travels over pipes and the
-  authoritative state is pulled back on :meth:`~ShardExecutor.sync`.  This is
-  the single-machine stand-in for a real distributed deployment, and it
-  exercises the full serialize → apply → re-aggregate cycle.
+  overhead and the in-process reference that parity tests compare against.
 * :class:`~repro.distributed.shared_memory.SharedMemoryExecutor` — per-shard
   worker processes whose counter tables live in shared-memory arenas; apply
   ships only routed index/frequency columns, sync is a no-op flush, and
-  dispatch is pipelined (double-buffered).  The fastest out-of-process
-  backend by a wide margin.
+  dispatch is pipelined (double-buffered).  The production backend, and the
+  only one the :mod:`~repro.distributed.recovery` supervisor can restart.
 
-All backends produce bit-identical sketch state: work for one shard is always
-applied in submission order, and distinct shards share no counters.
+Both backends produce bit-identical sketch state: work for one shard is
+always applied in submission order, and distinct shards share no counters.
+This module also holds the worker-process plumbing the shared-memory
+backend builds on (death-aware send/receive and escalating teardown).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
-import multiprocessing.process
 import time
-import traceback
-import warnings
-from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Set, Union
+from typing import Mapping, Optional, Protocol, Sequence, Union
 
 from repro import faults as _faults
 from repro.core.batch_router import PartitionGroup
@@ -64,10 +51,8 @@ class ShardExecutionError(RuntimeError):
 def send_to_worker(process, pipe, shard_index: int, message: tuple, lost_note: str) -> None:
     """Send one message to a shard worker, surfacing a dead worker clearly.
 
-    Shared by every pipe-and-process backend so death detection cannot
-    drift between them.  ``lost_note`` describes what a death means for the
-    backend's data (pulled-state backends lose unsynced updates; shared-
-    arena backends keep already-applied counters).
+    ``lost_note`` describes what a death means for the backend's data
+    (shared-arena workers keep already-applied counters).
     """
     if not process.is_alive():
         raise ShardExecutionError(
@@ -175,7 +160,7 @@ class ShardExecutor(Protocol):
     Backends may additionally provide ``apply_async(shards, work)`` — a
     non-blocking dispatch used by the coordinator's pipelined ingest path to
     overlap routing of batch N+1 with the application of batch N.  Executors
-    without it (all in-process backends) are driven through :meth:`apply`;
+    without it (the sequential backend) are driven through :meth:`apply`;
     ``sync`` must always drain any in-flight asynchronous work.
     """
 
@@ -193,38 +178,27 @@ class ShardExecutor(Protocol):
         """Make the coordinator-resident shard state authoritative again."""
 
     def close(self) -> None:
-        """Release threads/processes; the executor may not be reused after."""
+        """Release worker processes; the executor may not be reused after."""
 
 
 #: Canonical string names accepted by :func:`make_executor`.
-EXECUTOR_NAMES = ("sequential", "threads", "processes", "shared")
+EXECUTOR_NAMES = ("sequential", "shared")
 
 
-def make_executor(
-    spec: Union[str, ShardExecutor, None],
-    max_workers: Optional[int] = None,
-) -> Optional[ShardExecutor]:
+def make_executor(spec: Union[str, ShardExecutor, None]) -> Optional[ShardExecutor]:
     """Resolve an executor specification to a backend instance.
 
-    Accepts a canonical name (``"sequential"``, ``"threads"``,
-    ``"processes"``, ``"shared"``), an already-constructed executor (returned
-    unchanged), or ``None`` (returns ``None``; callers fall back to their
-    default).  This is the single resolution point behind the engine
-    builder's ``.executor(...)`` knob and the benchmark CLIs.
-
-    Args:
-        spec: executor name or instance.
-        max_workers: thread-pool width for ``"threads"`` (ignored otherwise).
+    Accepts a canonical name (``"sequential"`` or ``"shared"``), an
+    already-constructed executor (returned unchanged), or ``None`` (returns
+    ``None``; callers fall back to their default).  This is the single
+    resolution point behind the engine builder's ``.executor(...)`` knob and
+    the benchmark CLIs.
     """
     if spec is None or not isinstance(spec, str):
         return spec
     name = spec.lower()
     if name == "sequential":
         return SequentialExecutor()
-    if name in ("threads", "thread"):
-        return ThreadPoolExecutor(max_workers=max_workers)
-    if name in ("processes", "process"):
-        return ProcessPoolExecutor()
     if name == "shared":
         from repro.distributed.shared_memory import SharedMemoryExecutor
 
@@ -249,7 +223,7 @@ class SequentialExecutor:
         with span("ingest", "apply", INGEST_STAGE["apply"], executor="sequential"):
             for shard_index in sorted(work):
                 # In-process "crashes" are simulated as shard failures: the
-                # same injection sites as the worker backends, surfacing as
+                # same injection sites as the shared-memory workers, surfacing as
                 # the same error type, without killing the coordinator.
                 if _faults._PLAN is not None and _faults.should_fire(
                     _faults.SITE_CRASH_BEFORE_APPLY, shard_index
@@ -270,356 +244,3 @@ class SequentialExecutor:
 
     def close(self) -> None:
         pass
-
-
-class ThreadPoolExecutor:
-    """One task per shard per batch on a shared thread pool.
-
-    Counter updates release little of the GIL for small batches, but wide
-    batches spend most of their time inside numpy kernels, where threads do
-    overlap.  Shards never share sketches, so updates are race-free.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self._max_workers = max_workers
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self._max_workers, thread_name_prefix="shard"
-            )
-        return self._pool
-
-    def start(self, shards: Sequence[SketchShard]) -> None:
-        self._ensure_pool()
-
-    def apply(
-        self,
-        shards: Sequence[SketchShard],
-        work: Mapping[int, Sequence[PartitionGroup]],
-    ) -> None:
-        with span("ingest", "apply", INGEST_STAGE["apply"], executor="threads"):
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(shards[shard_index].apply, groups)
-                for shard_index, groups in sorted(work.items())
-            ]
-            for future in futures:
-                future.result()
-
-    def sync(self, shards: Sequence[SketchShard]) -> None:
-        pass
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class _TimedShard:
-    """Proxy that forwards :meth:`apply` while accumulating busy seconds."""
-
-    __slots__ = ("_shard", "_busy")
-
-    def __init__(self, shard: SketchShard, busy: Dict[int, float]) -> None:
-        self._shard = shard
-        self._busy = busy
-
-    @property
-    def index(self) -> int:
-        return self._shard.index
-
-    def apply(self, groups: Sequence[PartitionGroup]) -> None:
-        start = time.perf_counter()
-        self._shard.apply(groups)
-        self._busy[self._shard.index] += time.perf_counter() - start
-
-    def __getattr__(self, name: str):
-        return getattr(self._shard, name)
-
-
-class InstrumentedExecutor:
-    """Deprecated timing decorator around an in-process :class:`ShardExecutor`.
-
-    .. deprecated::
-        The telemetry plane (:mod:`repro.observability`) supersedes this
-        ad-hoc breakdown: the executors themselves now report their apply
-        wall time into ``repro_ingest_stage_seconds{stage="apply"}``, and
-        the throughput benchmark reads its breakdown from the registry.
-        This shim keeps the old attributes working (and mirrors its wall
-        time into the registry) for one deprecation cycle; see the README
-        deprecation table.
-
-    Records, across all batches,
-
-    * ``apply_wall_seconds`` — wall time the coordinator spends inside
-      :meth:`apply` (dispatch + execution + join), and
-    * ``shard_busy_seconds`` — per-shard time spent actually applying groups.
-
-    Only meaningful for in-process backends (`SequentialExecutor`,
-    `ThreadPoolExecutor`): :class:`ProcessPoolExecutor` applies work in worker
-    processes, where the proxies' timers never run.
-    """
-
-    def __init__(self, inner: ShardExecutor) -> None:
-        warnings.warn(
-            "InstrumentedExecutor is deprecated; enable repro.observability "
-            "and read repro_ingest_stage_seconds{stage='apply'} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.inner = inner
-        self.shard_busy_seconds: Dict[int, float] = {}
-        self.apply_wall_seconds = 0.0
-        self.batches = 0
-
-    def start(self, shards: Sequence[SketchShard]) -> None:
-        for shard in shards:
-            self.shard_busy_seconds.setdefault(shard.index, 0.0)
-        self.inner.start(shards)
-
-    def apply(
-        self,
-        shards: Sequence[SketchShard],
-        work: Mapping[int, Sequence[PartitionGroup]],
-    ) -> None:
-        proxies = [_TimedShard(shard, self.shard_busy_seconds) for shard in shards]
-        start = time.perf_counter()
-        self.inner.apply(proxies, work)
-        elapsed = time.perf_counter() - start
-        self.apply_wall_seconds += elapsed
-        self.batches += 1
-        # No registry mirroring here: the wrapped executor's own apply span
-        # already lands in repro_ingest_stage_seconds{stage="apply"}, so a
-        # mirror would double-count legacy users' wall time.
-
-    def sync(self, shards: Sequence[SketchShard]) -> None:
-        self.inner.sync(shards)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-def _shard_worker(conn, payload: bytes, fault_plan=None) -> None:
-    """Worker-process loop: own one shard, serve apply/state requests."""
-    # Install unconditionally: a forked worker inherits the coordinator's
-    # module-level plan, so ``None`` must actively clear it (a restarted
-    # worker only keeps the specs ``restart_plan`` chose to ship).
-    _faults.install(fault_plan)
-    try:
-        shard = SketchShard.deserialize(payload)
-    except Exception:  # noqa: BLE001 - report construction failures too
-        conn.send(("error", traceback.format_exc()))
-        conn.close()
-        return
-    while True:
-        message = conn.recv()
-        kind = message[0]
-        try:
-            if kind == "apply":
-                if _faults._PLAN is not None:
-                    _faults.crash_point(_faults.SITE_CRASH_BEFORE_APPLY, shard.index)
-                shard.apply(message[1])
-                if _faults._PLAN is not None:
-                    _faults.crash_point(_faults.SITE_CRASH_AFTER_APPLY, shard.index)
-                    if _faults.should_fire(_faults.SITE_DROP_ACK, shard.index):
-                        continue
-                    _faults.maybe_slow_ack(shard.index)
-                conn.send(("ok", None))
-            elif kind == "state":
-                conn.send(("state", shard.serialize()))
-            elif kind == "stop":
-                conn.close()
-                return
-            else:  # pragma: no cover - defensive
-                conn.send(("error", f"unknown message kind {kind!r}"))
-        except Exception:  # noqa: BLE001 - ship the traceback to the parent
-            conn.send(("error", traceback.format_exc()))
-
-
-class ProcessPoolExecutor:
-    """Persistent per-shard worker processes with pipe transport.
-
-    Each shard's state lives in its worker from :meth:`start` until
-    :meth:`sync`, which pulls the serialized shard back and installs it into
-    the coordinator-resident :class:`~repro.distributed.shard.SketchShard`.
-    Work/acknowledge round-trips are overlapped across shards: a batch is
-    scattered to every involved worker before any acknowledgement is awaited.
-
-    Args:
-        mp_context: multiprocessing start method (``"fork"`` where available
-            is fastest; ``None`` uses the platform default).
-        ack_deadline: seconds to wait for a live worker's acknowledgement
-            before declaring the shard failed (``None`` waits indefinitely;
-            the supervisor sets this from its
-            :class:`~repro.distributed.recovery.RecoveryPolicy`).
-        teardown_deadline: seconds granted to a worker to exit on its own
-            during :meth:`close`/restart before terminate-then-kill
-            escalation.
-    """
-
-    #: Journal entries stay replay-relevant until the next :meth:`sync`
-    #: (worker state since the last sync dies with the worker).
-    journal_retention = "sync"
-
-    def __init__(
-        self,
-        mp_context: Optional[str] = None,
-        ack_deadline: Optional[float] = None,
-        teardown_deadline: float = DEFAULT_TEARDOWN_DEADLINE,
-    ) -> None:
-        self._ctx = multiprocessing.get_context(mp_context)
-        self._workers: List[Optional[multiprocessing.process.BaseProcess]] = []
-        self._pipes: List = []
-        self._dead: Set[int] = set()
-        self._started = False
-        self.ack_deadline = ack_deadline
-        self.teardown_deadline = teardown_deadline
-
-    def _spawn(self, shard: SketchShard, fault_plan=None):
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_shard_worker,
-            args=(child_conn, shard.serialize(), fault_plan),
-            daemon=True,
-            name=f"sketch-shard-{shard.index}",
-        )
-        process.start()
-        child_conn.close()
-        return process, parent_conn
-
-    def start(self, shards: Sequence[SketchShard]) -> None:
-        if self._started:
-            return
-        plan = _faults.current_plan()
-        for shard in shards:
-            process, pipe = self._spawn(shard, plan)
-            self._workers.append(process)
-            self._pipes.append(pipe)
-        self._started = True
-
-    _LOST_NOTE = "updates since the last sync are lost"
-
-    def _send(self, shard_index: int, message: tuple) -> None:
-        process = self._workers[shard_index]
-        if process is None:
-            raise ShardExecutionError(
-                shard_index, "shard abandoned after retry exhaustion (degraded)"
-            )
-        send_to_worker(
-            process,
-            self._pipes[shard_index],
-            shard_index,
-            message,
-            self._LOST_NOTE,
-        )
-
-    def _expect(self, shard_index: int, expected: str):
-        return await_worker_reply(
-            self._workers[shard_index],
-            self._pipes[shard_index],
-            shard_index,
-            expected,
-            self._LOST_NOTE,
-            deadline=self.ack_deadline,
-        )
-
-    def apply(
-        self,
-        shards: Sequence[SketchShard],
-        work: Mapping[int, Sequence[PartitionGroup]],
-    ) -> None:
-        if not self._started:
-            self.start(shards)
-        with span("ingest", "apply", INGEST_STAGE["apply"], executor="processes"):
-            involved = sorted(work)
-            for shard_index in involved:
-                self._send(shard_index, ("apply", list(work[shard_index])))
-            for shard_index in involved:
-                self._expect(shard_index, "ok")
-
-    def sync(self, shards: Sequence[SketchShard]) -> None:
-        if not self._started:
-            return
-        # Pull every healthy shard even when one fails: the pending replies
-        # are consumed either way, so the pipes stay request/reply aligned
-        # and a supervised retry after recovery starts from a clean slate.
-        failure: Optional[ShardExecutionError] = None
-        sent = []
-        for shard_index in range(len(self._pipes)):
-            if shard_index in self._dead:
-                continue
-            try:
-                self._send(shard_index, ("state",))
-                sent.append(shard_index)
-            except ShardExecutionError as error:
-                if failure is None:
-                    failure = error
-        for shard_index in sent:
-            try:
-                payload = self._expect(shard_index, "state")
-            except ShardExecutionError as error:
-                if failure is None:
-                    failure = error
-                continue
-            shards[shard_index].load_state_from(SketchShard.deserialize(payload))
-        if failure is not None:
-            raise failure
-
-    # -- supervised recovery (driven by ShardSupervisor) ---------------- #
-    def restart_shard(
-        self, shards: Sequence[SketchShard], shard_index: int
-    ) -> Optional[int]:
-        """Respawn one shard's worker from the coordinator-resident state.
-
-        The dead worker held every batch applied since the last sync; the
-        respawn re-seeds from the shard's last checkpointed (synced) state,
-        so the supervisor must replay *all* journaled batches for this
-        shard (returns ``None``: no applied-sequence watermark exists).
-        """
-        if not self._started:
-            raise ShardExecutionError(shard_index, "executor not started")
-        reap_workers(
-            [self._pipes[shard_index]],
-            [self._workers[shard_index]],
-            deadline=self.teardown_deadline,
-        )
-        process, pipe = self._spawn(shards[shard_index], _faults.restart_plan())
-        self._workers[shard_index] = process
-        self._pipes[shard_index] = pipe
-        return None
-
-    def replay(
-        self,
-        shards: Sequence[SketchShard],
-        shard_index: int,
-        groups: Sequence[PartitionGroup],
-        seq: Optional[int] = None,
-    ) -> None:
-        """Re-apply one journaled batch to a freshly restarted worker."""
-        self._send(shard_index, ("apply", list(groups)))
-        self._expect(shard_index, "ok")
-
-    def mark_failed(self, shard_index: int) -> None:
-        """Abandon a shard (degraded serving): reap its worker for good.
-
-        The coordinator-resident shard keeps serving its last synced
-        counters; ingest routed to this shard is dropped upstream.
-        """
-        reap_workers(
-            [self._pipes[shard_index]],
-            [self._workers[shard_index]],
-            deadline=self.teardown_deadline,
-        )
-        self._workers[shard_index] = None
-        self._pipes[shard_index] = None
-        self._dead.add(shard_index)
-
-    def close(self) -> None:
-        """Stop all workers; safe to call repeatedly, even after a crash."""
-        reap_workers(self._pipes, self._workers, deadline=self.teardown_deadline)
-        self._workers = []
-        self._pipes = []
-        self._dead = set()
-        self._started = False

@@ -8,25 +8,25 @@ detected failure back into a healthy shard:
   wall-clock deadline, journal bound, ack deadline, and whether to keep
   serving from surviving shards once the budget is spent.
 * :class:`BatchJournal` — a bounded, sequence-numbered retention of every
-  dispatched per-shard group list.  Entries are pruned once their shards
-  have durably applied them (acknowledged, for the shared-arena backend;
-  synced, for the pulled-state backend), so the journal holds exactly the
+  dispatched per-shard group list.  Entries are pruned once every involved
+  worker has acknowledged them (acknowledged counters live in the shared
+  arena, which survives the worker), so the journal holds exactly the
   batches a worker death could lose.
 * :class:`ShardSupervisor` — on failure, restarts the shard worker with
-  bounded exponential backoff, rebinds its arena / re-seeds its state from
-  the shard's last checkpoint, and replays journaled batches idempotently
-  (the shared arena's applied-sequence slot tells the supervisor which
-  journaled batches the dead worker already committed).  A recovered run is
-  bit-exact with an unfaulted one; an exhausted budget either poisons the
-  engine (default) or, with ``degraded_serving=True``, drops the shard and
-  keeps serving with widened confidence bounds.
+  bounded exponential backoff, rebinds its arena, and replays journaled
+  batches idempotently (the arena's applied-sequence slot tells the
+  supervisor which journaled batches the dead worker already committed).
+  A recovered run is bit-exact with an unfaulted one; an exhausted budget
+  either poisons the engine (default) or, with ``degraded_serving=True``,
+  drops the shard and keeps serving with widened confidence bounds.
 
-The supervisor drives executors through three optional methods —
-``restart_shard(shards, index)``, ``replay(shards, index, groups, seq)``
-and ``mark_failed(index)`` — plus the class attribute ``journal_retention``
-(``"ack"``, ``"sync"`` or ``"none"``) that names when journal entries become
-safe to prune.  Executors without them (the in-process backends) simply
-cannot be supervised, and failures propagate exactly as before.
+The supervisor drives an executor through ``restart_shard(shards, index)``,
+``replay(shards, index, groups, seq)``, ``acked_seq(index)``,
+``applied_seq(index)`` and ``mark_failed(index)`` — the
+:class:`~repro.distributed.shared_memory.SharedMemoryExecutor` surface.  An
+executor without ``restart_shard``/``replay`` (the in-process sequential
+backend) cannot be supervised: nothing is journaled for it, and failures
+propagate exactly as before.
 """
 
 from __future__ import annotations
@@ -47,8 +47,10 @@ from repro.observability.instruments import (
 )
 from repro.observability.tracing import get_recorder
 
-#: Journal retention modes an executor can declare.
-RETENTION_MODES = ("none", "sync", "ack")
+
+def can_supervise(executor) -> bool:
+    """Whether the supervisor can restart and replay ``executor``'s shards."""
+    return hasattr(executor, "restart_shard") and hasattr(executor, "replay")
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,8 @@ class BatchJournal:
         """This shard's retained ``(seq, groups)`` entries, oldest first.
 
         ``after`` (the shard's applied-sequence watermark) filters out
-        entries the worker already committed; ``None`` replays everything
-        retained (pulled-state workers lose all unsynced batches).
+        entries the worker already committed; ``None`` returns everything
+        retained.
         """
         floor = -1 if after is None else after
         return [
@@ -212,16 +214,12 @@ class ShardSupervisor:
 
         Bounded exponential backoff between attempts, a wall-clock deadline
         across the incident.  Each attempt restarts the worker (rebinding
-        its arena or re-seeding it from the shard's last checkpointed
-        state), then replays the journaled batches the worker had not
+        its arena), then replays the journaled batches the worker had not
         committed — crediting scalar totals exactly once for batches whose
         original dispatch never got to credit them.
         """
-        restart = getattr(executor, "restart_shard", None)
-        replay = getattr(executor, "replay", None)
-        if restart is None or replay is None or shard_index in self.dead_shards:
+        if not can_supervise(executor) or shard_index in self.dead_shards:
             return False
-        retention = getattr(executor, "journal_retention", "none")
         policy = self.policy
         begin = time.monotonic()
         deadline = begin + policy.deadline_seconds
@@ -233,10 +231,10 @@ class ShardSupervisor:
                 if time.monotonic() >= deadline:
                     break
             try:
-                applied = restart(shards, shard_index)
+                applied = executor.restart_shard(shards, shard_index)
                 for seq, groups in self.journal.entries_for(shard_index, after=applied):
-                    replay(shards, shard_index, groups, seq)
-                    if retention == "ack" and seq > self._credited.get(shard_index, 0):
+                    executor.replay(shards, shard_index, groups, seq)
+                    if seq > self._credited.get(shard_index, 0):
                         shards[shard_index].credit_groups(groups)
                         self._credited[shard_index] = seq
             except ShardExecutionError:
@@ -312,30 +310,23 @@ class ShardSupervisor:
     # Journal lifecycle hooks (driven by the coordinator)
     # ------------------------------------------------------------------ #
     def after_dispatch(self, executor) -> None:
-        """Prune entries the workers have acknowledged (ack retention)."""
-        if getattr(executor, "journal_retention", "none") != "ack":
-            return
-        acked_fn = getattr(executor, "acked_seq", None)
-        if acked_fn is None:  # pragma: no cover - defensive
+        """Prune entries every live worker has acknowledged."""
+        if not can_supervise(executor):
             return
         acked = {
-            shard_index: acked_fn(shard_index)
+            shard_index: executor.acked_seq(shard_index)
             for shard_index in range(self.num_shards)
             if shard_index not in self.dead_shards
         }
         self.journal.prune_acked(acked)
 
-    def on_sync(self, executor) -> None:
-        """A full drain/sync settled everything retained: clear the journal."""
-        if getattr(executor, "journal_retention", "none") != "none":
-            self.journal.clear()
+    def on_sync(self) -> None:
+        """A full drain settled everything retained: clear the journal."""
+        self.journal.clear()
 
-    def needs_flush(self, executor) -> bool:
+    def needs_flush(self) -> bool:
         """Whether the journal bound forces a pipeline flush now."""
-        return (
-            getattr(executor, "journal_retention", "none") != "none"
-            and len(self.journal) >= self.policy.journal_limit
-        )
+        return len(self.journal) >= self.policy.journal_limit
 
     def reset(self) -> None:
         """Forget incident state after a checkpoint restore / merge."""

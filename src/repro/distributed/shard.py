@@ -3,14 +3,13 @@
 A :class:`SketchShard` holds the physical Count-Min sketches of the partitions
 a :class:`~repro.distributed.plan.ShardPlan` assigned to it — possibly
 including the outlier sketch — and applies pre-routed
-:class:`~repro.distributed.batch_router.PartitionGroup` blocks to them.
+:class:`~repro.core.batch_router.PartitionGroup` blocks to them.
 
 Shards are the unit of distribution, so they are fully serializable: a shard
-can be pickled to another process (the process executor does exactly this),
-checkpointed to disk, and **merged** — two shards populated from disjoint
-sub-streams combine, counter by counter, into the shard that would have
-resulted from ingesting the concatenated stream.  Merging is exact because
-Count-Min tables are linear in the input.
+can be checkpointed to disk, revived, and **merged** — two shards populated
+from disjoint sub-streams combine, counter by counter, into the shard that
+would have resulted from ingesting the concatenated stream.  Merging is exact
+because Count-Min tables are linear in the input.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Shared-memory shard execution: zero-copy counters, fused kernels, pipelining.
 
-:class:`SharedMemoryExecutor` is the high-throughput sibling of
-:class:`~repro.distributed.executor.ProcessPoolExecutor`.  Both run one
-persistent worker process per shard; the difference is where the counter
-state lives and what travels over the pipes:
+:class:`SharedMemoryExecutor` is the production shard backend (the
+in-process :class:`~repro.distributed.executor.SequentialExecutor` is the
+parity reference).  It runs one persistent worker process per shard; the
+design rests on where the counter state lives and what travels over the
+pipes:
 
 * **Counters live in a shared-memory arena.**  Each shard's Count-Min tables
   are laid out side by side in one ``multiprocessing.shared_memory`` block of
@@ -394,10 +395,6 @@ class SharedMemoryExecutor:
             during :meth:`close`/restart before terminate-then-kill
             escalation.
     """
-
-    #: Journal entries stay replay-relevant only until acknowledged: applied
-    #: counters live in the shared arena, which survives a worker crash.
-    journal_retention = "ack"
 
     def __init__(
         self,

@@ -5,10 +5,10 @@ into a recorded, gated artifact:
 
 * **crash-and-recover parity** — under a seeded
   :meth:`~repro.faults.FaultPlan.seeded` schedule covering every worker
-  injection point, a supervised run over each out-of-process executor ends
+  injection point, a supervised run over the shared-memory executor ends
   with ``state_dict()`` bit-exact to an unfaulted sequential run;
 * **bounded recovery cost** — restart counts and the wall-clock cost of the
-  faulted run relative to a clean run of the same executor are recorded
+  faulted run relative to a clean shared-memory run are recorded
   (advisory; machine-dependent);
 * **sound degraded serving** — after a persistently-crashing shard exhausts
   its restart budget, the surviving shards keep answering and every widened
@@ -37,7 +37,6 @@ from repro import faults
 from repro.core.config import GSketchConfig
 from repro.datasets.zipf import zipf_stream
 from repro.distributed import (
-    ProcessPoolExecutor,
     RecoveryPolicy,
     SequentialExecutor,
     ShardedGSketch,
@@ -49,11 +48,6 @@ DEFAULT_EDGES = 60_000
 QUICK_EDGES = 8_000
 DEFAULT_OUTPUT = "BENCH_recovery.json"
 NUM_SHARDS = 3
-
-EXECUTORS = {
-    "processes": ProcessPoolExecutor,
-    "shared": SharedMemoryExecutor,
-}
 
 
 def _build(sample, config, stream, executor, recovery=None) -> ShardedGSketch:
@@ -101,37 +95,33 @@ def _timed_run(sample, config, stream, executor, batch_size, recovery=None):
 def _parity_drill(
     sample, config, stream, baseline: dict, seed: int, batch_size: int
 ) -> List[dict]:
-    """Seeded all-site schedules per executor: crash, recover, compare."""
+    """Seeded all-site schedule on the shared executor: crash, recover, compare."""
     policy = RecoveryPolicy(
         max_restarts=3, backoff_seconds=0.01, ack_deadline_seconds=0.5
     )
-    rows = []
-    for name in sorted(EXECUTORS):
-        _, clean_wall, _ = _timed_run(
-            sample, config, stream, EXECUTORS[name](), batch_size
+    _, clean_wall, _ = _timed_run(
+        sample, config, stream, SharedMemoryExecutor(), batch_size
+    )
+    faults.install(faults.FaultPlan.seeded(seed, num_shards=NUM_SHARDS))
+    try:
+        state, faulted_wall, telemetry = _timed_run(
+            sample, config, stream, SharedMemoryExecutor(), batch_size, recovery=policy
         )
-        plan = faults.FaultPlan.seeded(seed, num_shards=NUM_SHARDS)
-        faults.install(plan)
-        try:
-            state, faulted_wall, telemetry = _timed_run(
-                sample, config, stream, EXECUTORS[name](), batch_size, recovery=policy
-            )
-        finally:
-            faults.clear()
-        rows.append(
-            {
-                "executor": name,
-                "schedule_seed": seed,
-                "sites": list(faults.WORKER_SITES),
-                "parity_ok": _states_bit_exact(baseline, state),
-                "restarts": telemetry["restarts"],
-                "dead_shards": telemetry["dead_shards"],
-                "clean_wall_seconds": clean_wall,
-                "faulted_wall_seconds": faulted_wall,
-                "recovery_cost_ratio": faulted_wall / clean_wall if clean_wall else 0.0,
-            }
-        )
-    return rows
+    finally:
+        faults.clear()
+    return [
+        {
+            "executor": "shared",
+            "schedule_seed": seed,
+            "sites": list(faults.WORKER_SITES),
+            "parity_ok": _states_bit_exact(baseline, state),
+            "restarts": telemetry["restarts"],
+            "dead_shards": telemetry["dead_shards"],
+            "clean_wall_seconds": clean_wall,
+            "faulted_wall_seconds": faulted_wall,
+            "recovery_cost_ratio": faulted_wall / clean_wall if clean_wall else 0.0,
+        }
+    ]
 
 
 def _degraded_drill(sample, config, stream, seed: int, batch_size: int) -> dict:
@@ -144,7 +134,7 @@ def _degraded_drill(sample, config, stream, seed: int, batch_size: int) -> dict:
         site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=1, shard=victim, persistent=True
     )
     faults.install(faults.FaultPlan([spec]))
-    engine = _build(sample, config, stream, ProcessPoolExecutor(), recovery=policy)
+    engine = _build(sample, config, stream, SharedMemoryExecutor(), recovery=policy)
     try:
         engine.ingest(stream, batch_size=batch_size)
         engine.flush()

@@ -306,7 +306,6 @@ def run_serve_bench(
                         round(qps / baseline_qps, 3) if baseline_qps else None
                     ),
                     "generation": pool_stats["generation"],
-                    "kernel": pool_stats["kernel"],
                     "parity_mismatches": mismatches,
                     "parity_ok": mismatches == 0,
                 }

@@ -9,8 +9,8 @@ claims.  This runner measures edges/second for
   pipeline, driven through the :class:`~repro.api.engine.SketchEngine`
   facade (the public ingest surface);
 * ``sharded-N``  — :class:`~repro.distributed.coordinator.ShardedGSketch`
-  with N shards (N=1 runs the sequential executor; N>1 the thread pool),
-  built and fed through the same facade;
+  with N shards on the in-process sequential executor, built and fed
+  through the same facade;
 * ``sharded-N-shared`` — the same N shards on the
   :class:`~repro.distributed.shared_memory.SharedMemoryExecutor`: counter
   arenas in shared memory, fused apply kernels in per-shard worker
@@ -41,11 +41,7 @@ from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
 from repro.datasets.rmat import rmat_stream
 from repro.datasets.zipf import zipf_stream
-from repro.distributed import (
-    SequentialExecutor,
-    ThreadPoolExecutor,
-    make_executor,
-)
+from repro.distributed import SequentialExecutor, make_executor
 from repro.graph.sampling import reservoir_sample
 from repro.observability import metrics as obs_metrics
 from repro.observability.exposition import registry_excerpt
@@ -62,7 +58,7 @@ class ThroughputResult:
     """One (dataset, mode) measurement.
 
     ``breakdown`` (sharded modes only) decomposes the ingest wall time.  For
-    in-process executors the numbers are deltas of the
+    the sequential executor the numbers are deltas of the
     :mod:`repro.observability` ingest-stage histograms (the coordinator's
     route/dispatch laps and the executor's apply spans):
     ``coordinator_seconds`` is the serial hash/route/group work on the
@@ -201,23 +197,17 @@ def run_throughput(
         batched_seconds, _ = _best_of(repeats, measure_batched)
         report("batched", batched_seconds, baseline=per_edge_seconds)
 
-        # --- sharded (in-process executors) ---------------------------- #
+        # --- sharded (in-process sequential executor) ------------------ #
         def measure_sharded(num_shards: int):
             # Breakdown comes from registry deltas of the ingest-stage
             # histograms (route/dispatch laps on the coordinator, apply spans
-            # in the executor) — the successor of the deprecated
-            # InstrumentedExecutor wrapper, measured on the real executor.
-            executor = (
-                SequentialExecutor()
-                if num_shards == 1
-                else ThreadPoolExecutor(max_workers=num_shards)
-            )
+            # in the executor).
             engine = (
                 SketchEngine.builder()
                 .config(config)
                 .sample(sample)
                 .stream_size_hint(len(stream))
-                .sharded(num_shards, executor=executor)
+                .sharded(num_shards, executor=SequentialExecutor())
                 .build()
             )
             before_stage = {name: h.sum for name, h in INGEST_STAGE.items()}
@@ -326,7 +316,7 @@ def run_throughput(
         "parity_ok": bool(parity_ok),
         "results": [asdict(r) for r in results],
         # Ingest-plane registry excerpt, accumulated over the instrumented
-        # (sharded in-process) runs above — bucket arrays elided.
+        # (sharded sequential) runs above — bucket arrays elided.
         "telemetry": registry_excerpt(("repro_ingest_", "repro_shared_")),
     }
 

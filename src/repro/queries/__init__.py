@@ -1,6 +1,6 @@
 """Query model, workload generation, accuracy metrics, the compiled
 read-optimized query plan, and the parallel read plane (shared-memory
-reader pool + optional compiled kernel tiers)."""
+reader pool + scratch-staged gather kernel)."""
 
 from repro.queries.aggregate import AGGREGATES, AggregateFunction, get_aggregate
 from repro.queries.edge_query import EdgeQuery
@@ -12,12 +12,7 @@ from repro.queries.evaluation import (
     evaluate_subgraph_queries,
     relative_error,
 )
-from repro.queries.kernels import (
-    KERNEL_TIERS,
-    KernelUnavailableError,
-    NumpyScratchKernel,
-    get_kernel,
-)
+from repro.queries.kernels import NumpyScratchKernel
 from repro.queries.plan import (
     CompiledQueryPlan,
     HotEdgeCache,
@@ -40,8 +35,6 @@ __all__ = [
     "EdgeQuery",
     "EvaluationResult",
     "HotEdgeCache",
-    "KERNEL_TIERS",
-    "KernelUnavailableError",
     "NumpyScratchKernel",
     "PlanConfig",
     "PlanServingMixin",
@@ -58,7 +51,6 @@ __all__ = [
     "evaluate_edge_queries",
     "evaluate_subgraph_queries",
     "get_aggregate",
-    "get_kernel",
     "relative_error",
     "uniform_edge_queries",
     "zipf_edge_queries",

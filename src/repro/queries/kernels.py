@@ -1,4 +1,4 @@
-"""The compiled kernel tier for the read plane (ROADMAP "compiled kernel tier").
+"""The scratch-staged gather kernel for the read plane.
 
 The two hot kernels of a compiled-plan gather are the Mersenne-61 modular
 hash (:func:`~repro.sketches.hashing.mulmod_mersenne61_batch` inside
@@ -8,29 +8,19 @@ allocate roughly a dozen temporaries per batch; at serving batch sizes
 (hundreds of keys) allocation and temporary traffic cost as much as the
 arithmetic itself.
 
-This module provides swappable implementations of those two kernels behind a
-small :class:`QueryKernel` interface:
-
-``numpy``
-    The default tier: the identical uint64 kernel *sequence* as the oracle
-    expressions, but staged through preallocated per-instance scratch
-    buffers (``out=`` everywhere), so a steady-state batch performs zero
-    heap allocation.  Because uint64 wraparound arithmetic is value-exact
-    regardless of where results are stored, the tier is bit-identical to
-    the oracle — ``tests/test_kernels.py`` pins that on Mersenne boundary
-    values.
-
-``numba``
-    An optional JIT tier compiled with :mod:`numba` when it is installed.
-    The scalar loop reimplements the same 32-bit-limb mulmod fold, fusing
-    hash, offset add, arena gather and min reduce into one pass per batch.
-    Selecting it without numba installed raises
-    :class:`KernelUnavailableError`; the parity suite skips cleanly.
+:class:`NumpyScratchKernel` (behind the small :class:`QueryKernel`
+interface) runs the identical uint64 kernel *sequence* as the oracle
+expressions, but staged through preallocated per-instance scratch buffers
+(``out=`` everywhere), so a steady-state batch performs zero heap
+allocation.  Because uint64 wraparound arithmetic is value-exact regardless
+of where results are stored, the kernel is bit-identical to the oracle —
+``tests/test_kernels.py`` pins that on Mersenne boundary values.
 
 The plain expressions in :mod:`repro.sketches.hashing` remain the parity
-oracle: every tier must agree with them bit-for-bit, and
-:meth:`~repro.queries.plan.CompiledQueryPlan.estimate_keys` keeps using the
-oracle unless a kernel is explicitly attached (``PlanConfig(kernel=...)``).
+oracle, and :meth:`~repro.queries.plan.CompiledQueryPlan.estimate_keys`
+keeps using them unless a kernel is explicitly attached (a
+:class:`~repro.queries.parallel.PlanConfig` applied to the engine attaches
+one; reader-pool workers always use one).
 
 Kernels are *stateful* (they own scratch) and therefore neither thread-safe
 nor shareable across reader-pool workers — each worker constructs its own.
@@ -53,26 +43,11 @@ _SH3 = _U64(3)
 _SH32 = _U64(32)
 _SH61 = _U64(61)
 
-#: Kernel tier names accepted by ``PlanConfig(kernel=...)``.
-KERNEL_TIERS = ("numpy", "numba")
-
-try:  # pragma: no cover - exercised only when numba is installed
-    import numba  # type: ignore[import-not-found]
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the common container state
-    numba = None  # type: ignore[assignment]
-    HAVE_NUMBA = False
-
-
-class KernelUnavailableError(RuntimeError):
-    """A kernel tier was selected whose backing dependency is not installed."""
-
 
 def scratch_capacity(scratch_mb: float, depth: int) -> int:
     """Largest batch the scratch buffers sized by ``scratch_mb`` can hold.
 
-    The numpy tier keeps five uint64 + one bool + one int64 ``(depth, cap)``
+    The numpy kernel keeps five uint64 + one bool + one int64 ``(depth, cap)``
     planes plus a few per-key rows (~``57 * depth + 80`` bytes per key);
     the result is floored at 1024 keys so tiny budgets stay usable.
     """
@@ -83,12 +58,9 @@ def scratch_capacity(scratch_mb: float, depth: int) -> int:
 
 
 class QueryKernel:
-    """Interface of a kernel tier: per-element hash columns + gather/min."""
+    """Interface of a gather kernel: per-element hash columns + gather/min."""
 
     name: str = "abstract"
-    #: Fused kernels answer whole batches via :meth:`estimate` instead of the
-    #: two-step hash_columns/gather_min protocol.
-    fused: bool = False
 
     def hash_columns(
         self, a: np.ndarray, b: np.ndarray, widths: np.ndarray, keys: np.ndarray
@@ -119,7 +91,7 @@ class QueryKernel:
 
 
 class NumpyScratchKernel(QueryKernel):
-    """The ``numpy`` tier: oracle arithmetic staged through preallocated scratch.
+    """Oracle arithmetic staged through preallocated scratch.
 
     Buffers are sized to the larger of ``capacity`` and the largest batch
     seen — oversized batches grow the scratch once rather than failing, so
@@ -244,123 +216,3 @@ class NumpyScratchKernel(QueryKernel):
         target = out if out is not None else self._mins[:n]
         return gathered.min(axis=0, out=target)
 
-
-if HAVE_NUMBA:  # pragma: no cover - compiled only when numba is installed
-
-    @numba.njit(cache=True, nogil=True)  # type: ignore[misc]
-    def _numba_hash_gather_min(a, b, widths, keys, flat, row_offsets, col_offsets, out):
-        """Fused hash + arena gather + min reduce, one scalar pass.
-
-        ``a``/``b`` are ``(depth, n)`` (or ``(depth, 1)`` broadcast) uint64
-        coefficient columns; ``row_offsets[d]`` is ``d * total_width`` and
-        ``col_offsets[i]`` the per-element arena column offset (all zeros
-        for single-slot plans).  The limb fold mirrors
-        ``mulmod_mersenne61_batch`` exactly, so results are bit-identical.
-        """
-        depth = a.shape[0]
-        n = keys.shape[0]
-        broadcast = a.shape[1] == 1
-        mask32 = np.uint64(0xFFFFFFFF)
-        m61 = np.uint64(MERSENNE_PRIME_61)
-        for i in range(n):
-            x = keys[i]
-            x_lo = x & mask32
-            x_hi = x >> np.uint64(32)
-            width = widths[0] if broadcast else widths[i]
-            best = np.inf
-            for d in range(depth):
-                ai = a[d, 0] if broadcast else a[d, i]
-                bi = b[d, 0] if broadcast else b[d, i]
-                a_lo = ai & mask32
-                a_hi = ai >> np.uint64(32)
-                ll = a_lo * x_lo
-                t = a_hi * x_lo + (ll >> np.uint64(32))
-                s = t + a_lo * x_hi
-                carry = np.uint64(1) if s < t else np.uint64(0)
-                hi = a_hi * x_hi + (s >> np.uint64(32)) + (carry << np.uint64(32))
-                lo = (s << np.uint64(32)) | (ll & mask32)
-                top = (hi << np.uint64(3)) | (lo >> np.uint64(61))
-                r = top + (lo & m61)
-                if r < top:
-                    r = r + np.uint64(8)
-                r = (r & m61) + (r >> np.uint64(61))
-                r = (r & m61) + (r >> np.uint64(61))
-                if r >= m61:
-                    r = r - m61
-                r = r + bi
-                if r >= m61:
-                    r = r - m61
-                col = np.int64(r % width)
-                value = flat[row_offsets[d] + col_offsets[i] + col]
-                if value < best:
-                    best = value
-            out[i] = best
-
-
-class NumbaKernel(QueryKernel):
-    """The ``numba`` tier: one fused JIT pass per batch.
-
-    Unlike the numpy tier this fuses hashing, gather and reduce, so the plan
-    drives it through the fused entry point (:meth:`estimate`) instead of
-    the two-step protocol.
-    """
-
-    name = "numba"
-    fused = True
-
-    def __init__(self, depth: int, capacity: int = 8192) -> None:
-        if not HAVE_NUMBA:
-            raise KernelUnavailableError(
-                "kernel tier 'numba' requires the optional numba dependency; "
-                "install it or select kernel='numpy'"
-            )
-        self.depth = depth
-        self.capacity = capacity
-        self._zeros = np.zeros(0, dtype=np.int64)
-        self._out = np.empty(0, dtype=np.float64)
-
-    def estimate(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        widths: np.ndarray,
-        keys: np.ndarray,
-        flat: np.ndarray,
-        row_offsets: np.ndarray,
-        col_offsets: Optional[np.ndarray],
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:  # pragma: no cover - requires numba
-        n = keys.shape[0]
-        if col_offsets is None:
-            if len(self._zeros) < n:
-                self._zeros = np.zeros(max(n, self.capacity), dtype=np.int64)
-            col_offsets = self._zeros[:n]
-        if out is None:
-            if len(self._out) < n:
-                self._out = np.empty(max(n, self.capacity), dtype=np.float64)
-            out = self._out[:n]
-        _numba_hash_gather_min(
-            np.ascontiguousarray(a, dtype=np.uint64),
-            np.ascontiguousarray(b, dtype=np.uint64),
-            np.ascontiguousarray(widths, dtype=np.uint64),
-            keys,
-            flat,
-            np.ascontiguousarray(row_offsets, dtype=np.int64),
-            np.ascontiguousarray(col_offsets, dtype=np.int64),
-            out,
-        )
-        return out
-
-
-def get_kernel(name: str, *, depth: int, capacity: int = 8192) -> QueryKernel:
-    """Construct the kernel tier ``name`` for plans of the given ``depth``.
-
-    Raises:
-        KernelUnavailableError: ``name`` is ``"numba"`` but numba is absent.
-        ValueError: ``name`` is not a known tier.
-    """
-    if name == "numpy":
-        return NumpyScratchKernel(depth, capacity)
-    if name == "numba":
-        return NumbaKernel(depth, capacity)
-    raise ValueError(f"unknown kernel tier {name!r}; expected one of {KERNEL_TIERS}")

@@ -28,8 +28,8 @@ three array kernels instead of a full gather; it is invalidated wholesale on
 every remap, so pool answers stay bit-identical to the plan oracle at the
 same generation.
 
-Kernel selection, reader count and scratch sizing are configuration, not
-environment variables: :class:`PlanConfig` rides
+Reader count and scratch sizing are configuration, not environment
+variables: :class:`PlanConfig` rides
 ``EngineBuilder.plan(PlanConfig(...))`` next to the existing
 ``.recovery(...)`` pattern.
 """
@@ -67,7 +67,7 @@ from repro.observability.instruments import (
     READER_RESTART_EVENTS,
     READER_RESTART_SECONDS,
 )
-from repro.queries.kernels import KERNEL_TIERS, get_kernel, scratch_capacity
+from repro.queries.kernels import NumpyScratchKernel, scratch_capacity
 from repro.queries.plan import CompiledQueryPlan, HotEdgeCache
 from repro.sketches.hashing import pair_keys_to_uint64
 
@@ -134,11 +134,9 @@ class PlanConfig:
     """Typed read-plane configuration (``EngineBuilder.plan(...)``).
 
     Attributes:
-        kernel: compiled kernel tier — ``"numpy"`` (preallocated-scratch
-            numpy, the default) or ``"numba"`` (JIT; requires the optional
-            numba dependency).
         readers: reader-pool size; ``0`` answers queries in-process.
-        scratch_mb: per-worker scratch budget for the kernel tier, in MiB.
+        scratch_mb: per-worker scratch budget for the
+            :class:`~repro.queries.kernels.NumpyScratchKernel`, in MiB.
         cache_bits: per-worker direct-mapped memo size (``2**cache_bits``
             slots); ``0`` disables the memo.
         max_pending: staging segments (in-flight batches) per worker.
@@ -154,7 +152,6 @@ class PlanConfig:
         restart_backoff_multiplier: exponential backoff factor.
     """
 
-    kernel: str = "numpy"
     readers: int = 0
     scratch_mb: float = 4.0
     cache_bits: int = 16
@@ -166,10 +163,6 @@ class PlanConfig:
     restart_backoff_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNEL_TIERS:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_TIERS}, got {self.kernel!r}"
-            )
         if self.readers < 0:
             raise ValueError(f"readers must be >= 0, got {self.readers}")
         if self.scratch_mb <= 0:
@@ -321,7 +314,7 @@ def _arena_views(
 class _WorkerState:
     """Everything a reader worker derives from one mapped arena generation."""
 
-    def __init__(self, spec: PlanArenaSpec, kernel_name: str, capacity: int) -> None:
+    def __init__(self, spec: PlanArenaSpec, capacity: int) -> None:
         self.spec = spec
         self.shm = shared_memory.SharedMemory(name=spec.shm_name)
         (
@@ -339,7 +332,7 @@ class _WorkerState:
         self.row_base = (
             np.arange(spec.depth, dtype=np.int64) * spec.total_width
         )[:, None]
-        self.kernel = get_kernel(kernel_name, depth=spec.depth, capacity=capacity)
+        self.kernel = NumpyScratchKernel(spec.depth, capacity=capacity)
 
     def route_slots(self, sources: np.ndarray) -> Optional[np.ndarray]:
         """Arena slot per source; ``None`` for single-slot plans."""
@@ -359,17 +352,6 @@ class _WorkerState:
         """Hash/route/gather/min for one (sub-)batch; may return scratch views."""
         slots = self.route_slots(sources)
         kernel = self.kernel
-        if getattr(kernel, "fused", False):
-            if slots is None:
-                return kernel.estimate(
-                    self.hash_a, self.hash_b, self.widths, keys,
-                    self.flat, self.row_base[:, 0], None,
-                )
-            return kernel.estimate(
-                kernel_take(self.hash_a, slots), kernel_take(self.hash_b, slots),
-                self.widths[slots], keys, self.flat, self.row_base[:, 0],
-                self.offsets[slots],
-            )
         if slots is None:
             cols = kernel.hash_columns(
                 self.hash_a, self.hash_b, self.widths, keys
@@ -391,11 +373,6 @@ class _WorkerState:
             pass
 
 
-def kernel_take(table: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Fancy-gather coefficient columns (fused-tier helper)."""
-    return np.take(table, slots, axis=1)
-
-
 def _reader_worker(
     conn,
     worker_index: int,
@@ -403,7 +380,6 @@ def _reader_worker(
     staging_name: str,
     segments: int,
     capacity: int,
-    kernel_name: str,
     scratch_keys: int,
     cache_bits: int,
     fault_plan=None,
@@ -428,7 +404,7 @@ def _reader_worker(
     staging_shm = None
     state = None
     try:
-        state = _WorkerState(spec, kernel_name, scratch_keys)
+        state = _WorkerState(spec, scratch_keys)
         staging_shm = shared_memory.SharedMemory(name=staging_name)
         stage_src, stage_tgt, stage_out = _staging_views(
             staging_shm.buf, segments, capacity
@@ -478,7 +454,7 @@ def _reader_worker(
                     _faults.crash_point(_faults.SITE_READER_CRASH_BATCH, worker_index)
                 conn.send(("ok", seq, segment, count))
             elif tag == "remap":
-                new_state = _WorkerState(message[1], kernel_name, scratch_keys)
+                new_state = _WorkerState(message[1], scratch_keys)
                 state.close()
                 state = new_state
                 if cache_bits > 0:
@@ -609,7 +585,6 @@ class ReaderPool:
                     staging.name,
                     config.max_pending,
                     config.batch_capacity,
-                    config.kernel,
                     self._scratch_keys,
                     config.cache_bits,
                     fault_plan,
@@ -1034,7 +1009,6 @@ class ReaderPool:
         alive = sum(reader is not None for reader in self._readers)
         return (
             f"ReaderPool(readers={alive}/{len(self._readers)}, "
-            f"kernel={self.config.kernel!r}, "
             f"generation={self._arena.generation if self._arena else 'closed'})"
         )
 

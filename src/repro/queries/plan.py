@@ -41,8 +41,8 @@ zero-copy views into the arena (:meth:`~repro.sketches.countmin.CountMinSketch.a
 so ingestion writes land directly in the arena and a refresh only has to
 re-derive the per-slot confidence constants.  The sharded coordinator cannot
 attach (its sketches may already be views into a shared-memory ingest arena,
-and executor syncs may swap the sketch objects wholesale), so its plan
-re-copies the tables on refresh instead.
+re-bound whenever the executor starts or closes), so its plan re-copies the
+tables on refresh instead.
 """
 
 from __future__ import annotations
@@ -381,8 +381,8 @@ class CompiledQueryPlan:
 
         Attached plans share counter storage with the sketches, so only the
         confidence constants need re-deriving; detached plans (the sharded
-        coordinator, whose sketch objects may have been swapped by an
-        executor sync) re-copy every table into the arena.  Either way the
+        coordinator, whose sketch tables the executor may have re-bound)
+        re-copy every table into the arena.  Either way the
         arena afterwards equals a fresh :meth:`compile` of ``sketches``.
         """
         if len(sketches) != len(self._views):
@@ -426,11 +426,11 @@ class CompiledQueryPlan:
 
     @property
     def kernel(self):
-        """The attached compiled kernel tier, or ``None`` (oracle path)."""
+        """The attached scratch kernel, or ``None`` (oracle path)."""
         return self._kernel
 
     def set_kernel(self, kernel) -> None:
-        """Attach a :class:`~repro.queries.kernels.QueryKernel` tier.
+        """Attach a :class:`~repro.queries.kernels.QueryKernel`.
 
         ``None`` restores the default oracle expressions.  The kernel owns
         mutable scratch, so an attached plan must not be queried from
@@ -522,17 +522,6 @@ class CompiledQueryPlan:
 
     def _estimate_keys_kernel(self, kernel, keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """The attached-kernel gather: scratch-staged, bit-exact vs the oracle."""
-        if getattr(kernel, "fused", False):
-            if self.num_slots == 1:
-                return kernel.estimate(
-                    self._a, self._b, self._widths, keys,
-                    self._flat, self._row_base[:, 0], None,
-                ).copy()
-            return kernel.estimate(
-                np.take(self._a, slots, axis=1), np.take(self._b, slots, axis=1),
-                self._widths[slots], keys,
-                self._flat, self._row_base[:, 0], self._offsets[slots],
-            ).copy()
         if self.num_slots == 1:
             cols = kernel.hash_columns(self._a, self._b, self._widths, keys)
         else:
@@ -591,7 +580,7 @@ class PlanServingMixin:
         self._plan_kernel = None
 
     def set_plan_kernel(self, kernel) -> None:
-        """Select a compiled kernel tier for every future plan compile/refresh.
+        """Attach a scratch kernel to every future plan compile/refresh.
 
         Takes effect immediately on an already-compiled plan as well; pass
         ``None`` to restore the default oracle expressions.

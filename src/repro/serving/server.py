@@ -283,7 +283,6 @@ class SketchServer:
             stats["readers"] = {
                 "configured": self._pool.readers,
                 "generation": self._pool.generation,
-                "kernel": self._pool.config.kernel,
             }
             if self._supervisor is not None:
                 stats["readers"]["supervisor"] = self._supervisor.telemetry()

@@ -1,39 +1,23 @@
 """Stream synopsis substrates.
 
 This subpackage implements, from scratch, the sketch data structures the paper
-builds on or compares against:
+builds on:
 
 * :class:`~repro.sketches.countmin.CountMinSketch` — the synopsis gSketch
   partitions (paper Figure 1, Equation 1).
-* :class:`~repro.sketches.count_sketch.CountSketch` — signed median estimator,
-  demonstrating that gSketch generalizes beyond Count-Min.
-* :class:`~repro.sketches.ams.AMSSketch` — tug-of-war second-moment sketch [5].
-* :class:`~repro.sketches.lossy_counting.LossyCounting` — deterministic
-  heavy-hitter synopsis [23].
-* :class:`~repro.sketches.bottomk.BottomKSketch` — bottom-k min-hash
-  sample [11].
 * :class:`~repro.sketches.exact.ExactCounter` — exact dictionary counter used
   as the ground-truth oracle in tests and experiments.
 """
 
-from repro.sketches.ams import AMSSketch
 from repro.sketches.base import FrequencySketch
-from repro.sketches.bottomk import BottomKSketch
-from repro.sketches.count_sketch import CountSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.exact import ExactCounter
-from repro.sketches.hashing import PairwiseHashFamily, SignHashFamily, key_to_uint64
-from repro.sketches.lossy_counting import LossyCounting
+from repro.sketches.hashing import PairwiseHashFamily, key_to_uint64
 
 __all__ = [
-    "AMSSketch",
-    "BottomKSketch",
     "CountMinSketch",
-    "CountSketch",
     "ExactCounter",
     "FrequencySketch",
-    "LossyCounting",
     "PairwiseHashFamily",
-    "SignHashFamily",
     "key_to_uint64",
 ]

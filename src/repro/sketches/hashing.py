@@ -10,10 +10,10 @@ Count-Min analysis (paper Section 3.2) and by Theorem 1's collision bound.
 
 The vectorized expressions here (:func:`mulmod_mersenne61_batch`,
 :func:`gathered_hash_columns`) are the **bit-exactness oracle** for the
-compiled kernel tiers in :mod:`repro.queries.kernels`: any re-staging of the
-hash (preallocated scratch, fused JIT loops) must reproduce these outputs
-bit-for-bit, pinned by ``tests/test_kernels.py`` on the Mersenne-boundary
-keys ``p-1, p, p+1`` and both 32-bit limb edges.
+scratch-staged kernel in :mod:`repro.queries.kernels`: its re-staging of the
+hash through preallocated buffers must reproduce these outputs bit-for-bit,
+pinned by ``tests/test_kernels.py`` on the Mersenne-boundary keys
+``p-1, p, p+1`` and both 32-bit limb edges.
 """
 
 from __future__ import annotations
@@ -266,29 +266,3 @@ class PairwiseHashFamily:
         b.setflags(write=False)
         return a, b
 
-
-class SignHashFamily:
-    """A family of ``depth`` pairwise-independent ±1 hash functions.
-
-    Used by :class:`~repro.sketches.count_sketch.CountSketch` and
-    :class:`~repro.sketches.ams.AMSSketch`, which need an unbiased sign in
-    addition to a cell index.
-    """
-
-    def __init__(self, depth: int, seed: SeedLike = None) -> None:
-        self.depth = require_positive_int(depth, "depth")
-        rng = resolve_rng(seed)
-        self._a = rng.integers(1, MERSENNE_PRIME_61, size=self.depth, dtype=np.uint64)
-        self._b = rng.integers(0, MERSENNE_PRIME_61, size=self.depth, dtype=np.uint64)
-
-    def signs(self, key: Hashable) -> np.ndarray:
-        """Return the ``depth`` signs (+1 or -1) for ``key``."""
-        return self.signs_for_uint64(key_to_uint64(key))
-
-    def signs_for_uint64(self, value: int) -> np.ndarray:
-        """Return signs for a pre-canonicalized 64-bit key."""
-        out = np.empty(self.depth, dtype=np.int64)
-        for row in range(self.depth):
-            mixed = (int(self._a[row]) * value + int(self._b[row])) % MERSENNE_PRIME_61
-            out[row] = 1 if (mixed & 1) == 1 else -1
-        return out

@@ -255,26 +255,6 @@ def test_query_batch_mixed_shapes(zipf_stream, zipf_sample, small_config):
     ]
 
 
-def test_deprecated_shims_warn_and_stay_bit_exact(
-    zipf_stream, zipf_sample, small_config
-):
-    engine = BACKEND_BUILDERS["gsketch"](zipf_stream, zipf_sample, small_config)
-    engine.ingest(zipf_stream)
-    keys = sorted(zipf_stream.distinct_edges())[:6]
-    expected = engine.query(keys)
-
-    with pytest.warns(DeprecationWarning, match="estimate_edges is deprecated"):
-        via_estimate = engine.estimate_edges(keys)
-    with pytest.warns(DeprecationWarning, match="query_many is deprecated"):
-        via_many = engine.query_many(keys)
-
-    assert [e.value for e in via_estimate] == [e.value for e in expected]
-    assert [e.value for e in via_many] == [e.value for e in expected]
-    assert [e.provenance.partition for e in via_estimate] == [
-        e.provenance.partition for e in expected
-    ]
-
-
 # ---------------------------------------------------------------------- #
 # Builder validation
 # ---------------------------------------------------------------------- #

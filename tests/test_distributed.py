@@ -13,11 +13,10 @@ import pytest
 from repro.core.gsketch import GSketch
 from repro.core.router import OUTLIER_PARTITION, VertexRouter
 from repro.distributed import (
-    ProcessPoolExecutor,
     SequentialExecutor,
     ShardedGSketch,
     ShardPlan,
-    ThreadPoolExecutor,
+    SharedMemoryExecutor,
 )
 from repro.graph.edge import StreamEdge
 
@@ -108,8 +107,8 @@ def test_sharded_estimates_identical_to_single_gsketch(
 
 @pytest.mark.parametrize(
     "executor_factory",
-    [SequentialExecutor, lambda: ThreadPoolExecutor(max_workers=2), ProcessPoolExecutor],
-    ids=["sequential", "threads", "processes"],
+    [SequentialExecutor, SharedMemoryExecutor],
+    ids=["sequential", "shared"],
 )
 def test_every_executor_produces_identical_state(
     zipf_stream, zipf_sample, small_config, reference, query_edges, executor_factory
@@ -230,7 +229,7 @@ def test_merge_survives_process_executor_and_further_ingest(
     """Coordinator-side merges must not be overwritten by stale worker state."""
     half = len(zipf_stream) // 2
     with ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, executor=ProcessPoolExecutor(),
+        zipf_sample, small_config, num_shards=2, executor=SharedMemoryExecutor(),
         stream_size_hint=len(zipf_stream),
     ) as first:
         first.ingest(zipf_stream.prefix(half), batch_size=1024)
@@ -257,7 +256,7 @@ def test_load_shard_states_survives_process_executor(
     )
     source.ingest(zipf_stream)
     with ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, executor=ProcessPoolExecutor(),
+        zipf_sample, small_config, num_shards=2, executor=SharedMemoryExecutor(),
         stream_size_hint=len(zipf_stream),
     ) as target:
         target.ingest(zipf_stream.prefix(300), batch_size=128)  # stale state

@@ -9,7 +9,7 @@ tables, totals and update counts alike — for unit, fractional and
 conservative-update streams.  On top of parity, this module covers the
 lifecycle edges: restart after close, snapshot-while-attached, worker death
 (:class:`~repro.distributed.executor.ShardExecutionError`) and idempotent
-teardown for both out-of-process executors.
+teardown.
 """
 
 from __future__ import annotations
@@ -17,16 +17,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.api.engine import EngineError, SketchEngine
 from repro.core.config import GSketchConfig
 from repro.distributed import (
-    ProcessPoolExecutor,
     SequentialExecutor,
     ShardExecutionError,
     ShardedGSketch,
     SharedMemoryExecutor,
     make_executor,
 )
+
+
+#: Executor names the recovery supervisor can restart and replay.
+SUPERVISABLE = ["shared"]
 
 
 def _build(sample, config, stream, num_shards=2, executor=None):
@@ -234,34 +238,24 @@ class TestWorkerCrashRecovery:
         engine.close()
         engine.close()  # close stays idempotent after the failure
 
-    def test_process_pool_crash_raises_named_error(
-        self, zipf_stream, zipf_sample, small_config
-    ):
-        executor = ProcessPoolExecutor()
-        engine = _build(
-            zipf_sample, small_config, zipf_stream, executor=executor
-        )
-        engine.ingest(zipf_stream.prefix(2_000), batch_size=512)
-        for process in executor._workers:
-            process.kill()
-        for process in executor._workers:
-            process.join(timeout=5.0)
-        with pytest.raises(ShardExecutionError, match=r"shard \d+"):
-            engine.ingest(zipf_stream.suffix(2_000), batch_size=512)
-        executor.close()
-        executor.close()  # close stays idempotent after the failure
-
     def test_failed_close_poisons_reads_until_restore(
         self, zipf_stream, zipf_sample, small_config
     ):
-        """Losing worker state at close() must not silently serve partial data."""
-        executor = ProcessPoolExecutor()
-        engine = _build(zipf_sample, small_config, zipf_stream, executor=executor)
-        engine.ingest(zipf_stream.prefix(2_000), batch_size=512)  # state in workers
-        for process in executor._workers:
-            process.kill()
-        for process in executor._workers:
-            process.join(timeout=5.0)
+        """Losing in-flight batches at close() must not silently serve partial data."""
+        engine = _build(
+            zipf_sample, small_config, zipf_stream, executor=SharedMemoryExecutor()
+        )
+        # Workers die before applying their fourth (last) 512-edge batch,
+        # which is still in flight when ingest returns: close() drains first.
+        faults.install(
+            faults.FaultPlan(
+                [faults.FaultSpec(site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=4)]
+            )
+        )
+        try:
+            engine.ingest(zipf_stream.prefix(2_000), batch_size=512)
+        finally:
+            faults.clear()
         with pytest.raises(ShardExecutionError):
             engine.close()
         engine.close()  # second close is a clean no-op
@@ -296,7 +290,7 @@ class TestWorkerCrashRecovery:
 
 
 class TestEngineExecutorKnob:
-    @pytest.mark.parametrize("spec", ["sequential", "threads", "processes", "shared"])
+    @pytest.mark.parametrize("spec", ["sequential", "shared"])
     def test_named_executors_reach_parity(
         self, zipf_stream, zipf_sample, small_config, spec
     ):
@@ -327,23 +321,25 @@ class TestEngineExecutorKnob:
             )
 
     def test_unknown_executor_name_is_rejected(self, zipf_sample, small_config):
-        with pytest.raises(EngineError, match="unknown executor"):
-            (
-                SketchEngine.builder()
-                .config(small_config)
-                .sample(zipf_sample)
-                .sharded(2)
-                .executor("warp-drive")
-                .build()
-            )
+        for name in ("warp-drive", "threads", "processes"):
+            with pytest.raises(EngineError, match="unknown executor.*sequential, shared"):
+                (
+                    SketchEngine.builder()
+                    .config(small_config)
+                    .sample(zipf_sample)
+                    .sharded(2)
+                    .executor(name)
+                    .build()
+                )
 
     def test_make_executor_passthrough_and_names(self):
         sequential = SequentialExecutor()
         assert make_executor(sequential) is sequential
         assert make_executor(None) is None
         assert isinstance(make_executor("shared"), SharedMemoryExecutor)
-        with pytest.raises(ValueError):
-            make_executor("bogus")
+        for name in ("bogus", "threads", "processes"):
+            with pytest.raises(ValueError, match="sequential, shared"):
+                make_executor(name)
 
 
 class TestSupervisedLifecycle:
@@ -351,21 +347,15 @@ class TestSupervisedLifecycle:
 
     POLICY_KWARGS = dict(max_restarts=2, backoff_seconds=0.01)
 
-    @staticmethod
-    def _worker_processes(executor):
-        if isinstance(executor, SharedMemoryExecutor):
-            return executor.worker_processes
-        return executor._workers
-
     def _kill_one(self, executor) -> None:
-        for process in self._worker_processes(executor):
+        for process in executor.worker_processes:
             if process is not None and process.is_alive():
                 process.kill()
                 process.join(timeout=5.0)
                 return
         raise AssertionError("no worker process to kill")
 
-    @pytest.mark.parametrize("executor_name", ["processes", "shared"])
+    @pytest.mark.parametrize("executor_name", SUPERVISABLE)
     def test_crash_during_flush_recovers_bit_exact(
         self, executor_name, zipf_stream, zipf_sample, small_config
     ):
@@ -387,7 +377,7 @@ class TestSupervisedLifecycle:
         )
         try:
             engine.ingest(zipf_stream.prefix(half), batch_size=512)
-            self._kill_one(executor)  # dies with un-synced state in the worker
+            self._kill_one(executor)  # dies with batches possibly still in flight
             engine.ingest(zipf_stream.suffix(half), batch_size=512)
             engine.flush()
             _assert_states_bit_exact(reference.state_dict(), engine.state_dict())
@@ -396,7 +386,7 @@ class TestSupervisedLifecycle:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("executor_name", ["processes", "shared"])
+    @pytest.mark.parametrize("executor_name", SUPERVISABLE)
     def test_repeated_crashes_keep_recovering(
         self, executor_name, zipf_stream, zipf_sample, small_config
     ):

@@ -30,7 +30,6 @@ from repro.api.snapshot import (
 from repro.core.config import GSketchConfig
 from repro.distributed import (
     BatchJournal,
-    ProcessPoolExecutor,
     RecoveryPolicy,
     SequentialExecutor,
     ShardExecutionError,
@@ -47,7 +46,8 @@ FAST_POLICY = RecoveryPolicy(
     max_restarts=3, backoff_seconds=0.01, ack_deadline_seconds=0.25
 )
 
-EXECUTORS = {"processes": ProcessPoolExecutor, "shared": SharedMemoryExecutor}
+#: Executors the recovery supervisor can restart and replay, by name.
+EXECUTORS = {"shared": SharedMemoryExecutor}
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,7 @@ class TestCrashRecoveryParity:
                 fault_sample,
                 fault_config,
                 fault_stream,
-                executor=ProcessPoolExecutor(),
+                executor=SharedMemoryExecutor(),
                 recovery=FAST_POLICY,
             )
             try:
@@ -185,7 +185,7 @@ class TestRetryExhaustion:
                 fault_sample,
                 fault_config,
                 fault_stream,
-                executor=ProcessPoolExecutor(),
+                executor=SharedMemoryExecutor(),
                 recovery=policy,
             )
             try:
@@ -265,7 +265,7 @@ class TestRetryExhaustion:
                 .config(fault_config)
                 .sample(fault_sample)
                 .stream_size_hint(len(fault_stream))
-                .sharded(NUM_SHARDS, "processes")
+                .sharded(NUM_SHARDS, "shared")
                 .recovery(
                     max_restarts=1, backoff_seconds=0.01, degraded_serving=True
                 )
@@ -459,7 +459,7 @@ class TestFaultPlanAndJournalUnits:
         # fires its own copy; this in-process view shares the spec objects.)
         assert plan.for_restart() is None
 
-    def test_journal_retention_and_replay_floor(self):
+    def test_journal_replay_floor_and_ack_pruning(self):
         journal = BatchJournal(limit=8)
         seq_a = journal.append({0: ["batch-a"], 1: ["batch-a1"]})
         seq_b = journal.append({0: ["batch-b"]})
@@ -471,17 +471,19 @@ class TestFaultPlanAndJournalUnits:
         assert len(journal) == 0
 
     def test_journal_limit_forces_flush(self):
-        from repro.distributed.recovery import ShardSupervisor
+        from repro.distributed.recovery import ShardSupervisor, can_supervise
 
         policy = RecoveryPolicy(journal_limit=2)
         supervisor = ShardSupervisor(policy, num_shards=2)
-        executor = ProcessPoolExecutor()  # journal_retention = "sync"
-        assert not supervisor.needs_flush(executor)
+        assert not supervisor.needs_flush()
         supervisor.journal.append({0: ["a"]})
         supervisor.journal.append({1: ["b"]})
-        assert supervisor.needs_flush(executor)
-        # Retention "none" executors never hold journal entries back.
-        assert not supervisor.needs_flush(SequentialExecutor())
+        assert supervisor.needs_flush()
+        supervisor.on_sync()
+        assert not supervisor.needs_flush()
+        # Only restartable executors are journaled at all.
+        assert can_supervise(SharedMemoryExecutor())
+        assert not can_supervise(SequentialExecutor())
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="max_restarts"):

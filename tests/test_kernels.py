@@ -1,17 +1,13 @@
-"""Kernel-tier parity: scratch/JIT gathers bit-exact vs the oracle expressions.
+"""Kernel parity: the scratch-staged gather bit-exact vs the oracle expressions.
 
-The compiled kernel tiers (:mod:`repro.queries.kernels`) re-stage the two hot
+:class:`~repro.queries.kernels.NumpyScratchKernel` re-stages the two hot
 read-plane kernels — the Mersenne-61 Carter–Wegman hash and the arena
-gather + min reduce — through preallocated scratch (``numpy``) or a fused JIT
-loop (``numba``).  Their only contract is *bit-exactness* against the plain
-expressions in :mod:`repro.sketches.hashing`; these tests pin that on the
-values where 64-bit limb arithmetic is easiest to get wrong: keys at the
-Mersenne prime boundary (``p-1, p, p+1``), zero, and ``2^64 - 1``, plus the
-single-slot broadcast fast path and scratch reuse/growth across batches.
-
-The numba tier is optional: when the dependency is absent its construction
-must raise :class:`~repro.queries.kernels.KernelUnavailableError` and its
-parity tests skip cleanly (the CI job without numba stays green).
+gather + min reduce — through preallocated scratch.  Its only contract is
+*bit-exactness* against the plain expressions in
+:mod:`repro.sketches.hashing`; these tests pin that on the values where
+64-bit limb arithmetic is easiest to get wrong: keys at the Mersenne prime
+boundary (``p-1, p, p+1``), zero, and ``2^64 - 1``, plus the single-slot
+broadcast fast path and scratch reuse/growth across batches.
 """
 
 from __future__ import annotations
@@ -22,14 +18,7 @@ import pytest
 from repro.api.engine import SketchEngine
 from repro.core.config import GSketchConfig
 from repro.datasets.zipf import zipf_stream
-from repro.queries.kernels import (
-    HAVE_NUMBA,
-    KERNEL_TIERS,
-    KernelUnavailableError,
-    NumpyScratchKernel,
-    get_kernel,
-    scratch_capacity,
-)
+from repro.queries.kernels import NumpyScratchKernel, scratch_capacity
 from repro.sketches.hashing import (
     MERSENNE_PRIME_61,
     gathered_hash_columns,
@@ -173,69 +162,11 @@ class TestNumpyScratchKernel:
 
 
 class TestKernelRegistry:
-    def test_get_kernel_numpy(self):
-        kernel = get_kernel("numpy", depth=4)
-        assert kernel.name == "numpy"
-        assert not kernel.fused
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            get_kernel("cython", depth=4)
-
-    def test_tier_names_stable(self):
-        assert KERNEL_TIERS == ("numpy", "numba")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed; tier is available")
-    def test_numba_unavailable_raises_typed_error(self):
-        with pytest.raises(KernelUnavailableError, match="numba"):
-            get_kernel("numba", depth=4)
-
     def test_scratch_capacity_floor_and_scaling(self):
         assert scratch_capacity(0.001, 4) == 1024  # floored
         assert scratch_capacity(8.0, 4) > scratch_capacity(4.0, 4)
         with pytest.raises(ValueError):
             scratch_capacity(0.0, 4)
-
-
-class TestNumbaKernel:
-    """Parity for the JIT tier — the whole class skips when numba is absent."""
-
-    pytestmark = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-    def test_fused_estimate_boundary_parity(self):
-        a, b, widths, offsets = _coefficient_tables(num_slots=5)
-        keys, slots = _workload(num_slots=5)
-        flat = _arena(widths)
-        total = int(offsets[-1] + widths[-1])
-        row_offsets = np.arange(DEPTH, dtype=np.int64) * total
-        kernel = get_kernel("numba", depth=DEPTH)
-        got = np.asarray(
-            kernel.estimate(
-                np.take(a, slots, axis=1),
-                np.take(b, slots, axis=1),
-                widths[slots],
-                keys,
-                flat,
-                row_offsets,
-                offsets[slots],
-            )
-        ).copy()
-        expected = _oracle_estimate(a, b, widths, offsets, flat, keys, slots)
-        np.testing.assert_array_equal(got, expected)
-
-    def test_fused_single_slot_parity(self):
-        a, b, widths, offsets = _coefficient_tables(num_slots=1)
-        keys, _ = _workload(num_slots=1)
-        flat = _arena(widths)
-        total = int(widths[0])
-        row_offsets = np.arange(DEPTH, dtype=np.int64) * total
-        kernel = get_kernel("numba", depth=DEPTH)
-        got = np.asarray(
-            kernel.estimate(a, b, widths, keys, flat, row_offsets, None)
-        ).copy()
-        slots = np.zeros(len(keys), dtype=np.int64)
-        expected = _oracle_estimate(a, b, widths, offsets, flat, keys, slots)
-        np.testing.assert_array_equal(got, expected)
 
 
 class TestPlanKernelIntegration:
@@ -258,7 +189,7 @@ class TestPlanKernelIntegration:
         keys = stream_keys[:200]
         keys += [(10**9 + i, 3) for i in range(4)]  # never-seen sources
         oracle = np.asarray(engine.estimator.query_edges(list(keys)))
-        kernel = get_kernel("numpy", depth=4, capacity=64)
+        kernel = NumpyScratchKernel(4, capacity=64)
         engine.estimator.set_plan_kernel(kernel)
         got = np.asarray(engine.estimator.query_edges(list(keys)))
         np.testing.assert_array_equal(got, oracle)
@@ -266,7 +197,7 @@ class TestPlanKernelIntegration:
 
     def test_kernel_detaches_cleanly(self, engine, stream_keys):
         keys = stream_keys[:50]
-        engine.estimator.set_plan_kernel(get_kernel("numpy", depth=4))
+        engine.estimator.set_plan_kernel(NumpyScratchKernel(4))
         with_kernel = np.asarray(engine.estimator.query_edges(list(keys)))
         engine.estimator.set_plan_kernel(None)
         without = np.asarray(engine.estimator.query_edges(list(keys)))

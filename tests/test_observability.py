@@ -225,13 +225,13 @@ def test_span_records_event_and_histogram(telemetry):
     registry = MetricsRegistry()
     histogram = registry.histogram("sp_seconds")
     get_recorder().reset()
-    with span("query", "gather", histogram, executor="threads"):
+    with span("query", "gather", histogram, executor="shared"):
         pass
     events = trace_events()
     assert len(events) == 1
     assert events[0]["plane"] == "query"
     assert events[0]["stage"] == "gather"
-    assert events[0]["executor"] == "threads"
+    assert events[0]["executor"] == "shared"
     assert events[0]["seconds"] >= 0.0
     assert histogram.count == 1
 
@@ -487,13 +487,6 @@ def test_shared_memory_executor_telemetry(telemetry):
     assert snapshot["repro_shared_dispatch_seconds_total"]["value"] >= 0.0
     planes = {event["stage"] for event in trace_events() if event["plane"] == "ingest"}
     assert "shm_dispatch" in planes
-
-
-def test_instrumented_executor_deprecation_warning():
-    from repro.distributed.executor import InstrumentedExecutor, SequentialExecutor
-
-    with pytest.warns(DeprecationWarning, match="InstrumentedExecutor"):
-        InstrumentedExecutor(SequentialExecutor())
 
 
 # ---------------------------------------------------------------------- #

@@ -298,8 +298,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             PlanConfig(readers=-1)
         with pytest.raises(ValueError):
-            PlanConfig(kernel="cython")
-        with pytest.raises(ValueError):
             PlanConfig(scratch_mb=0)
         with pytest.raises(ValueError):
             PlanConfig(batch_capacity=64)

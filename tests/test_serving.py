@@ -673,7 +673,7 @@ class TestShardedServing:
                 .config(serve_config)
                 .sample(sample)
                 .stream_size_hint(len(serve_stream))
-                .sharded(3, "processes")
+                .sharded(3, "shared")
                 .recovery(
                     max_restarts=1, backoff_seconds=0.01, degraded_serving=True
                 )
