@@ -189,11 +189,6 @@ def check_query(report: dict, rules: dict, tolerance: float) -> List[CheckResult
     ``plan_qps / direct_qps >= min_ratio * (1 - tolerance)``; parity (the
     compiled plan answering bit-identically to the routed path, every
     backend) carries no tolerance.
-
-    ``reader_floors`` gate the parallel read plane: each names a pool size
-    and requires the report's ``readers-N`` keys/s to beat the
-    single-process coalesced-gather baseline (the ``readers=0`` row of the
-    same run) by ``min_ratio``, with pool demux parity required bit-exactly.
     """
     checks: List[CheckResult] = []
     rows = {
@@ -226,26 +221,6 @@ def check_query(report: dict, rules: dict, tolerance: float) -> List[CheckResult
                 tolerance,
             )
         )
-    reader_rows = {int(row["readers"]): row for row in report.get("readers", [])}
-    reader_floors = rules.get("reader_floors", [])
-    if reader_floors:
-        parity = bool(reader_rows) and all(
-            bool(row.get("parity_ok", False)) for row in reader_rows.values()
-        )
-        checks.append(
-            bool_row("query: reader-pool demux bit-exact parity (all rows)", parity)
-        )
-    for floor in reader_floors:
-        readers = int(floor["readers"])
-        min_ratio = float(floor["min_ratio"])
-        name = f"query[readers-{readers}]: pool / single-process gather"
-        row = reader_rows.get(readers)
-        if row is None:
-            checks.append(
-                missing_row(name, "row missing from report", min_ratio, tolerance)
-            )
-            continue
-        checks.append(ratio_row(name, float(row["ratio"]), min_ratio, tolerance))
     return checks
 
 
@@ -268,14 +243,6 @@ def check_serve(report: dict, rules: dict, tolerance: float) -> List[CheckResult
         )
         checks.append(
             bool_row("serve: wire answers bit-exact vs direct oracle", parity)
-        )
-    if rules.get("require_readers", False):
-        reader_rows = report.get("readers", [])
-        pool_parity = bool(reader_rows) and all(
-            bool(row.get("parity_ok", False)) for row in reader_rows
-        )
-        checks.append(
-            bool_row("serve: pool-served answers bit-exact (readers rows)", pool_parity)
         )
     if rules.get("require_overload", True):
         drill = report.get("overload", {})
@@ -325,19 +292,19 @@ def check_serve(report: dict, rules: dict, tolerance: float) -> List[CheckResult
 
 
 def check_chaos(report: dict, rules: dict, tolerance: float) -> List[CheckResult]:
-    """Evaluate the serve-plane chaos drill: correctness under faults.
+    """Evaluate the serving-tier chaos drill: correctness under wire faults.
 
-    The boolean clauses carry no tolerance: every answer bit-exact or a
-    typed error (``zero_incorrect``), every request resolved (no hangs),
-    the reader pool back to full width after the schedule (``self_healed``
-    with a clean final sweep), and the drill actually injected faults
-    (``faults_exercised`` — a quiet run can't pass as a green one).  The
-    p99 ceiling bounds the latency cost of riding through the faults.
+    The clauses are read from the drill's raw counters, not its own verdict,
+    and carry no tolerance: no incorrect answer and no untyped error, no
+    request left unresolved, at least one fault injected (a quiet run can't
+    pass as a green one), and a final sweep that matches the oracle
+    bit-exactly.  The p99 ceiling bounds the latency cost of riding through
+    the faults.
     """
     checks: List[CheckResult] = []
     load = report.get("load", {})
-    heal = report.get("heal", {})
-    chaos = report.get("chaos", {})
+    sweep = report.get("final_sweep", {})
+    injected = sum((report.get("chaos", {}).get("faults_injected") or {}).values())
     checks.append(
         CheckResult(
             name="chaos: zero incorrect answers (bit-exact or typed error)",
@@ -347,37 +314,31 @@ def check_chaos(report: dict, rules: dict, tolerance: float) -> List[CheckResult
                 f"of {load.get('requests')} requests"
             ),
             required="0 incorrect, 0 untyped",
-            ok=bool(report.get("zero_incorrect", False)),
-        )
-    )
-    checks.append(
-        bool_row(
-            "chaos: every request resolved (answer or typed error, no hangs)",
-            bool(report.get("all_resolved", False)),
+            ok=load.get("incorrect") == 0 and load.get("other_errors") == 0,
         )
     )
     checks.append(
         CheckResult(
-            name="chaos: pool self-healed to full width, final sweep bit-exact",
-            measured=(
-                f"alive={heal.get('alive')}/{heal.get('width')} "
-                f"restarts={chaos.get('restarts')} "
-                f"final_mismatches={heal.get('final_mismatches')}"
-            ),
-            required="full width, 0 mismatches",
-            ok=bool(heal.get("self_healed", False))
-            and heal.get("final_mismatches") == 0,
+            name="chaos: every request resolved (answer or typed error, no hangs)",
+            measured=f"unresolved={load.get('unresolved')}",
+            required="0 unresolved",
+            ok=load.get("unresolved") == 0,
         )
     )
     checks.append(
         CheckResult(
-            name="chaos: faults actually exercised (kills, restarts, injections)",
-            measured=(
-                f"kills={chaos.get('kills')} restarts={chaos.get('restarts')} "
-                f"injected={sum((chaos.get('faults_injected') or {}).values())}"
-            ),
-            required="all > 0",
-            ok=bool(report.get("faults_exercised", False)),
+            name="chaos: faults actually injected",
+            measured=f"injected={injected}",
+            required="> 0",
+            ok=injected > 0,
+        )
+    )
+    checks.append(
+        CheckResult(
+            name="chaos: final sweep bit-exact",
+            measured=f"mismatches={sweep.get('mismatches')} of {sweep.get('keys')} keys",
+            required="0 mismatches",
+            ok=sweep.get("mismatches") == 0 and bool(sweep.get("keys")),
         )
     )
     max_p99 = rules.get("max_p99_ms")

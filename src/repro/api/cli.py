@@ -268,7 +268,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     stats document after the drain.  With ``--health HOST:PORT`` it instead
     probes a running server's readiness and exits.
     """
-    from repro.queries.parallel import PlanConfig
     from repro.serving import ServingConfig
     from repro.serving.server import run_server
 
@@ -277,8 +276,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.snapshot is None:
         raise EngineError("serve requires --snapshot (or --health to probe)")
     engine = _open_engine(args.snapshot)
-    if args.readers:
-        engine.set_plan_config(PlanConfig(readers=args.readers))
     config = ServingConfig(
         max_batch=args.max_batch,
         max_delay_us=args.max_delay_us,
@@ -357,11 +354,7 @@ def cmd_query_bench(args: argparse.Namespace) -> int:
     queries/second for both serving paths at each requested batch size —
     the CLI twin of ``experiments/query_bench.py``.
     """
-    from repro.experiments.query_bench import (
-        build_query_workload,
-        measure_query_paths,
-        measure_reader_pool,
-    )
+    from repro.experiments.query_bench import build_query_workload, measure_query_paths
 
     if args.baseline and (args.sharded is not None or args.windowed is not None):
         raise EngineError(
@@ -390,21 +383,9 @@ def cmd_query_bench(args: argparse.Namespace) -> int:
             rounds=args.rounds,
             repeats=args.repeats,
         )
-        reader_rows = []
-        if args.readers:
-            reader_rows = measure_reader_pool(
-                engine.estimator,
-                engine.backend,
-                keys,
-                args.readers,
-                rounds=args.rounds,
-                repeats=args.repeats,
-            )
     finally:
         engine.close()
-    parity = all(row.parity_ok for row in rows) and all(
-        row.parity_ok for row in reader_rows
-    )
+    parity = all(row.parity_ok for row in rows)
     _emit(
         {
             "benchmark": "query-throughput",
@@ -413,7 +394,6 @@ def cmd_query_bench(args: argparse.Namespace) -> int:
             "queries": len(keys),
             "parity_ok": parity,
             "results": [asdict(row) for row in rows],
-            "readers": [asdict(row) for row in reader_rows],
         }
     )
     return 0 if parity else 1
@@ -598,14 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept live ingest frames while serving",
     )
-    serve.add_argument(
-        "--readers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="spawn N reader-pool worker processes mapping the plan arena "
-        "from shared memory (0 answers on the event loop)",
-    )
     serve.set_defaults(func=cmd_serve)
 
     bench = commands.add_parser("bench", help="facade ingest/query throughput")
@@ -647,15 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_bench.add_argument("--rounds", type=int, default=2)
     query_bench.add_argument("--repeats", type=int, default=2)
-    query_bench.add_argument(
-        "--readers",
-        type=int,
-        nargs="*",
-        default=[],
-        metavar="N",
-        help="also measure reader-pool sizes N... against the single-process "
-        "coalesced baseline (plan-serving backends with integer labels)",
-    )
     query_bench.set_defaults(func=cmd_query_bench)
 
     stats = commands.add_parser(

@@ -60,8 +60,6 @@ from repro.graph.stream import GraphStream
 from repro.observability import AccuracyTracker
 from repro.observability import metrics as _obs
 from repro.observability.metrics import MetricsRegistry, get_registry
-from repro.queries.kernels import NumpyScratchKernel, scratch_capacity
-from repro.queries.parallel import PlanConfig
 from repro.queries.workload import QueryWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.serving imports us)
@@ -98,7 +96,6 @@ class SketchEngine:
                 # only save() requires a registered snapshot backend.
                 backend = type(estimator).__name__
         self._backend = backend
-        self._plan_config: Optional[PlanConfig] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -128,12 +125,18 @@ class SketchEngine:
         return total
 
     def ingest_batch(self, batch: EdgeBatch | Sequence[StreamEdge]) -> int:
-        """Ingest one block of stream elements; returns elements ingested."""
-        if _obs._ENABLED:
-            if not isinstance(batch, EdgeBatch):
-                batch = EdgeBatch.from_edges(batch)
-            self._accuracy.observe_batch(batch)
-        return self._estimator.ingest_batch(batch)
+        """Ingest one block of stream elements; returns elements ingested.
+
+        The accuracy census observes the batch only after the backend has
+        accepted it, so a rejected batch leaves no trace in either.
+        """
+        if not _obs._ENABLED:
+            return self._estimator.ingest_batch(batch)
+        if not isinstance(batch, EdgeBatch):
+            batch = EdgeBatch.from_edges(batch)
+        ingested = self._estimator.ingest_batch(batch)
+        self._accuracy.observe_batch(batch)
+        return ingested
 
     # ------------------------------------------------------------------ #
     # Query
@@ -289,35 +292,6 @@ class SketchEngine:
         compile_plan = getattr(self._estimator, "compile_plan", None)
         if compile_plan is not None:
             compile_plan()
-        return self
-
-    @property
-    def plan_config(self) -> Optional[PlanConfig]:
-        """The typed read-plane configuration, if one was applied."""
-        return self._plan_config
-
-    def set_plan_config(self, config: PlanConfig) -> "SketchEngine":
-        """Apply a typed read-plane configuration (scratch kernel + reader pool).
-
-        Every later plan compile/refresh gathers through a
-        :class:`~repro.queries.kernels.NumpyScratchKernel` sized by
-        ``config.scratch_mb``; ``config.readers`` sizes the
-        :class:`~repro.queries.parallel.ReaderPool` the serving tier spawns.
-        Usually set at build time via ``EngineBuilder.plan(...)``; raises
-        :class:`EngineError` for backends without a compiled read plan (the
-        windowed backend).
-        """
-        set_kernel = getattr(self._estimator, "set_plan_kernel", None)
-        backend_config = getattr(self._estimator, "config", None)
-        depth = getattr(backend_config, "depth", None)
-        if set_kernel is None or depth is None:
-            raise EngineError(
-                f"the {self._backend!r} backend has no compiled read plan; "
-                "plan configuration applies to plan-serving backends only"
-            )
-        capacity = scratch_capacity(config.scratch_mb, int(depth))
-        set_kernel(NumpyScratchKernel(int(depth), capacity=capacity))
-        self._plan_config = config
         return self
 
     # ------------------------------------------------------------------ #
@@ -587,7 +561,6 @@ class EngineBuilder:
         self._window_length: Optional[float] = None
         self._window_sample_size = DEFAULT_SAMPLE_SIZE
         self._stream_size_hint: Optional[int] = None
-        self._plan_config: Optional[PlanConfig] = None
 
     # -- space budget -------------------------------------------------- #
     def config(self, config: Optional[GSketchConfig] = None, **kwargs) -> "EngineBuilder":
@@ -702,36 +675,6 @@ class EngineBuilder:
         self._window_sample_size = sample_size
         return self
 
-    def plan(self, config: Optional[PlanConfig] = None, **kwargs) -> "EngineBuilder":
-        """Configure the compiled read plane: scratch kernel and reader pool.
-
-        Accepts a ready :class:`~repro.queries.parallel.PlanConfig` or its
-        keyword arguments (``readers``, ``scratch_mb``, ``cache_bits``,
-        ``max_pending``, ``batch_capacity``)::
-
-            engine = (SketchEngine.builder()
-                      .config(total_cells=60_000, depth=4)
-                      .dataset(stream)
-                      .plan(PlanConfig(readers=4, scratch_mb=4.0))
-                      .build())
-
-        Every plan compile then gathers through the preallocated-scratch
-        :class:`~repro.queries.kernels.NumpyScratchKernel` (bit-exact with
-        the plain numpy oracle expressions); ``readers`` > 0 makes
-        ``engine.serve()`` spawn that many reader-pool worker processes
-        mapping the plan arena from shared memory.  Not applicable to the
-        windowed backend (no compiled plan).
-        """
-        if config is not None and kwargs:
-            raise EngineError("pass either a PlanConfig or keyword arguments, not both")
-        if config is None:
-            try:
-                config = PlanConfig(**kwargs)
-            except (TypeError, ValueError) as exc:
-                raise EngineError(str(exc)) from exc
-        self._plan_config = config
-        return self
-
     # -- assembly ------------------------------------------------------ #
     def build(self) -> SketchEngine:
         """Validate the combination and construct the engine."""
@@ -756,18 +699,13 @@ class EngineBuilder:
                     "the windowed backend partitions each window from the previous "
                     "window's reservoir; a workload sample does not apply"
                 )
-            if self._plan_config is not None:
-                raise EngineError(
-                    "the windowed backend has no compiled read plan; .plan(...) "
-                    "does not apply"
-                )
             estimator: Estimator = WindowedGSketch(
                 config=self._config,
                 window_length=self._window_length,
                 sample_size=self._window_sample_size,
                 seed=self._config.seed,
             )
-            return self._finish(estimator, BACKEND_WINDOWED)
+            return SketchEngine(estimator, BACKEND_WINDOWED)
 
         sample, hint = self._resolve_sample()
         if sample is None:
@@ -781,7 +719,7 @@ class EngineBuilder:
                     "workload-aware partitioning needs a data sample: call "
                     ".sample(...) or .dataset(...)"
                 )
-            return self._finish(GlobalSketch(self._config), BACKEND_GLOBAL)
+            return SketchEngine(GlobalSketch(self._config), BACKEND_GLOBAL)
 
         if self._workload is not None:
             gsketch = GSketch.build_with_workload(
@@ -800,8 +738,8 @@ class EngineBuilder:
                     executor=executor,
                     recovery=self._recovery,
                 )
-                return self._finish(sharded, BACKEND_SHARDED)
-            return self._finish(gsketch, BACKEND_GSKETCH)
+                return SketchEngine(sharded, BACKEND_SHARDED)
+            return SketchEngine(gsketch, BACKEND_GSKETCH)
 
         if self._num_shards is not None:
             sharded = ShardedGSketch.build(
@@ -812,16 +750,9 @@ class EngineBuilder:
                 stream_size_hint=hint,
                 recovery=self._recovery,
             )
-            return self._finish(sharded, BACKEND_SHARDED)
+            return SketchEngine(sharded, BACKEND_SHARDED)
         gsketch = GSketch.build(sample, self._config, stream_size_hint=hint)
-        return self._finish(gsketch, BACKEND_GSKETCH)
-
-    def _finish(self, estimator: Estimator, backend: str) -> SketchEngine:
-        """Wrap the built estimator, applying any read-plane configuration."""
-        engine = SketchEngine(estimator, backend)
-        if self._plan_config is not None:
-            engine.set_plan_config(self._plan_config)
-        return engine
+        return SketchEngine(gsketch, BACKEND_GSKETCH)
 
     def _resolve_executor(self) -> Optional[ShardExecutor]:
         """Resolve the executor spec (name or instance) to a backend object."""

@@ -18,7 +18,7 @@ from repro.core.estimator import (
     intervals_from_arrays,
 )
 from repro.core.gsketch import DEFAULT_BATCH_SIZE, iter_edge_batches
-from repro.graph.batch import EdgeBatch
+from repro.graph.batch import EdgeBatch, require_valid_frequencies
 from repro.graph.edge import EdgeKey, StreamEdge, edge_key
 from repro.graph.stream import GraphStream
 from repro.observability.health import sketch_health
@@ -78,6 +78,7 @@ class GlobalSketch(PlanServingMixin):
         """
         if not isinstance(batch, EdgeBatch):
             batch = EdgeBatch.from_edges(list(batch))
+        require_valid_frequencies(batch.frequencies)
         if len(batch) == 0:
             return 0
         clock = stage_clock("ingest", INGEST_STAGE)

@@ -31,7 +31,7 @@ from repro.core.estimator import (
 from repro.core.partition_tree import PartitionLeaf, PartitionTree
 from repro.core.partitioner import build_partition_tree, workload_vertex_weights
 from repro.core.router import OUTLIER_PARTITION, VertexRouter
-from repro.graph.batch import EdgeBatch
+from repro.graph.batch import EdgeBatch, require_valid_frequencies
 from repro.graph.edge import EdgeKey, StreamEdge, edge_key
 from repro.graph.statistics import VertexStatistics
 from repro.graph.stream import GraphStream
@@ -313,10 +313,13 @@ class GSketch(PlanServingMixin):
         sketches, the resulting counters are bit-identical to per-edge
         :meth:`update` calls in arrival order.
 
-        Returns the number of elements ingested.
+        Returns the number of elements ingested.  A batch carrying a negative
+        or non-finite frequency raises ``ValueError`` before any counter
+        moves.
         """
         if not isinstance(batch, EdgeBatch):
             batch = EdgeBatch.from_edges(list(batch))
+        require_valid_frequencies(batch.frequencies)
         clock = stage_clock("ingest", INGEST_STAGE)
         routed = self._batch_router.route(batch)
         clock.lap("route")

@@ -174,16 +174,6 @@ class VertexRouter:
             count=len(arr),
         )
 
-    def lookup_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The sorted ``(vertex, partition)`` int64 lookup columns, if vectorized.
-
-        ``None`` for non-integer label spaces (which route through the
-        dictionary path).  The reader pool ships these columns into shared
-        memory so worker processes can route with one ``searchsorted``,
-        bit-identically to :meth:`route_batch`.
-        """
-        return self._int_lookup
-
     def is_outlier(self, vertex: Hashable) -> bool:
         """Whether ``vertex`` is served by the outlier sketch."""
         return vertex not in self._assignments

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.core.config import GSketchConfig
 from repro.core.estimator import ConfidenceInterval, intervals_from_arrays
 from repro.core.global_sketch import GlobalSketch
 from repro.core.gsketch import GSketch
-from repro.graph.batch import EdgeBatch
+from repro.graph.batch import EdgeBatch, require_valid_frequencies
 from repro.graph.edge import EdgeKey, StreamEdge
 from repro.graph.stream import GraphStream
 from repro.queries.plan import HOT_CACHE_MAX_BATCH, HotEdgeCache
@@ -116,18 +116,20 @@ class WindowedGSketch:
         timestamp order, so the block is walked per element; the method exists
         so windowed estimators satisfy the same
         :class:`~repro.api.protocol.Estimator` surface as the other backends.
-        Returns the number of elements ingested.
+        Returns the number of elements ingested.  The whole block's
+        frequencies are checked before its first element is observed, so a
+        rejected block changes nothing.
         """
-        edges: Iterable[StreamEdge]
         if isinstance(batch, EdgeBatch):
-            edges = batch.iter_edges()
+            frequencies = batch.frequencies
+            edges = list(batch.iter_edges())
         else:
-            edges = batch
-        count = 0
+            edges = [e if isinstance(e, StreamEdge) else StreamEdge(*e) for e in batch]
+            frequencies = np.asarray([e.frequency for e in edges], dtype=np.float64)
+        require_valid_frequencies(frequencies)
         for edge in edges:
-            self.observe(edge if isinstance(edge, StreamEdge) else StreamEdge(*edge))
-            count += 1
-        return count
+            self.observe(edge)
+        return len(edges)
 
     def process(self, stream: GraphStream) -> int:
         """Ingest an entire (timestamp-ordered) stream."""

@@ -56,7 +56,7 @@ from repro.distributed.executor import (
 from repro.distributed.plan import ShardPlan
 from repro.distributed.recovery import RecoveryPolicy, ShardSupervisor, can_supervise
 from repro.distributed.shard import SketchShard
-from repro.graph.batch import EdgeBatch
+from repro.graph.batch import EdgeBatch, require_valid_frequencies
 from repro.graph.edge import EdgeKey, StreamEdge
 from repro.graph.statistics import VertexStatistics
 from repro.graph.stream import GraphStream
@@ -244,6 +244,7 @@ class ShardedGSketch(PlanServingMixin):
         """
         if not isinstance(batch, EdgeBatch):
             batch = EdgeBatch.from_edges(list(batch))
+        require_valid_frequencies(batch.frequencies)
         self._ensure_started()
         clock = stage_clock("ingest", INGEST_STAGE)
         routed = self._batch_router.route(batch)

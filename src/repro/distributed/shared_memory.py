@@ -109,14 +109,14 @@ DEFAULT_MAX_PENDING = 2
 MIN_STAGING_CAPACITY = 65_536
 
 
-def release_shm(shm: shared_memory.SharedMemory) -> None:
+def _release_shm(shm: shared_memory.SharedMemory) -> None:
     """Unmap and unlink one shared block, tolerating live views and races.
 
     The single teardown used by every owner of a block (arena close,
-    staging-ring close, reader-pool plan arenas, start-failure rollback):
-    a ``BufferError`` means a numpy view still references the mapping (the
-    unlink below still reclaims the segment once the view dies), and
-    ``FileNotFoundError`` means another path already unlinked it.
+    staging-ring close, start-failure rollback): a ``BufferError`` means a
+    numpy view still references the mapping (the unlink below still
+    reclaims the segment once the view dies), and ``FileNotFoundError``
+    means another path already unlinked it.
     """
     try:
         shm.close()
@@ -126,10 +126,6 @@ def release_shm(shm: shared_memory.SharedMemory) -> None:
         shm.unlink()
     except FileNotFoundError:  # pragma: no cover - defensive
         pass
-
-
-#: Backwards-compatible internal alias.
-_release_shm = release_shm
 
 
 class _StagingRing:

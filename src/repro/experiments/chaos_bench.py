@@ -1,31 +1,34 @@
-"""Chaos drill: seeded faults against the self-healing serve plane.
+"""Chaos drill: seeded wire faults against the serving tier.
 
 ``BENCH_serve.json`` gates the serving tier on a healthy day; this runner
-gates it on a bad one.  It serves a fully ingested, frozen engine through a
-supervised reader pool and drives 16 closed-loop clients while a seeded
-chaos schedule runs against the same process:
+gates it on a bad one.  It serves a fully ingested, frozen engine in process
+and drives 16 closed-loop clients, each with its own seeded
+:class:`~repro.serving.client.RetryPolicy`, while a seeded fault schedule
+runs against the server:
 
-* **reader kills** — live reader-pool workers are ``SIGKILL``-ed mid-drill
-  (plus seeded ``reader_crash_batch`` faults that die *inside* a batch);
-  the :class:`~repro.queries.parallel.ReaderSupervisor` must re-issue the
-  batch on survivors and respawn the dead slot;
-* **torn frames** — seeded ``serving_torn_frame`` faults cut response
-  frames mid-payload; clients must see a typed disconnect and their
-  :class:`~repro.serving.client.RetryPolicy` must reconnect and resubmit;
-* **stalled connections** — seeded ``serving_stall_connection`` faults
-  delay response writes (slow-loris-adjacent), bounding tail latency
-  rather than correctness.
+* **torn frames** — ``serving_torn_frame`` faults cut response frames
+  mid-payload and drop the connection; clients must see a typed disconnect
+  and their retry policy must reconnect and resubmit;
+* **stalled connections** — ``serving_stall_connection`` faults delay
+  response writes (slow-loris-adjacent), bounding tail latency rather than
+  correctness.
 
-Three clauses gate the run itself (non-zero exit):
+The clients walk a key space larger than the offered request count, so
+almost every query is a hot-cache miss answered by a real plan gather
+rather than a memo replay.
+
+Four clauses gate the run itself (non-zero exit):
 
 1. **zero incorrect answers** — every response is either bit-exact against
    a pre-computed direct oracle or a *typed* error; a single silently wrong
-   value fails the drill;
-2. **self-healing** — after the schedule drains, the pool returns to full
-   width (every killed slot respawned) within a bounded heal window, and a
-   final full-workload sweep is bit-exact;
-3. **chaos actually happened** — kills, restarts, and injected serving
-   faults are all non-zero, so a green run can't come from a quiet one.
+   value (or an untyped exception) fails the drill;
+2. **every request resolved** — each request ends in an answer or a typed
+   error before the hang deadline; requests still pending then are
+   cancelled and counted as ``unresolved``;
+3. **faults actually happened** — the schedule injected at least one
+   fault, so a green run can't come from a quiet one;
+4. **clean final sweep** — with the schedule cleared, the whole workload is
+   re-queried and must match the oracle bit-exactly.
 
 The recorded p99 is enforced as a ceiling by ``check_bench.py --chaos``
 against ``experiments/bench_baselines.json``.  Run from the repo root::
@@ -40,8 +43,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
-import signal
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,7 +54,6 @@ from repro.api.engine import SketchEngine
 from repro.core.config import GSketchConfig
 from repro.datasets.zipf import zipf_stream
 from repro.graph.edge import EdgeKey
-from repro.queries.parallel import PlanConfig
 from repro.serving.client import (
     DeadlineExceeded,
     RetryLater,
@@ -76,37 +76,36 @@ DEFAULT_OUTPUT = "BENCH_chaos.json"
 #: chunks (one giant batch would trip the server's own admission bound).
 SWEEP_BATCH = 256
 
-#: The drill shape: closed-loop clients over a supervised reader pool.
+#: Closed-loop clients driving the drill.
 NUM_CLIENTS = 16
-NUM_READERS = 4
-DEFAULT_KILLS = 4
-QUICK_KILLS = 2
 
-#: Seconds allowed for the pool to return to full width after the schedule
-#: drains.  Generous: a respawn is ~100ms, the budgeted backoff is small.
-HEAL_DEADLINE_SECONDS = 15.0
+#: Seconds past the drill's end a request may still take before it counts
+#: as hung: the clients are cancelled then and their pending requests are
+#: reported as ``unresolved``.
+HANG_GRACE_SECONDS = 10.0
 
 #: Retry discipline the drill's clients run — small delays so the closed
 #: loop keeps offering load between faults, capped attempts so a dead
 #: server surfaces as a typed error instead of a spin.
 RETRY = RetryPolicy(max_attempts=6, base_delay=0.005, max_delay=0.08)
 
-#: Supervisor knobs for the drill: a deep restart budget (the schedule
-#: kills the same slot more than once) over a fast backoff ladder.
-PLAN_CONFIG_KWARGS = dict(
-    readers=NUM_READERS,
-    supervised=True,
-    max_restarts=12,
-    restart_backoff_seconds=0.02,
-    restart_backoff_multiplier=1.5,
+#: How each request ended; every category but ``unresolved`` is an outcome
+#: the client observed.
+OUTCOMES = (
+    "answered",
+    "typed_shed",
+    "typed_disconnects",
+    "typed_errors",
+    "other_errors",
 )
 
 
 def _build_schedule(seed: int, quick: bool) -> faults.FaultPlan:
-    """The seeded fault schedule: several specs per serving/reader site.
+    """The seeded fault schedule: three torn frames and three stalls.
 
-    Hit thresholds are drawn low enough that a quick run's offered load
-    reaches them; ``faults_exercised`` in the report confirms it.
+    Hit thresholds count response frames, and are drawn low enough that a
+    quick run's offered load reaches them; ``faults_injected`` in the
+    report confirms it.
     """
     rng = np.random.default_rng(seed)
     high = 400 if quick else 1_500
@@ -123,22 +122,6 @@ def _build_schedule(seed: int, quick: bool) -> faults.FaultPlan:
                 delay_seconds=round(float(rng.uniform(0.03, 0.12)), 3),
             )
         )
-    for hit in rng.integers(3, 60, size=2):
-        specs.append(
-            faults.FaultSpec(
-                site=faults.SITE_READER_CRASH_BATCH,
-                at_hit=int(hit),
-                shard=int(rng.integers(0, NUM_READERS)),
-            )
-        )
-    specs.append(
-        faults.FaultSpec(
-            site=faults.SITE_READER_STALL_RING,
-            at_hit=int(rng.integers(10, 80)),
-            shard=int(rng.integers(0, NUM_READERS)),
-            delay_seconds=round(float(rng.uniform(0.02, 0.06)), 3),
-        )
-    )
     return faults.FaultPlan(specs)
 
 
@@ -151,13 +134,11 @@ def _percentile_ms(latencies: Sequence[float], q: float) -> float:
 def _build_workload(stream, num_keys: int) -> List[EdgeKey]:
     """A key set larger than the drill's request count, mostly unique.
 
-    The serving tier's hot-edge memo answers repeats on the event loop —
-    correct, but it would idle the reader pool and turn the chaos drill
-    into a cache benchmark.  Walking a key space bigger than the offered
-    request count keeps (almost) every query a memo miss, so every answer
-    crosses the pool and every injected reader fault is actually felt.
-    Unseen keys are valid queries (the sketch answers any pair), so the
-    seen distinct edges are padded out with synthetic cold pairs.
+    The hot-edge memo answers repeated keys without a gather; walking a key
+    space bigger than the offered request count keeps (almost) every query
+    a memo miss, so the drill exercises the full read path.  Unseen keys
+    are valid queries (the sketch answers any pair), so the seen distinct
+    edges are padded out with synthetic cold pairs.
     """
     keys: List[EdgeKey] = sorted(stream.distinct_edges())[:num_keys]
     base = 10**9
@@ -170,14 +151,12 @@ def _build_workload(stream, num_keys: int) -> List[EdgeKey]:
 async def _run_drill(
     host: str,
     port: int,
-    pool,
     keys: Sequence[EdgeKey],
     oracle: Dict[EdgeKey, float],
     duration_seconds: float,
-    num_kills: int,
     seed: int,
 ) -> Tuple[dict, List[float]]:
-    """The drill's load phase: 16 retrying clients + the reader killer."""
+    """The drill's load phase: 16 retrying closed-loop clients."""
     clients: List[ServingClient] = []
     for index in range(NUM_CLIENTS):
         policy = RetryPolicy(
@@ -191,16 +170,7 @@ async def _run_drill(
     begin = loop.time()
     end = begin + duration_seconds
     latencies: List[float] = []
-    counters = {
-        "requests": 0,
-        "answered": 0,
-        "incorrect": 0,
-        "typed_shed": 0,
-        "typed_disconnects": 0,
-        "typed_errors": 0,
-        "other_errors": 0,
-        "kills": 0,
-    }
+    counters = dict.fromkeys(("requests", "incorrect", *OUTCOMES), 0)
 
     async def worker(index: int, client: ServingClient) -> None:
         cursor = index
@@ -228,76 +198,29 @@ async def _run_drill(
             if result.values[0] != oracle[key]:
                 counters["incorrect"] += 1
 
-    async def killer() -> None:
-        """SIGKILL a live reader at seeded times spread across the drill."""
-        rng = np.random.default_rng(seed + 99)
-        offsets = np.sort(rng.uniform(0.15, 0.75, size=num_kills)) * duration_seconds
-        for offset in offsets:
-            delay = begin + float(offset) - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            live = [
-                (slot, reader)
-                for slot, reader in enumerate(pool._readers)
-                if reader is not None and reader.process.is_alive()
-            ]
-            if not live:
-                continue
-            _, victim = live[int(rng.integers(0, len(live)))]
-            try:
-                os.kill(victim.process.pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):  # pragma: no cover - raced exit
-                continue
-            counters["kills"] += 1
-
+    tasks = [
+        loop.create_task(worker(index, client)) for index, client in enumerate(clients)
+    ]
     try:
-        await asyncio.gather(
-            killer(),
-            *(worker(index, client) for index, client in enumerate(clients)),
-        )
+        _, hung = await asyncio.wait(tasks, timeout=duration_seconds + HANG_GRACE_SECONDS)
+        for task in hung:
+            task.cancel()
+        if hung:
+            await asyncio.wait(hung)
         counters["retries"] = sum(client.retries for client in clients)
         counters["reconnects"] = sum(client.reconnects for client in clients)
     finally:
         for client in clients:
             await client.close()
+    counters["unresolved"] = counters["requests"] - sum(counters[name] for name in OUTCOMES)
     counters["wall_seconds"] = loop.time() - begin
     return counters, latencies
-
-
-async def _wait_for_heal(host: str, port: int, width: int) -> Tuple[bool, float, dict]:
-    """Probe until the pool reports full width (dead-worker detection is
-    dispatch-driven, so each probe query also *surfaces* undetected deaths
-    for the healer).  Every probe uses a fresh cold key — a repeated key
-    would hit the hot-edge memo and never reach the pool.  Returns
-    ``(healed, seconds, last_health_doc)``."""
-    loop = asyncio.get_running_loop()
-    begin = loop.time()
-    deadline = begin + HEAL_DEADLINE_SECONDS
-    client = await connect(host, port, retry=RETRY)
-    health: dict = {}
-    probe = 0
-    try:
-        while loop.time() < deadline:
-            probe += 1
-            try:
-                await client.query_edges([(2 * 10**9 + probe, 11)])
-                health = await client.health()
-            except ServingError:
-                await asyncio.sleep(0.05)
-                continue
-            readers = health.get("readers", {})
-            if readers.get("alive") == width and not readers.get("degraded"):
-                return True, loop.time() - begin, health
-            await asyncio.sleep(0.05)
-        return False, loop.time() - begin, health
-    finally:
-        await client.close()
 
 
 async def _final_sweep(
     host: str, port: int, keys: Sequence[EdgeKey], oracle: Dict[EdgeKey, float]
 ) -> int:
-    """Bit-exact mismatches over the full workload after healing."""
+    """Bit-exact mismatches over the full workload once the faults stop."""
     client = await connect(host, port, retry=RETRY)
     mismatches = 0
     try:
@@ -316,7 +239,6 @@ def run_chaos_bench(
     num_edges: int,
     seed: int,
     duration_seconds: float,
-    num_kills: int,
     num_keys: Optional[int] = None,
     quick: bool = False,
 ) -> dict:
@@ -331,58 +253,30 @@ def run_chaos_bench(
     keys = _build_workload(stream, num_keys)
     oracle = dict(zip(keys, engine.estimator.query_edges(keys)))
 
-    engine.set_plan_config(PlanConfig(**PLAN_CONFIG_KWARGS))
     schedule = _build_schedule(seed, quick)
     faults.install(schedule)
     try:
         handle = engine.serve()
         try:
             host, port = handle.address
-            server = handle.server
             load, latencies = asyncio.run(
-                _run_drill(
-                    host,
-                    port,
-                    server._pool,
-                    keys,
-                    oracle,
-                    duration_seconds,
-                    num_kills,
-                    seed,
-                )
+                _run_drill(host, port, keys, oracle, duration_seconds, seed)
             )
             injected = schedule.injected()
-            # The schedule has done its work — heal and verify on a clean
-            # plane so lingering unfired specs can't tear the probes.
+            # The schedule has done its work — verify on a clean wire so
+            # lingering unfired specs can't tear the sweep.
             faults.clear()
-            healed, heal_seconds, health = asyncio.run(
-                _wait_for_heal(host, port, NUM_READERS)
-            )
             final_mismatches = asyncio.run(_final_sweep(host, port, keys, oracle))
-            supervisor = server._supervisor.telemetry() if server._supervisor else {}
         finally:
             handle.stop()
     finally:
         faults.clear()
         engine.close()
 
-    kills = load.pop("kills")
     wall = load.pop("wall_seconds")
     zero_incorrect = load["incorrect"] == 0 and load["other_errors"] == 0
-    resolved = (
-        load["answered"]
-        + load["typed_shed"]
-        + load["typed_disconnects"]
-        + load["typed_errors"]
-        + load["other_errors"]
-    )
-    all_resolved = resolved == load["requests"]
-    faults_exercised = (
-        kills > 0
-        and int(supervisor.get("restarts", 0)) > 0
-        and sum(injected.values()) > 0
-    )
-    self_healed = healed and bool(supervisor.get("self_healed", False))
+    all_resolved = load["unresolved"] == 0
+    faults_exercised = sum(injected.values()) > 0
     return {
         "benchmark": "chaos",
         "config": {
@@ -391,22 +285,12 @@ def run_chaos_bench(
             "depth": 4,
             "seed": seed,
             "clients": NUM_CLIENTS,
-            "readers": NUM_READERS,
             "duration_seconds": duration_seconds,
-            "scheduled_kills": num_kills,
             "num_keys": len(keys),
             "retry": {
                 "max_attempts": RETRY.max_attempts,
                 "base_delay": RETRY.base_delay,
                 "max_delay": RETRY.max_delay,
-            },
-            "supervisor": {
-                key: PLAN_CONFIG_KWARGS[key]
-                for key in (
-                    "max_restarts",
-                    "restart_backoff_seconds",
-                    "restart_backoff_multiplier",
-                )
             },
             "sites": sorted({spec.site for spec in schedule.specs}),
         },
@@ -417,28 +301,13 @@ def run_chaos_bench(
             "p50_ms": round(_percentile_ms(latencies, 50.0), 3),
             "p99_ms": round(_percentile_ms(latencies, 99.0), 3),
         },
-        "chaos": {
-            "kills": kills,
-            "faults_injected": injected,
-            "restarts": supervisor.get("restarts"),
-            "exhausted": supervisor.get("exhausted"),
-        },
-        "heal": {
-            "self_healed": self_healed,
-            "heal_seconds": round(heal_seconds, 3),
-            "alive": health.get("readers", {}).get("alive"),
-            "width": NUM_READERS,
-            "final_mismatches": final_mismatches,
-        },
+        "chaos": {"scheduled": len(schedule.specs), "faults_injected": injected},
+        "final_sweep": {"keys": len(keys), "mismatches": final_mismatches},
         "zero_incorrect": zero_incorrect,
         "all_resolved": all_resolved,
         "faults_exercised": faults_exercised,
         "ok": bool(
-            zero_incorrect
-            and all_resolved
-            and self_healed
-            and final_mismatches == 0
-            and faults_exercised
+            zero_incorrect and all_resolved and faults_exercised and final_mismatches == 0
         ),
     }
 
@@ -454,8 +323,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=f"CI smoke mode: {QUICK_EDGES} edges, "
-        f"{QUICK_DURATION_SECONDS}s drill, {QUICK_KILLS} kills",
+        help=f"CI smoke mode: {QUICK_EDGES} edges, {QUICK_DURATION_SECONDS}s drill",
     )
     parser.add_argument(
         "--duration",
@@ -464,13 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help=f"drill length in seconds (default {DEFAULT_DURATION_SECONDS})",
     )
     parser.add_argument(
-        "--kills",
-        type=int,
-        default=None,
-        help=f"scheduled reader SIGKILLs (default {DEFAULT_KILLS})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="chaos-schedule seed (deterministic)"
+        "--seed", type=int, default=7, help="fault-schedule seed (deterministic)"
     )
     parser.add_argument(
         "--output",
@@ -484,9 +346,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         duration_seconds=args.duration
         or (QUICK_DURATION_SECONDS if args.quick else DEFAULT_DURATION_SECONDS),
-        num_kills=args.kills
-        if args.kills is not None
-        else (QUICK_KILLS if args.quick else DEFAULT_KILLS),
         quick=args.quick,
     )
     report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -495,16 +354,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    load, chaos, heal = report["load"], report["chaos"], report["heal"]
+    load, chaos, sweep = report["load"], report["chaos"], report["final_sweep"]
     print(
         f"chaos_bench: requests={load['requests']} answered={load['answered']} "
         f"incorrect={load['incorrect']} shed={load['typed_shed']} "
-        f"disconnects={load['typed_disconnects']} retries={load['retries']}"
+        f"disconnects={load['typed_disconnects']} unresolved={load['unresolved']} "
+        f"retries={load['retries']}"
     )
     print(
-        f"chaos_bench: kills={chaos['kills']} restarts={chaos['restarts']} "
-        f"injected={chaos['faults_injected']} "
-        f"healed={heal['self_healed']} in {heal['heal_seconds']}s"
+        f"chaos_bench: injected={chaos['faults_injected']} "
+        f"final sweep mismatches={sweep['mismatches']}/{sweep['keys']}"
     )
     print(f"chaos_bench: p50={load['p50_ms']}ms p99={load['p99_ms']}ms")
     if not report["ok"]:

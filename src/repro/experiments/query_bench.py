@@ -17,12 +17,6 @@ outlier slot is exercised.  Bit-exact parity between the two paths is
 verified per backend, including the memoized small-batch path.  Results land
 in ``BENCH_query.json``.
 
-A third mode measures the **parallel read plane**: ``readers-N`` rows time a
-:class:`~repro.queries.parallel.ReaderPool` of N worker processes answering
-pipelined 512-key batches over the shared-memory plan arena, against the
-single-process coalesced gather (``query_edges`` per batch) as the ratio
-baseline — with bit-exact parity against the plan oracle.
-
 Run it from the repo root::
 
     python experiments/query_bench.py            # full run (100k-edge R-MAT)
@@ -66,14 +60,6 @@ WORKLOAD_ALPHA = 1.1
 #: outlier slot of every plan is exercised (and parity covers it).
 OUTLIER_QUERY_STRIDE = 64
 
-#: The parallel-read-plane rows: coalesced batch size (the serving tier's
-#: default drain) and the reader-pool sizes measured against the
-#: single-process baseline.
-READER_BATCH_SIZE = 512
-DEFAULT_READER_COUNTS = (1, 4)
-READER_BENCH_BACKEND = "gsketch"
-READER_BENCH_QUERIES = 8_192
-
 
 @dataclass(frozen=True)
 class QueryBenchResult:
@@ -85,19 +71,6 @@ class QueryBenchResult:
     direct_qps: float
     plan_qps: float
     speedup: float
-    parity_ok: bool
-
-
-@dataclass(frozen=True)
-class ReaderBenchResult:
-    """One parallel-read-plane measurement (``readers == 0`` is the baseline)."""
-
-    backend: str
-    readers: int
-    batch_size: int
-    queries: int
-    keys_per_second: float
-    ratio: float
     parity_ok: bool
 
 
@@ -226,95 +199,6 @@ def measure_query_paths(
     return results
 
 
-def measure_reader_pool(
-    estimator,
-    backend: str,
-    keys: Sequence[EdgeKey],
-    reader_counts: Sequence[int],
-    batch_size: int = READER_BATCH_SIZE,
-    rounds: int = 2,
-    repeats: int = 3,
-) -> List[ReaderBenchResult]:
-    """Reader-pool keys/second vs the single-process coalesced gather.
-
-    The baseline row (``readers=0``) answers each ``batch_size``-key batch
-    with one ``query_edges`` call on this process — the serving tier's
-    pre-pool drain pattern.  Each ``readers-N`` row streams the same batches
-    through :meth:`~repro.queries.parallel.ReaderPool.map_batches` (the
-    pipelined dispatch the coalescer uses) and is checked bit-exact against
-    the plan oracle before timing.
-    """
-    import numpy as np
-
-    from repro.queries.parallel import PlanConfig, ReaderPool
-
-    estimator.compile_plan()
-    key_batches = _split_batches(keys, batch_size)
-    sources = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-    targets = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-    col_batches = [
-        (sources[start : start + batch_size], targets[start : start + batch_size])
-        for start in range(0, len(keys), batch_size)
-    ]
-    oracle = [np.asarray(estimator.query_edges(batch)) for batch in key_batches]
-    total_keys = len(keys) * rounds
-
-    def time_best(run, warmup: int = 8) -> float:
-        # Warm-up to steady state: plan refreshes, memo fills, staging
-        # first-touch, and — for pool paths — the OS scheduler settling into
-        # the parent/worker pipe ping-pong (measured to take several full
-        # passes on small hosts before throughput stabilizes).
-        for _ in range(warmup):
-            run()
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(rounds):
-                run()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    def run_baseline() -> None:
-        for batch in key_batches:
-            estimator.query_edges(batch)
-
-    baseline_rate = total_keys / time_best(run_baseline)
-    results = [
-        ReaderBenchResult(
-            backend=backend,
-            readers=0,
-            batch_size=batch_size,
-            queries=total_keys,
-            keys_per_second=baseline_rate,
-            ratio=1.0,
-            parity_ok=True,
-        )
-    ]
-    for readers in reader_counts:
-        pool = ReaderPool.from_estimator(estimator, PlanConfig(readers=readers))
-        try:
-            answered = pool.map_batches(col_batches)
-            parity = all(
-                np.array_equal(expected, got)
-                for expected, got in zip(oracle, answered)
-            )
-            rate = total_keys / time_best(lambda: pool.map_batches(col_batches))
-        finally:
-            pool.close()
-        results.append(
-            ReaderBenchResult(
-                backend=backend,
-                readers=readers,
-                batch_size=batch_size,
-                queries=total_keys,
-                keys_per_second=rate,
-                ratio=rate / baseline_rate,
-                parity_ok=parity,
-            )
-        )
-    return results
-
-
 def run_query_bench(
     num_edges: int = DEFAULT_EDGES,
     backends: Sequence[str] = DEFAULT_BACKENDS,
@@ -326,7 +210,6 @@ def run_query_bench(
     seed: int = 7,
     rounds: int = 2,
     repeats: int = 1,
-    reader_counts: Sequence[int] = DEFAULT_READER_COUNTS,
 ) -> Dict[str, object]:
     """Benchmark every backend on the R-MAT config; returns the report dict."""
     if rounds < 1 or repeats < 1:
@@ -338,7 +221,6 @@ def run_query_bench(
     keys = build_query_workload(stream, num_queries, seed=seed + 2)
 
     results: List[QueryBenchResult] = []
-    reader_results: List[ReaderBenchResult] = []
     hot_caches: Dict[str, object] = {}
     # Telemetry stays on through the timed passes: the committed floors are
     # plan-vs-direct ratios of the *instrumented* query plane, so the gate
@@ -354,20 +236,6 @@ def run_query_bench(
                         estimator, backend, keys, batch_sizes, rounds, repeats
                     )
                 )
-                if backend == READER_BENCH_BACKEND and reader_counts:
-                    reader_keys = build_query_workload(
-                        stream, max(num_queries, READER_BENCH_QUERIES), seed=seed + 3
-                    )
-                    reader_results.extend(
-                        measure_reader_pool(
-                            estimator,
-                            backend,
-                            reader_keys,
-                            reader_counts,
-                            rounds=rounds,
-                            repeats=max(repeats, 3),
-                        )
-                    )
                 cache = getattr(estimator, "_hot_cache", None)
                 if cache is not None:
                     hot_caches[backend] = cache.telemetry()
@@ -394,17 +262,11 @@ def run_query_bench(
             "batch_sizes": list(batch_sizes),
             "rounds": rounds,
             "repeats": repeats,
-            "reader_counts": list(reader_counts),
-            "reader_batch_size": READER_BATCH_SIZE,
             "timing": "minimum wall time over repeats; warm-up pass untimed "
             "for both paths",
         },
-        "parity_ok": bool(
-            all(row.parity_ok for row in results)
-            and all(row.parity_ok for row in reader_results)
-        ),
+        "parity_ok": all(row.parity_ok for row in results),
         "results": [asdict(row) for row in results],
-        "readers": [asdict(row) for row in reader_results],
         # Query-plane registry excerpt (accumulated over every backend's
         # timed passes) plus each backend's hot-edge cache counters.
         "telemetry": {
@@ -459,15 +321,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="measurements per path, best (minimum) wall time reported "
         "(default: 3 full, 2 quick)",
     )
-    parser.add_argument(
-        "--readers",
-        type=int,
-        nargs="*",
-        default=list(DEFAULT_READER_COUNTS),
-        metavar="N",
-        help="reader-pool sizes for the parallel-read-plane rows "
-        f"(default {DEFAULT_READER_COUNTS}; pass none to skip)",
-    )
     args = parser.parse_args(argv)
 
     num_edges = QUICK_EDGES if args.quick else args.edges
@@ -479,7 +332,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         num_queries=args.queries,
         seed=args.seed,
         repeats=repeats,
-        reader_counts=args.readers,
     )
 
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -497,16 +349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{row['direct_qps']:>12,.0f} {row['plan_qps']:>12,.0f} "
             f"{row['speedup']:>8.2f}x"
         )
-    if report["readers"]:
-        header = f"{'read plane':<14} {'batch':>6} {'keys/s':>14} {'ratio':>8}"
-        print(header)
-        print("-" * len(header))
-        for row in report["readers"]:
-            label = "baseline" if row["readers"] == 0 else f"readers-{row['readers']}"
-            print(
-                f"{label:<14} {row['batch_size']:>6} "
-                f"{row['keys_per_second']:>14,.0f} {row['ratio']:>7.2f}x"
-            )
     return 0 if report["parity_ok"] else 1
 
 

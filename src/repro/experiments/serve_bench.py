@@ -19,17 +19,6 @@ offers ~2× its capacity in open-loop waves: the drill passes when overload
 surfaces as typed ``retry_later`` rejects, queue depth never exceeds the
 bound (memory stays bounded), and every client completes (nothing hangs).
 
-A third phase re-serves the engine with a :class:`~repro.queries.parallel`
-reader pool (``EngineBuilder.plan(PlanConfig(readers=N))``) so drained batches
-are answered off the event loop by arena-mapped worker processes.  Each
-``readers-N`` round repeats the closed-loop measurement at a fixed concurrency
-and reports QPS relative to the inline (``readers=0``) round — every response
-still checked bit-exact against the oracle, now across the pool demux path.
-The in-process ≥2× coalesced-gather floor lives in ``BENCH_query.json``; here
-the rows gate parity and lifecycle (pool serving must answer correctly and
-tear down cleanly), not a throughput floor, because batch-1 closed-loop wire
-QPS is dominated by protocol overhead rather than gather cost.
-
 Results land in ``BENCH_serve.json``; ``experiments/check_bench.py --serve``
 enforces the floors.  Run from the repo root::
 
@@ -53,7 +42,6 @@ from repro.core.config import GSketchConfig
 from repro.datasets.zipf import zipf_stream
 from repro.experiments.query_bench import build_query_workload
 from repro.graph.edge import EdgeKey
-from repro.queries.parallel import PlanConfig
 from repro.serving.client import RetryLater, ServingClient, connect
 from repro.serving.server import ServerHandle, ServingConfig
 
@@ -65,12 +53,6 @@ DEFAULT_DURATION_SECONDS = 1.5
 QUICK_DURATION_SECONDS = 0.6
 DEFAULT_KEYS = 512
 DEFAULT_OUTPUT = "BENCH_serve.json"
-
-#: readers-N phase: pool sizes to serve with, and the fixed client concurrency
-#: each pool round is measured at (must appear in the client counts so the
-#: inline round provides the comparison row).
-DEFAULT_READER_COUNTS = (4,)
-READER_CLIENTS = 16
 
 #: Overload drill shape: ``clients × wave`` single-key requests are offered
 #: at once against a server whose admission bound is ``wave × clients / 2``
@@ -199,7 +181,6 @@ def run_serve_bench(
     total_cells: int = 60_000,
     depth: int = 4,
     seed: int = 7,
-    reader_counts: Sequence[int] = DEFAULT_READER_COUNTS,
 ) -> Dict[str, object]:
     """Measure serving QPS/latency at each concurrency, then the overload drill."""
     config = GSketchConfig(total_cells=total_cells, depth=depth, seed=seed)
@@ -253,6 +234,7 @@ def run_serve_bench(
         coalescer = handle.stats()["coalescer"]
     finally:
         handle.stop()
+        engine.close()
     drill.update(
         {
             "max_pending": max_pending,
@@ -273,46 +255,6 @@ def run_serve_bench(
         drill["typed_rejects"] and drill["bounded_depth"] and drill["all_resolved"]
     )
 
-    # -- readers-N phase: re-serve with a pool, same closed-loop oracle ---- #
-    reader_rows: List[dict] = []
-    baseline_qps = next(
-        (row["qps"] for row in results if row["clients"] == READER_CLIENTS), None
-    )
-    try:
-        for readers in reader_counts:
-            engine.set_plan_config(PlanConfig(readers=int(readers)))
-            handle = engine.serve()
-            try:
-                host, port = handle.address
-                requests, wall, latencies, mismatches = asyncio.run(
-                    _run_closed_loop(
-                        host, port, keys, oracle, READER_CLIENTS, duration_seconds
-                    )
-                )
-                pool_stats = handle.stats()["readers"]
-            finally:
-                handle.stop()
-            parity_ok = parity_ok and mismatches == 0
-            qps = requests / wall if wall > 0 else 0.0
-            reader_rows.append(
-                {
-                    "readers": int(readers),
-                    "clients": READER_CLIENTS,
-                    "requests": requests,
-                    "qps": round(qps, 1),
-                    "p50_ms": round(_percentile_ms(latencies, 50.0), 4),
-                    "p99_ms": round(_percentile_ms(latencies, 99.0), 4),
-                    "ratio_vs_inline": (
-                        round(qps / baseline_qps, 3) if baseline_qps else None
-                    ),
-                    "generation": pool_stats["generation"],
-                    "parity_mismatches": mismatches,
-                    "parity_ok": mismatches == 0,
-                }
-            )
-    finally:
-        engine.close()
-
     return {
         "benchmark": "serve",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -331,12 +273,9 @@ def run_serve_bench(
                 "max_delay_us": DEFAULT_SERVING.max_delay_us,
                 "max_pending": DEFAULT_SERVING.max_pending,
             },
-            "reader_counts": list(reader_counts),
-            "reader_clients": READER_CLIENTS,
         },
         "parity_ok": parity_ok,
         "results": results,
-        "readers": reader_rows,
         "overload": drill,
         "server_stats": serving_stats,
     }
@@ -380,15 +319,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=DEFAULT_OUTPUT,
         help=f"report path (default {DEFAULT_OUTPUT})",
     )
-    parser.add_argument(
-        "--readers",
-        type=int,
-        nargs="*",
-        default=list(DEFAULT_READER_COUNTS),
-        metavar="N",
-        help="reader-pool sizes for the pool-served rounds "
-        f"(default {list(DEFAULT_READER_COUNTS)}; pass nothing to skip)",
-    )
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
@@ -405,7 +335,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         duration_seconds=duration,
         num_keys=args.keys,
         seed=args.seed,
-        reader_counts=args.readers,
     )
 
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -424,20 +353,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{row['clients']:>7} {row['qps']:>10,.0f} {row['p50_ms']:>8.2f} "
             f"{row['p99_ms']:>8.2f} {row['mean_batch_size']:>11.1f}"
         )
-    if report["readers"]:
-        header = (
-            f"{'read plane':>10} {'clients':>7} {'qps':>10} {'p50 ms':>8} "
-            f"{'p99 ms':>8} {'vs inline':>9}"
-        )
-        print(header)
-        print("-" * len(header))
-        for row in report["readers"]:
-            ratio = row["ratio_vs_inline"]
-            print(
-                f"{'readers-' + str(row['readers']):>10} {row['clients']:>7} "
-                f"{row['qps']:>10,.0f} {row['p50_ms']:>8.2f} {row['p99_ms']:>8.2f} "
-                f"{(f'{ratio:.2f}x' if ratio else 'n/a'):>9}"
-            )
     return 0 if report["parity_ok"] and report["overload"]["ok"] else 1
 
 

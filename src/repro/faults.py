@@ -24,13 +24,6 @@ Injection sites
   mid-write (simulating a crash between write and fsync).
 * ``corrupt_snapshot`` — one byte of a written snapshot / checkpoint
   section is flipped (simulating silent media corruption).
-* ``reader_crash_batch`` — a reader-pool worker dies (``os._exit``)
-  after staging a batch but before acknowledging it.
-* ``reader_stall_ring`` — a reader-pool worker answers ``delay_seconds``
-  late (a wedged staging ring / GC pause / CPU-starved worker).
-* ``reader_crash_remap`` — a reader-pool worker dies mid-generation-swap,
-  after receiving the remap message but before acknowledging the new
-  arena (exercises exception-safe swap and old-arena reclamation).
 * ``serving_torn_frame`` — the server closes a connection after writing
   only half of a response frame (a torn wire write).
 * ``serving_stall_connection`` — the server delays one response by
@@ -77,9 +70,6 @@ SITE_DROP_ACK = "drop_ack"
 SITE_SLOW_ACK = "slow_ack"
 SITE_TORN_CHECKPOINT = "torn_checkpoint"
 SITE_CORRUPT_SNAPSHOT = "corrupt_snapshot"
-SITE_READER_CRASH_BATCH = "reader_crash_batch"
-SITE_READER_STALL_RING = "reader_stall_ring"
-SITE_READER_CRASH_REMAP = "reader_crash_remap"
 SITE_SERVING_TORN_FRAME = "serving_torn_frame"
 SITE_SERVING_STALL_CONNECTION = "serving_stall_connection"
 SITE_SERVING_DROP_DRAIN = "serving_drop_drain"
@@ -96,14 +86,6 @@ WORKER_SITES = (
 #: Sites that fire in the durability plane (snapshot / checkpoint writes).
 DURABILITY_SITES = (SITE_TORN_CHECKPOINT, SITE_CORRUPT_SNAPSHOT)
 
-#: Sites that fire inside reader-pool worker processes (``shard`` carries
-#: the worker index).
-READER_SITES = (
-    SITE_READER_CRASH_BATCH,
-    SITE_READER_STALL_RING,
-    SITE_READER_CRASH_REMAP,
-)
-
 #: Sites that fire in the TCP serving tier (server process / event loop).
 SERVING_SITES = (
     SITE_SERVING_TORN_FRAME,
@@ -112,7 +94,7 @@ SERVING_SITES = (
     SITE_SERVING_INGEST_CRASH,
 )
 
-ALL_SITES = WORKER_SITES + DURABILITY_SITES + READER_SITES + SERVING_SITES
+ALL_SITES = WORKER_SITES + DURABILITY_SITES + SERVING_SITES
 
 #: Exit code used by injected worker crashes (visible in the
 #: ``ShardExecutionError`` message as the worker's exit code).

@@ -49,6 +49,22 @@ def label_column(values: List) -> np.ndarray:
 _column = label_column
 
 
+def require_valid_frequencies(frequencies: np.ndarray) -> None:
+    """Reject a frequency column unless every value is finite and >= 0.
+
+    The columnar form of :class:`~repro.graph.stream.GraphStream`'s rule.
+    Every backend runs it once per batch, before any routing or counter
+    write, so a rejected batch leaves the estimator untouched.
+    """
+    valid = (frequencies >= 0.0) & (frequencies < np.inf)
+    if not valid.all():
+        index = int(np.argmin(valid))
+        raise ValueError(
+            f"batch element {index} carries invalid frequency "
+            f"{float(frequencies[index])!r}; frequencies must be finite and >= 0"
+        )
+
+
 @dataclass(frozen=True)
 class EdgeBatch:
     """A block of stream elements stored column-wise.

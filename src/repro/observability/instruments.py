@@ -18,9 +18,6 @@ __all__ = [
     "INGEST_BATCHES",
     "INGEST_ELEMENTS",
     "INGEST_STAGE",
-    "READER_DEAD",
-    "READER_RESTART_EVENTS",
-    "READER_RESTART_SECONDS",
     "RECOVERY_EVENTS",
     "RECOVERY_SECONDS",
 ]
@@ -59,30 +56,6 @@ RECOVERY_EVENTS = {
     )
     for outcome in ("recovered", "exhausted")
 }
-
-#: Reader-pool supervision: respawn latency end to end (fresh staging ring
-#: + worker process mapped to the current arena generation).
-READER_RESTART_SECONDS = REGISTRY.histogram(
-    "repro_reader_restart_seconds",
-    "Reader-pool worker respawn latency (staging ring + arena remap), seconds",
-)
-
-#: Reader respawn incidents by outcome (``respawned`` = worker back in the
-#: round-robin, ``exhausted`` = restart budget spent; the pool keeps serving
-#: degraded on the survivors).
-READER_RESTART_EVENTS = {
-    outcome: REGISTRY.counter(
-        "repro_reader_restarts_total",
-        "Reader-pool worker respawn incidents by outcome",
-        {"outcome": outcome},
-    )
-    for outcome in ("respawned", "exhausted")
-}
-
-READER_DEAD = REGISTRY.gauge(
-    "repro_reader_dead_workers",
-    "Reader-pool workers currently dead (awaiting respawn or budget-exhausted)",
-)
 
 DEGRADED_SHARDS = REGISTRY.gauge(
     "repro_degraded_shards",

@@ -1,6 +1,5 @@
-"""Query model, workload generation, accuracy metrics, the compiled
-read-optimized query plan, and the parallel read plane (shared-memory
-reader pool + scratch-staged gather kernel)."""
+"""Query model, workload generation, accuracy metrics and the compiled
+read-optimized query plan."""
 
 from repro.queries.aggregate import AGGREGATES, AggregateFunction, get_aggregate
 from repro.queries.edge_query import EdgeQuery
@@ -12,7 +11,6 @@ from repro.queries.evaluation import (
     evaluate_subgraph_queries,
     relative_error,
 )
-from repro.queries.kernels import NumpyScratchKernel
 from repro.queries.plan import (
     CompiledQueryPlan,
     HotEdgeCache,
@@ -35,14 +33,8 @@ __all__ = [
     "EdgeQuery",
     "EvaluationResult",
     "HotEdgeCache",
-    "NumpyScratchKernel",
-    "PlanConfig",
     "PlanServingMixin",
     "QueryWorkload",
-    "ReaderPool",
-    "ReaderPoolError",
-    "ReaderSupervisor",
-    "ReaderWorkerError",
     "SubgraphQuery",
     "average_relative_error",
     "bfs_subgraph_queries",
@@ -56,26 +48,3 @@ __all__ = [
     "zipf_edge_queries",
     "zipf_subgraph_queries",
 ]
-
-#: Reader-pool names re-exported lazily: ``repro.queries.parallel`` pulls in
-#: the distributed package, which circularly imports the core estimators
-#: while *they* are importing the plan mixin from this package.  PEP 562
-#: deferral keeps ``from repro.queries import ReaderPool`` working without
-#: eagerly completing that cycle at package-import time.
-_PARALLEL_EXPORTS = frozenset(
-    {
-        "PlanConfig",
-        "ReaderPool",
-        "ReaderPoolError",
-        "ReaderSupervisor",
-        "ReaderWorkerError",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _PARALLEL_EXPORTS:
-        from repro.queries import parallel
-
-        return getattr(parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

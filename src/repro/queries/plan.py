@@ -291,7 +291,6 @@ class CompiledQueryPlan:
         self._row_base = (np.arange(depth, dtype=np.int64) * total_width)[:, None]
         self._bounds = np.zeros(len(widths), dtype=np.float64)
         self._failures = np.zeros(len(widths), dtype=np.float64)
-        self._kernel = None
 
     # ------------------------------------------------------------------ #
     # Compilation / refresh
@@ -415,60 +414,6 @@ class CompiledQueryPlan:
         return self._attached
 
     @property
-    def depth(self) -> int:
-        """Sketch depth (rows) shared by every slot."""
-        return self._arena.shape[0]
-
-    @property
-    def routed(self) -> bool:
-        """Whether this plan routes by source vertex (multi-slot backends)."""
-        return self._router is not None
-
-    @property
-    def kernel(self):
-        """The attached scratch kernel, or ``None`` (oracle path)."""
-        return self._kernel
-
-    def set_kernel(self, kernel) -> None:
-        """Attach a :class:`~repro.queries.kernels.QueryKernel`.
-
-        ``None`` restores the default oracle expressions.  The kernel owns
-        mutable scratch, so an attached plan must not be queried from
-        multiple threads concurrently (matching the estimators' existing
-        single-writer contract).
-        """
-        self._kernel = kernel
-
-    def export_arrays(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The frozen read-arena state: ``(arena, hash_a, hash_b, widths, offsets)``.
-
-        These five arrays plus the router lookup columns
-        (:meth:`export_router_arrays`) fully determine plan answers at this
-        generation; the reader pool serializes them into one shared-memory
-        block that worker processes map zero-copy.
-        """
-        return self._arena, self._a, self._b, self._widths, self._offsets
-
-    def export_router_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Sorted ``(vertex, partition)`` routing columns, or ``None``.
-
-        ``None`` means either the plan is single-slot (no router) or the
-        router's label space is not integer-vectorizable — callers check
-        :attr:`routed` to tell the two apart.
-        """
-        if self._router is None:
-            return None
-        lookup = self._router.lookup_arrays()
-        if lookup is None and len(self._router) == 0:
-            # An empty router routes everything to the outlier slot; that is
-            # expressible as empty lookup columns.
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        return lookup
-
-    @property
     def num_slots(self) -> int:
         """Number of arena slots (partitions plus outlier, or 1)."""
         return len(self._widths)
@@ -504,9 +449,6 @@ class CompiledQueryPlan:
         """
         if keys.size == 0:
             return np.zeros(0, dtype=np.float64)
-        kernel = self._kernel
-        if kernel is not None:
-            return self._estimate_keys_kernel(kernel, keys, slots)
         if self.num_slots == 1:
             # Single-slot plans (the global baseline) broadcast the one
             # coefficient column instead of gathering it per element, and
@@ -519,19 +461,6 @@ class CompiledQueryPlan:
             cols += self._offsets[slots]
         cols += self._row_base
         return self._flat[cols].min(axis=0)
-
-    def _estimate_keys_kernel(self, kernel, keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """The attached-kernel gather: scratch-staged, bit-exact vs the oracle."""
-        if self.num_slots == 1:
-            cols = kernel.hash_columns(self._a, self._b, self._widths, keys)
-        else:
-            coeff_a, coeff_b = kernel.take_columns(self._a, self._b, slots)
-            cols = kernel.hash_columns(coeff_a, coeff_b, self._widths[slots], keys)
-            cols += self._offsets[slots]
-        cols += self._row_base
-        # Copy the scratch-backed row out: callers may hold the result across
-        # subsequent plan queries.
-        return kernel.gather_min(self._flat, cols).copy()
 
     def confidence_constants(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-element additive bounds and failure probabilities, by slot."""
@@ -577,17 +506,6 @@ class PlanServingMixin:
         self._query_plan = None
         self._plan_generation = 0
         self._hot_cache = HotEdgeCache(cache_capacity)
-        self._plan_kernel = None
-
-    def set_plan_kernel(self, kernel) -> None:
-        """Attach a scratch kernel to every future plan compile/refresh.
-
-        Takes effect immediately on an already-compiled plan as well; pass
-        ``None`` to restore the default oracle expressions.
-        """
-        self._plan_kernel = kernel
-        if self._query_plan is not None:
-            self._query_plan.set_kernel(kernel)
 
     def _bump_generation(self) -> None:
         """Mark any compiled plan and memoized estimates as stale."""
@@ -635,8 +553,6 @@ class PlanServingMixin:
                 plan = CompiledQueryPlan.compile(
                     sketches, router, generation=self._plan_generation, attach=attach
                 )
-                if self._plan_kernel is not None:
-                    plan.set_kernel(self._plan_kernel)
             self._query_plan = plan
             _PLAN_COMPILES.inc()
         elif plan.generation != self._plan_generation:

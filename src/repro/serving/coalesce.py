@@ -15,7 +15,8 @@ dallies ``max_delay_us`` to let concurrent requests pile on (skipped once
 ``max_batch`` keys are waiting — a full batch gains nothing by waiting),
 answers one batch through the ``answer`` callable, and resolves each
 request's future with its slice of the results plus the plan generation that
-answered it.
+answered it.  The answer runs synchronously on the event loop, so no ingest
+can land between the gather and the generation tag it reports.
 
 Overload is **admission-controlled, not buffered**: when more than
 ``max_pending`` keys are already waiting, :meth:`submit` raises
@@ -24,22 +25,12 @@ Overload is **admission-controlled, not buffered**: when more than
 under any offered load.  Per-request deadlines are honoured at drain time:
 a request whose deadline passed while queued gets
 :class:`DeadlineExceededError` instead of a stale answer.
-
-The ``answer`` callable may also return an *awaitable* of the same
-``(values, generation)`` pair — the reader-pool path
-(:class:`~repro.queries.parallel.ReaderPool`) answers batches off the event
-loop, so the drain task dispatches the batch and keeps draining while the
-pool computes, demuxing each batch's slices when its awaitable resolves.
-``inflight_batches`` bounds how many dispatched-but-unanswered batches may
-overlap; per-request ordering is untouched because demux happens per batch
-against that batch's own counts.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
-from typing import Awaitable, Callable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Awaitable, Callable, List, Optional, Sequence, Tuple
 
 from repro.graph.edge import EdgeKey
 from repro.observability import metrics as _obs
@@ -54,10 +45,7 @@ DEFAULT_MAX_PENDING = 4096
 
 #: The answer callable: one compiled-plan gather over the coalesced keys,
 #: returning the per-key estimates and the plan generation that served them.
-#: May return the pair directly (answered on the loop) or an awaitable of it
-#: (answered off-loop, e.g. by a reader pool).
-AnswerResult = Tuple[Sequence[float], int]
-AnswerFn = Callable[[List[EdgeKey]], Union[AnswerResult, Awaitable[AnswerResult]]]
+AnswerFn = Callable[[List[EdgeKey]], Tuple[Sequence[float], int]]
 
 _QUEUE_DEPTH = _obs.REGISTRY.gauge(
     "repro_serve_queue_depth", "Point-query keys waiting in the coalescing queue"
@@ -107,10 +95,6 @@ class CoalescingQueue:
             before answering a non-full batch; ``0`` answers immediately.
         max_pending: admission-control bound on waiting keys; submissions
             beyond it raise :class:`AdmissionError` instead of queueing.
-        inflight_batches: how many drained batches may be awaiting an
-            asynchronous ``answer`` at once (the reader-pool overlap depth);
-            synchronous answers are unaffected, the default keeps the old
-            one-batch-at-a-time behaviour.
     """
 
     def __init__(
@@ -120,7 +104,6 @@ class CoalescingQueue:
         max_batch: int = DEFAULT_MAX_BATCH,
         max_delay_us: int = DEFAULT_MAX_DELAY_US,
         max_pending: int = DEFAULT_MAX_PENDING,
-        inflight_batches: int = 1,
     ) -> None:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be > 0, got {max_batch}")
@@ -128,19 +111,14 @@ class CoalescingQueue:
             raise ValueError(f"max_delay_us must be >= 0, got {max_delay_us}")
         if max_pending <= 0:
             raise ValueError(f"max_pending must be > 0, got {max_pending}")
-        if inflight_batches <= 0:
-            raise ValueError(f"inflight_batches must be > 0, got {inflight_batches}")
         self._answer = answer
         self.max_batch = max_batch
         self.max_delay_seconds = max_delay_us / 1_000_000.0
         self.max_pending = max_pending
-        self.inflight_batches = inflight_batches
         self._pending: List[_Pending] = []
         self._pending_keys = 0
         self._wake = asyncio.Event()
         self._task: Optional["asyncio.Task[None]"] = None
-        self._inflight: Optional[asyncio.Semaphore] = None
-        self._answer_tasks: "Set[asyncio.Task[None]]" = set()
         self._closing = False
         # Always-on plain-int stats (the registry mirrors live alongside,
         # gated on the observability enable flag).
@@ -158,7 +136,6 @@ class CoalescingQueue:
     def start(self) -> None:
         """Spawn the drain task on the running event loop."""
         if self._task is None:
-            self._inflight = asyncio.Semaphore(self.inflight_batches)
             self._task = asyncio.get_running_loop().create_task(self._drain_loop())
 
     async def stop(self) -> None:
@@ -166,16 +143,13 @@ class CoalescingQueue:
 
         New :meth:`submit` calls are rejected from the moment this is
         called; requests admitted before it still get real answers — the
-        graceful-shutdown contract (including batches still in flight on an
-        asynchronous answer path).
+        graceful-shutdown contract.
         """
         self._closing = True
         self._wake.set()
         if self._task is not None:
             await self._task
             self._task = None
-        if self._answer_tasks:
-            await asyncio.gather(*tuple(self._answer_tasks), return_exceptions=True)
 
     @property
     def depth(self) -> int:
@@ -251,12 +225,7 @@ class CoalescingQueue:
             ):
                 # Dally for concurrent requests; a full batch never waits.
                 await asyncio.sleep(self.max_delay_seconds)
-            # The permit bounds dispatched-but-unanswered async batches; a
-            # synchronous answer returns it before the next loop iteration.
-            assert self._inflight is not None
-            await self._inflight.acquire()
-            if not self._drain_one(loop.time()):
-                self._inflight.release()
+            self._drain_one(loop.time())
 
     def _take_batch(self, now: float) -> List[_Pending]:
         """Dequeue FIFO entries up to ``max_batch`` keys, dropping expired ones.
@@ -295,13 +264,18 @@ class CoalescingQueue:
             taken += len(entry.keys)
         return batch
 
-    def _drain_one(self, now: float) -> bool:
-        """Answer one batch; ``True`` means an async answer kept the permit."""
+    def _drain_one(self, now: float) -> None:
+        """Answer one batch and resolve each request's slice.
+
+        Futures cancelled by a dropped connection are skipped (and counted)
+        when the batch is taken; the checks below keep a cancelled future
+        from raising into the drain loop instead of being counted.
+        """
         batch = self._take_batch(now)
         if _obs._ENABLED:
             _QUEUE_DEPTH.set(float(self._pending_keys))
         if not batch:
-            return False
+            return
         keys: List[EdgeKey] = []
         counts: List[int] = []
         for entry in batch:
@@ -312,59 +286,14 @@ class CoalescingQueue:
         if _obs._ENABLED:
             _BATCH_SIZE._observe(float(len(keys)))
         try:
-            result = self._answer(keys)
+            values, generation = self._answer(keys)
         except Exception as exc:  # noqa: BLE001 - fanned out per request
-            self._fan_out_error(batch, exc)
-            return False
-        if inspect.isawaitable(result):
-            task = asyncio.get_running_loop().create_task(
-                self._finish_async(batch, counts, result)
-            )
-            self._answer_tasks.add(task)
-            task.add_done_callback(self._answer_tasks.discard)
-            return True
-        values, generation = result
-        self._demux(batch, counts, values, generation)
-        return False
-
-    async def _finish_async(
-        self,
-        batch: List[_Pending],
-        counts: List[int],
-        awaitable: Awaitable[AnswerResult],
-    ) -> None:
-        """Resolve one dispatched batch when its off-loop answer lands."""
-        try:
-            values, generation = await awaitable
-        except Exception as exc:  # noqa: BLE001 - fanned out per request
-            self._fan_out_error(batch, exc)
+            for entry in batch:
+                if entry.future.cancelled():
+                    self.cancelled += 1
+                elif not entry.future.done():
+                    entry.future.set_exception(exc)
             return
-        finally:
-            if self._inflight is not None:
-                self._inflight.release()
-        self._demux(batch, counts, values, generation)
-
-    def _fan_out_error(self, batch: List[_Pending], exc: BaseException) -> None:
-        for entry in batch:
-            if entry.future.cancelled():
-                self.cancelled += 1
-            elif not entry.future.done():
-                entry.future.set_exception(exc)
-
-    def _demux(
-        self,
-        batch: List[_Pending],
-        counts: List[int],
-        values: Sequence[float],
-        generation: int,
-    ) -> None:
-        """Resolve each request's slice; cancelled requesters are counted.
-
-        A connection that dropped *after* its batch was dispatched still
-        resolves here — its future is cancelled, so the result is discarded
-        into the ``cancelled`` stat instead of raising into the write path
-        of a closed connection.
-        """
         for entry, slice_values in zip(batch, demux_by_counts(values, counts)):
             if entry.future.cancelled():
                 self.cancelled += 1

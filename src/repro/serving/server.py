@@ -35,17 +35,14 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Awaitable, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro import faults as _faults
 from repro.graph.batch import EdgeBatch
 from repro.graph.edge import EdgeKey, StreamEdge
 from repro.observability import metrics as _obs
 from repro.queries.edge_query import EdgeQuery
-from repro.queries.parallel import ReaderPool, ReaderSupervisor
-from repro.queries.plan import CompiledQueryPlan, HotEdgeCache
 from repro.queries.subgraph_query import SubgraphQuery
 from repro.serving import wire
 from repro.serving.coalesce import (
@@ -165,23 +162,11 @@ class SketchServer:
         self._host = host
         self._port = port
         self.config = config or ServingConfig()
-        # The parallel read plane: when the engine was built with
-        # .plan(PlanConfig(readers=N)) the server owns a ReaderPool, a
-        # server-side hot cache and the single dispatch thread that is the
-        # only code ever touching the pool's worker pipes.
-        plan_config = getattr(engine, "plan_config", None)
-        self._plan_config = plan_config if plan_config and plan_config.readers else None
-        self._pool: Optional[ReaderPool] = None
-        self._pool_cache: Optional[HotEdgeCache] = None
-        self._pool_executor: Optional[ThreadPoolExecutor] = None
-        self._supervisor: Optional[ReaderSupervisor] = None
-        inflight = self._plan_config.max_pending if self._plan_config else 1
         self._coalescer = CoalescingQueue(
             self._answer_batch,
             max_batch=self.config.max_batch,
             max_delay_us=self.config.max_delay_us,
             max_pending=self.config.max_pending,
-            inflight_batches=inflight,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
@@ -203,19 +188,6 @@ class SketchServer:
         self._stopped = asyncio.Event()
         # Warm the compiled plan so the first client request pays no compile.
         self._engine.frozen()
-        if self._plan_config is not None:
-            self._pool = ReaderPool.from_estimator(
-                self._engine.estimator, self._plan_config
-            )
-            self._pool_cache = HotEdgeCache()
-            self._pool_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-pool-dispatch"
-            )
-            if self._plan_config.supervised:
-                # The background healer respawns dead workers against the
-                # current arena generation; the dispatch thread re-issues
-                # failed batches on the survivors meanwhile.
-                self._supervisor = ReaderSupervisor(self._pool)
         self._coalescer.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
@@ -253,16 +225,6 @@ class SketchServer:
         await self._coalescer.stop()
         if self._request_tasks:
             await asyncio.wait(tuple(self._request_tasks), timeout=deadline)
-        if self._pool_executor is not None:
-            # The coalescer has drained, so no dispatch job can still be
-            # queued; shutdown here just joins the (idle) dispatch thread.
-            self._pool_executor.shutdown(wait=True)
-            self._pool_executor = None
-        if self._supervisor is not None:
-            self._supervisor.close()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         for connection in tuple(self._connections):
             await self._close_connection(connection, flush=True)
         if self._stopped is not None:
@@ -270,7 +232,7 @@ class SketchServer:
 
     def stats(self) -> dict:
         """Always-on serving statistics (the bench and tests read these)."""
-        stats = {
+        return {
             "address": list(self.address),
             "connections_open": len(self._connections),
             "connections_accepted": self.connections_accepted,
@@ -279,21 +241,13 @@ class SketchServer:
             "coalescer": self._coalescer.stats(),
             "draining": self._draining,
         }
-        if self._pool is not None:
-            stats["readers"] = {
-                "configured": self._pool.readers,
-                "generation": self._pool.generation,
-            }
-            if self._supervisor is not None:
-                stats["readers"]["supervisor"] = self._supervisor.telemetry()
-        return stats
 
     def health(self) -> dict:
         """The ``health`` wire op's payload (also behind ``repro serve --health``).
 
         ``state`` walks starting → serving → draining; ``degraded`` flags a
         server that answers but with reduced redundancy — dead sketch shards
-        (PR-7 degraded serving) or dead reader-pool workers awaiting respawn.
+        whose mass the widened intervals account for (degraded serving).
         Readiness probes should treat only ``state == "serving"`` with
         ``degraded == false`` as fully healthy, and ``serving`` + degraded
         as ready-but-alarming.
@@ -315,83 +269,22 @@ class SketchServer:
         }
         if dead_shards is not None:
             payload["dead_shards"] = sorted(dead_shards)
-        if self._supervisor is not None:
-            readers = self._supervisor.telemetry()
-            payload["readers"] = readers
-            if not self._draining:
-                payload["degraded"] = payload["degraded"] or readers["degraded"]
-        elif self._pool is not None:
-            alive = self._pool.alive_count
-            payload["readers"] = {
-                "width": self._pool.readers,
-                "alive": alive,
-                "degraded": alive < self._pool.readers,
-            }
-            payload["degraded"] = payload["degraded"] or alive < self._pool.readers
         return payload
 
     # ------------------------------------------------------------------ #
     # Backend access (event-loop thread only)
     # ------------------------------------------------------------------ #
-    def _answer_batch(
-        self, keys: List[EdgeKey]
-    ) -> Union[Tuple[List[float], int], "Awaitable[Tuple[List[float], int]]"]:
+    def _answer_batch(self, keys: List[EdgeKey]) -> Tuple[List[float], int]:
         """One coalesced gather plus its generation tag.
 
-        Without a reader pool this runs synchronously on the loop, so the
-        generation read afterwards is exactly the one that answered (nothing
-        can mutate the engine between the gather and the read).  With a pool
-        it returns an awaitable: the staleness check and any plan recompile
-        stay on the loop (single-writer semantics against ingest), while the
-        pool dispatch — the only code touching worker pipes — runs on the
-        dedicated executor thread and the loop merely demuxes the result.
+        Runs synchronously on the loop, so the generation read afterwards is
+        exactly the one that answered (nothing can mutate the engine between
+        the gather and the read).
         """
-        if self._pool is not None:
-            return self._answer_batch_pool(keys)
         estimator = self._engine.estimator
         values = estimator.query_edges(keys)
         generation = int(getattr(estimator, "ingest_generation", 0))
         return list(values), generation
-
-    def _answer_batch_pool(
-        self, keys: List[EdgeKey]
-    ) -> "Awaitable[Tuple[List[float], int]]":
-        estimator = self._engine.estimator
-        plan: Optional[CompiledQueryPlan] = None
-        if int(getattr(estimator, "ingest_generation", 0)) != self._pool.generation:
-            # Compile on the loop (serialized with ingest); workers remap on
-            # the dispatch thread, in-flight batches finish on the old arena.
-            plan = estimator.compile_plan()
-        return asyncio.get_running_loop().run_in_executor(
-            self._pool_executor, self._pool_answer, list(keys), plan
-        )
-
-    def _pool_answer(
-        self, keys: List[EdgeKey], plan: Optional[CompiledQueryPlan]
-    ) -> Tuple[List[float], int]:
-        """Dispatch-thread half of the pool path (owns all pipe traffic).
-
-        Under supervision the whole operation re-issues on worker death:
-        the swap is generation-idempotent and the gather is a pure read, so
-        a retried batch answers bit-identically on the survivors while the
-        background healer respawns the dead slot.  Only a fully-dead,
-        unhealable pool surfaces an error.
-        """
-        if self._supervisor is not None:
-            return self._supervisor.call(self._pool_answer_once, keys, plan)
-        return self._pool_answer_once(keys, plan)
-
-    def _pool_answer_once(
-        self, keys: List[EdgeKey], plan: Optional[CompiledQueryPlan]
-    ) -> Tuple[List[float], int]:
-        pool = self._pool
-        if pool is None:  # pragma: no cover - shutdown race guard
-            raise AdmissionError("server is draining")
-        if plan is not None:
-            pool.swap(plan)
-        generation = pool.generation
-        values = pool.query_edges_cached(keys, self._pool_cache, generation)
-        return values.tolist(), generation
 
     def _hello(self) -> dict:
         estimator = self._engine.estimator
@@ -403,7 +296,6 @@ class SketchServer:
             "max_batch": self.config.max_batch,
             "max_inflight": self.config.max_inflight,
             "allow_ingest": self.config.allow_ingest,
-            "readers": self._plan_config.readers if self._plan_config else 0,
         }
 
     # ------------------------------------------------------------------ #

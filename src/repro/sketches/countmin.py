@@ -181,7 +181,8 @@ class CountMinSketch(FrequencySketch):
             raise ValueError("keys and counts must have the same length")
         if keys_arr.size == 0:
             return
-        if np.any(counts_arr < 0):
+        # Written so that NaN fails too (every comparison with NaN is false).
+        if not (counts_arr >= 0).all():
             raise ValueError("counts must be non-negative")
         if self._conservative:
             for key, count in zip(keys_arr.tolist(), counts_arr.tolist()):
@@ -207,7 +208,7 @@ class CountMinSketch(FrequencySketch):
         counts_arr = np.asarray(counts, dtype=np.float64)
         if counts_arr.size == 0:
             return
-        if np.any(counts_arr < 0):
+        if not (counts_arr >= 0).all():
             raise ValueError("counts must be non-negative")
         if self._conservative:
             for count in counts_arr.tolist():

@@ -9,11 +9,11 @@ Mersenne prime ``p = 2^61 - 1``.  Each row of a sketch draws an independent
 Count-Min analysis (paper Section 3.2) and by Theorem 1's collision bound.
 
 The vectorized expressions here (:func:`mulmod_mersenne61_batch`,
-:func:`gathered_hash_columns`) are the **bit-exactness oracle** for the
-scratch-staged kernel in :mod:`repro.queries.kernels`: its re-staging of the
-hash through preallocated buffers must reproduce these outputs bit-for-bit,
-pinned by ``tests/test_kernels.py`` on the Mersenne-boundary keys
-``p-1, p, p+1`` and both 32-bit limb edges.
+:func:`gathered_hash_columns`) are the one hash implementation every read and
+write path runs.  ``tests/test_hashing.py`` pins the batched path to the scalar
+one on the Mersenne-boundary keys ``p-1, p, p+1`` and both 32-bit limb edges,
+and ``tests/test_query_plan.py`` pins the compiled plan's gather to the direct
+per-sketch estimates.
 """
 
 from __future__ import annotations

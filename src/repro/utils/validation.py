@@ -28,7 +28,7 @@ def require_non_negative(value: float, name: str) -> float:
     """Return ``value`` if it is a real number greater than or equal to zero."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if value < 0:
+    if not value >= 0:  # also rejects NaN
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return float(value)
 

@@ -27,6 +27,8 @@ from repro.api import (
 from repro.core.config import GSketchConfig
 from repro.core.global_sketch import GlobalSketch
 from repro.core.router import OUTLIER_PARTITION
+from repro.graph.edge import StreamEdge
+from repro.observability import metrics as obs_metrics
 
 #: Every backend, as "build a fresh engine from (stream, sample, config)".
 BACKEND_BUILDERS = {
@@ -101,6 +103,43 @@ def test_lifecycle_roundtrip_through_protocol(
     assert restored.estimator.query_subgraph(subgraph) == estimator.query_subgraph(subgraph)
     engine.close()
     restored.close()
+
+
+@pytest.mark.parametrize("frequency", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("backend", sorted(BACKEND_BUILDERS))
+def test_invalid_frequency_batch_is_rejected_whole(
+    backend, frequency, zipf_stream, zipf_sample, small_config
+):
+    """One bad frequency rejects the whole batch before anything moves: the
+    counters, the element count, the generation and the accuracy census."""
+    engine = BACKEND_BUILDERS[backend](zipf_stream, zipf_sample, small_config)
+    was_enabled = obs_metrics.enabled()
+    obs_metrics.set_enabled(True)
+    try:
+        engine.ingest(zipf_stream)
+        estimator = engine.estimator
+        keys = query_keys(zipf_stream)
+
+        def state():
+            return (
+                estimator.query_edges_direct(keys),
+                engine.elements_processed,
+                getattr(estimator, "ingest_generation", None),
+                engine.accuracy_tracker.elements_observed,
+            )
+
+        before = state()
+        stamp = float(len(zipf_stream))
+        batch = [
+            StreamEdge(keys[0][0], keys[0][1], stamp, 5.0),
+            StreamEdge(keys[1][0], keys[1][1], stamp, frequency),
+        ]
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            engine.ingest_batch(batch)
+        assert state() == before
+    finally:
+        obs_metrics.set_enabled(was_enabled)
+        engine.close()
 
 
 @pytest.mark.parametrize("backend", sorted(BACKEND_BUILDERS))

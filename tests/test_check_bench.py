@@ -400,6 +400,89 @@ def test_serve_gate_fails_on_missing_concurrency_row(serve_reports):
     assert code == 1
 
 
+CHAOS_BASELINES = {
+    "tolerance": 0.1,
+    "profiles": {"quick": {"chaos": {"max_p99_ms": 250.0}}},
+}
+
+
+def _chaos_report(
+    incorrect: int = 0,
+    other_errors: int = 0,
+    unresolved: int = 0,
+    mismatches: int = 0,
+    injected: dict = None,
+    p99_ms: float = 12.0,
+) -> dict:
+    return {
+        "load": {
+            "requests": 4_000,
+            "incorrect": incorrect,
+            "other_errors": other_errors,
+            "unresolved": unresolved,
+            "p99_ms": p99_ms,
+        },
+        "chaos": {
+            "faults_injected": (
+                {"serving_torn_frame": 3, "serving_stall_connection": 3}
+                if injected is None
+                else injected
+            )
+        },
+        "final_sweep": {"keys": 50_000, "mismatches": mismatches},
+    }
+
+
+@pytest.fixture
+def chaos_reports(tmp_path):
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    return write("chaos_baselines.json", CHAOS_BASELINES), write
+
+
+def test_chaos_gate_passes_on_healthy_report(chaos_reports, capsys):
+    baselines, write = chaos_reports
+    healthy = write("chaos_good.json", _chaos_report())
+    code = check_bench.main(
+        ["--profile", "quick", "--chaos", healthy, "--baselines", baselines]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "final sweep" in out
+    assert "p99" in out
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        {"incorrect": 1},
+        {"other_errors": 1},
+        {"unresolved": 1},
+        {"mismatches": 1},
+        {"injected": {"serving_torn_frame": 0}},
+        {"p99_ms": 400.0},
+    ],
+    ids=[
+        "incorrect-answer",
+        "untyped-error",
+        "unresolved-request",
+        "final-sweep-mismatch",
+        "no-injected-faults",
+        "p99-over-ceiling",
+    ],
+)
+def test_chaos_gate_fails_on_any_broken_clause(chaos_reports, broken):
+    baselines, write = chaos_reports
+    report = write("chaos_broken.json", _chaos_report(**broken))
+    code = check_bench.main(
+        ["--profile", "quick", "--chaos", report, "--baselines", baselines]
+    )
+    assert code == 1
+
+
 def test_committed_baselines_parse_and_cover_both_profiles():
     """The checked-in floor file stays loadable and structurally sound."""
     path = pathlib.Path(__file__).resolve().parents[1] / "experiments" / "bench_baselines.json"

@@ -64,6 +64,19 @@ def test_update_rejects_negative_counts():
         sketch.update_batch(np.array([1], dtype=np.uint64), np.array([-0.5]))
 
 
+def test_nan_counts_rejected_at_every_entry_point():
+    """``nan < 0`` is false, so a sign test alone would let NaN through."""
+    sketch = CountMinSketch(width=16, depth=2, seed=0)
+    with pytest.raises(ValueError):
+        sketch.update("a", float("nan"))
+    with pytest.raises(ValueError):
+        sketch.update_batch(np.array([1, 2], dtype=np.uint64), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        sketch.credit_batch(np.array([np.nan]))
+    assert sketch.total_count == 0.0
+    assert not sketch.table.any()
+
+
 @pytest.mark.parametrize("conservative", [False, True])
 def test_update_batch_matches_sequential_updates(conservative):
     rng = np.random.default_rng(7)

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.api.engine import SketchEngine
+from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
+from repro.datasets.zipf import zipf_stream as make_zipf
+from repro.graph.edge import StreamEdge
 
 
 def test_build_and_query_round_trip(zipf_stream, zipf_sample, small_config):
@@ -68,3 +73,32 @@ def test_partition_summaries_cover_all_partitions(zipf_sample, small_config):
     summaries = gsketch.partition_summaries()
     assert len(summaries) == gsketch.num_partitions + 1  # + outlier
     assert summaries[-1].leaf_reason == "outlier"
+
+
+def test_rejected_batch_leaves_earlier_partition_groups_unapplied():
+    """Groups are applied in partition order; a bad frequency in partition 2
+    must not leave partition 1's valid edge counted."""
+    stream = make_zipf(20_000, population=512, seed=7)
+    engine = (
+        SketchEngine.builder()
+        .config(GSketchConfig(total_cells=20_000, depth=4, seed=7))
+        .dataset(stream)
+        .build()
+    )
+    engine.ingest(stream)
+    estimator = engine.estimator
+    assert estimator.num_partitions > 2
+    early = next(iter(estimator.router.vertices_of(1)))
+    late = next(iter(estimator.router.vertices_of(2)))
+    before = estimator.query_edges_direct([(early, 2)])
+    elements = estimator.elements_processed
+    generation = estimator.ingest_generation
+
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        engine.ingest_batch(
+            [StreamEdge(early, 2, 0.0, 5.0), StreamEdge(late, 3, 0.0, -1.0)]
+        )
+
+    assert estimator.query_edges_direct([(early, 2)]) == before
+    assert estimator.elements_processed == elements
+    assert estimator.ingest_generation == generation

@@ -446,6 +446,28 @@ class TestSessions:
             handle.stop()
             engine.close()
 
+    @pytest.mark.parametrize("frequency", ["nan", float("nan")], ids=["string", "json"])
+    def test_wire_ingest_rejects_nan_frequency_typed(
+        self, frequency, serve_stream, serve_config
+    ):
+        """``"nan"`` parses as a float and JSON carries ``NaN``; either way the
+        frame gets a typed error and the engine is left as it was."""
+        engine = _build_engine(serve_stream, serve_config)
+        handle = serve_in_background(engine, config=ServingConfig(allow_ingest=True))
+        keys = [(1, 2), (3, 4)]
+        try:
+            with SyncServingClient(*handle.address) as client:
+                before = client.query_edges(keys)
+                with pytest.raises(ServingError, match="finite and >= 0"):
+                    client.ingest([(1, 2, 0.0, 5.0), (3, 4, 0.0, frequency)])
+                after = client.query_edges(keys)
+                assert after.values == before.values
+                assert after.generation == before.generation
+                assert client.health()["generation"] == before.generation
+        finally:
+            handle.stop()
+            engine.close()
+
     def test_sync_session_seeds_watermark_from_hello(self, engine):
         handle = engine.serve()
         try:
