@@ -10,8 +10,8 @@ comparison table, appends the same table as markdown to
 summary), and exits non-zero on any regression.
 
 Floors are *ratios between modes of the same run* (batched vs per-edge,
-shared-memory sharded vs batched, columnar vs scalar build, compiled query
-plan vs the pre-plan routed path, N-client serving QPS vs 1-client), so they
+sharded vs batched, columnar vs scalar build, compiled query plan vs the
+pre-plan routed path, N-client serving QPS vs 1-client), so they
 are portable across machine speeds; the ``quick`` profile carries loose
 sanity floors suitable for PR smoke sizes, the ``full`` profile carries the
 real performance bars enforced nightly and locally::
@@ -379,36 +379,6 @@ def check_overhead(report: dict) -> List[CheckResult]:
     ]
 
 
-def check_recovery(report: dict) -> List[CheckResult]:
-    """Advisory fault-injection recovery rows — always reported, never failing.
-
-    The real gate lives in ``experiments/recovery_bench.py`` (it exits
-    non-zero on a parity or bound-soundness failure); these rows surface the
-    drill outcome and recovery cost next to the performance floors.
-    """
-    checks: List[CheckResult] = []
-    for row in report.get("parity", []):
-        checks.append(
-            advisory_row(
-                f"recovery (advisory) [{row['executor']}]: crash/recover parity",
-                f"parity={row.get('parity_ok')} restarts={row.get('restarts')} "
-                f"cost {float(row.get('recovery_cost_ratio', 0.0)):.2f}x",
-                "bit-exact (gated by recovery_bench itself)",
-            )
-        )
-    degraded = report.get("degraded", {})
-    checks.append(
-        advisory_row(
-            "recovery (advisory): degraded-serving bound soundness",
-            f"widened={degraded.get('queries_widened')} "
-            f"violations={degraded.get('bound_violations')} "
-            f"lost={degraded.get('lost_elements')}",
-            "0 violations (gated by recovery_bench itself)",
-        )
-    )
-    return checks
-
-
 def render_markdown(checks: Sequence[CheckResult], profile: str) -> str:
     """The comparison table as GitHub-flavoured markdown."""
     failed = sum(not check.ok for check in checks)
@@ -479,12 +449,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "when the file is absent (default BENCH_overhead_ci.json)",
     )
     parser.add_argument(
-        "--recovery",
-        default="BENCH_recovery_ci.json",
-        help="fault-injection recovery report for advisory rows; skipped "
-        "silently when the file is absent (default BENCH_recovery_ci.json)",
-    )
-    parser.add_argument(
         "--baselines",
         default=os.path.join(os.path.dirname(__file__), "bench_baselines.json"),
         help="committed floor definitions (default experiments/bench_baselines.json)",
@@ -527,8 +491,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         checks.extend(check_chaos(report, profile["chaos"], tolerance))
     if args.overhead and os.path.exists(args.overhead):
         checks.extend(check_overhead(_load_json(args.overhead, "overhead")))
-    if args.recovery and os.path.exists(args.recovery):
-        checks.extend(check_recovery(_load_json(args.recovery, "recovery")))
     if not checks:
         raise SystemExit("check_bench: profile defines no checks")
 

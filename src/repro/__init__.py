@@ -45,14 +45,7 @@ from repro.core.config import GSketchConfig
 from repro.core.global_sketch import GlobalSketch
 from repro.core.gsketch import GSketch
 from repro.core.windowed import WindowedGSketch
-from repro.distributed import (
-    RecoveryPolicy,
-    ShardExecutionError,
-    ShardPlan,
-    ShardedGSketch,
-    SharedMemoryExecutor,
-    make_executor,
-)
+from repro.distributed import ShardPlan, ShardedGSketch
 from repro.faults import FaultPlan, FaultSpec
 from repro.graph.batch import EdgeBatch
 from repro.graph.edge import StreamEdge
@@ -87,11 +80,8 @@ __all__ = [
     "GlobalSketch",
     "GraphStream",
     "Provenance",
-    "RecoveryPolicy",
-    "ShardExecutionError",
     "ShardPlan",
     "ShardedGSketch",
-    "SharedMemoryExecutor",
     "ServingClient",
     "ServingConfig",
     "SketchEngine",
@@ -106,7 +96,6 @@ __all__ = [
     "__version__",
     "load_checkpoint",
     "load_snapshot",
-    "make_executor",
     "save_checkpoint",
     "save_snapshot",
 ]

@@ -240,8 +240,7 @@ def _probe_health(address: str) -> int:
     Prints the server's health document and exits 0 only when the state is
     ``serving`` — ``starting``, ``draining``, and unreachable all probe
     unhealthy, so the exit code slots straight into init-system and CI
-    readiness checks.  A degraded-but-serving server probes healthy (it
-    still answers); ``degraded`` in the document is the operator signal.
+    readiness checks.
     """
     from repro.serving import ServingError, SyncServingClient
     from repro.serving.wire import STATE_SERVING, parse_address

@@ -51,8 +51,6 @@ from repro.core.router import OUTLIER_PARTITION
 from repro.core.windowed import WindowedGSketch
 from repro.datasets.registry import load_dataset
 from repro.distributed.coordinator import ShardedGSketch
-from repro.distributed.executor import ShardExecutor, make_executor
-from repro.distributed.recovery import RecoveryPolicy
 from repro.graph.batch import EdgeBatch
 from repro.graph.edge import EdgeKey, StreamEdge
 from repro.graph.sampling import reservoir_sample
@@ -242,7 +240,6 @@ class SketchEngine:
             ]
         intervals, partitions = combined(keys)
         plan = self._estimator.plan if self._backend == BACKEND_SHARDED else None
-        dead = frozenset(getattr(self._estimator, "dead_shards", ()) or ())
         estimates = []
         for interval, partition in zip(intervals, partitions):
             shard = None if plan is None else plan.shard_of(partition)
@@ -255,7 +252,6 @@ class SketchEngine:
                         partition=partition,
                         shard=shard,
                         outlier=partition == OUTLIER_PARTITION,
-                        degraded=shard is not None and shard in dead,
                         generation=generation,
                     ),
                 )
@@ -357,10 +353,11 @@ class SketchEngine:
     # Lifecycle / introspection
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release backend resources (worker pools on the sharded backend)."""
-        close = getattr(self._estimator, "close", None)
-        if close is not None:
-            close()
+        """End the engine's lifecycle (``with`` blocks call it on exit).
+
+        Every backend runs in process and holds only memory, so there is
+        nothing to release; the engine stays queryable afterwards.
+        """
 
     def __enter__(self) -> "SketchEngine":
         return self
@@ -397,9 +394,6 @@ class SketchEngine:
         total_frequency = getattr(estimator, "total_frequency", None)
         if total_frequency is not None:
             summary["total_frequency"] = float(total_frequency)
-        if getattr(estimator, "degraded", False):
-            summary["degraded"] = True
-            summary["dead_shards"] = list(getattr(estimator, "dead_shards", ()))
         return summary
 
     # ------------------------------------------------------------------ #
@@ -556,8 +550,6 @@ class EngineBuilder:
         self._workload: Optional[Union[QueryWorkload, GraphStream]] = None
         self._smoothing_alpha = 1.0
         self._num_shards: Optional[int] = None
-        self._executor: Optional[Union[str, ShardExecutor]] = None
-        self._recovery: Optional[RecoveryPolicy] = None
         self._window_length: Optional[float] = None
         self._window_sample_size = DEFAULT_SAMPLE_SIZE
         self._stream_size_hint: Optional[int] = None
@@ -614,57 +606,11 @@ class EngineBuilder:
         return self
 
     # -- variants ------------------------------------------------------ #
-    def sharded(
-        self, num_shards: int, executor: Optional[Union[str, ShardExecutor]] = None
-    ) -> "EngineBuilder":
-        """Serve the partitioning from ``num_shards`` shard workers."""
+    def sharded(self, num_shards: int) -> "EngineBuilder":
+        """Spread the partitioning over ``num_shards`` in-process shards."""
         if num_shards <= 0:
             raise EngineError(f"shard count must be > 0, got {num_shards}")
         self._num_shards = num_shards
-        if executor is not None:
-            self._executor = executor
-        return self
-
-    def executor(self, executor: Union[str, ShardExecutor]) -> "EngineBuilder":
-        """Choose the sharded backend's execution strategy.
-
-        Accepts a canonical name — ``"sequential"`` (in-thread reference) or
-        ``"shared"`` (a worker process per shard over shared-memory arenas
-        with pipelined dispatch; see
-        :class:`~repro.distributed.shared_memory.SharedMemoryExecutor`) — or
-        an already-constructed
-        :class:`~repro.distributed.executor.ShardExecutor`.  Only meaningful
-        together with :meth:`sharded`; teardown is owned by the engine
-        (``engine.close()`` / context-manager exit releases workers and
-        shared memory, leaving the estimator snapshot-safe).
-        """
-        self._executor = executor
-        return self
-
-    def recovery(
-        self, policy: Optional[RecoveryPolicy] = None, **kwargs
-    ) -> "EngineBuilder":
-        """Supervise the sharded backend's workers with automatic recovery.
-
-        Accepts a ready :class:`~repro.distributed.recovery.RecoveryPolicy`
-        or its keyword arguments (``max_restarts``, ``backoff_seconds``,
-        ``backoff_multiplier``, ``deadline_seconds``, ``journal_limit``,
-        ``ack_deadline_seconds``, ``degraded_serving``).  Under a policy the
-        coordinator journals in-flight batches, restarts crashed workers
-        with bounded exponential backoff and replays the journal so the
-        recovered state is bit-exact; with ``degraded_serving=True`` it
-        keeps answering from surviving shards after retry exhaustion,
-        marking results ``Provenance.degraded`` with widened intervals.
-        Only meaningful together with :meth:`sharded`.
-        """
-        if policy is not None and kwargs:
-            raise EngineError("pass either a RecoveryPolicy or keyword arguments, not both")
-        if policy is None:
-            try:
-                policy = RecoveryPolicy(**kwargs)
-            except (TypeError, ValueError) as exc:
-                raise EngineError(str(exc)) from exc
-        self._recovery = policy
         return self
 
     def windowed(
@@ -682,16 +628,6 @@ class EngineBuilder:
             raise EngineError("a space budget is required: call .config(...) first")
         if self._window_length is not None and self._num_shards is not None:
             raise EngineError("windowed and sharded variants are mutually exclusive")
-        if self._executor is not None and self._num_shards is None:
-            raise EngineError(
-                "an executor only applies to the sharded backend: call .sharded(n) too"
-            )
-        if self._recovery is not None and self._num_shards is None:
-            raise EngineError(
-                "a recovery policy only applies to the sharded backend: "
-                "call .sharded(n) too"
-            )
-        executor = self._resolve_executor()
 
         if self._window_length is not None:
             if self._workload is not None:
@@ -732,12 +668,7 @@ class EngineBuilder:
             if self._num_shards is not None:
                 # Workload-aware sharding has no direct ShardedGSketch
                 # constructor; re-shard the freshly built (empty) sketch.
-                sharded = ShardedGSketch.from_gsketch(
-                    gsketch,
-                    num_shards=self._num_shards,
-                    executor=executor,
-                    recovery=self._recovery,
-                )
+                sharded = ShardedGSketch.from_gsketch(gsketch, num_shards=self._num_shards)
                 return SketchEngine(sharded, BACKEND_SHARDED)
             return SketchEngine(gsketch, BACKEND_GSKETCH)
 
@@ -746,20 +677,11 @@ class EngineBuilder:
                 sample,
                 self._config,
                 num_shards=self._num_shards,
-                executor=executor,
                 stream_size_hint=hint,
-                recovery=self._recovery,
             )
             return SketchEngine(sharded, BACKEND_SHARDED)
         gsketch = GSketch.build(sample, self._config, stream_size_hint=hint)
         return SketchEngine(gsketch, BACKEND_GSKETCH)
-
-    def _resolve_executor(self) -> Optional[ShardExecutor]:
-        """Resolve the executor spec (name or instance) to a backend object."""
-        try:
-            return make_executor(self._executor)
-        except ValueError as exc:
-            raise EngineError(str(exc)) from exc
 
     def _resolve_sample(self) -> tuple:
         """The partitioning sample and stream-size hint, resolving the dataset."""

@@ -33,11 +33,6 @@ class Provenance:
             only).
         outlier: whether the outlier sketch served the query; ``None`` when
             the backend has no outlier reservation.
-        degraded: ``True`` when the shard that owned this query's counters
-            was abandoned after recovery exhaustion and the answer comes
-            from degraded serving — the interval's upper end is widened by
-            the lost frequency mass (see
-            :class:`~repro.distributed.recovery.RecoveryPolicy`).
         generation: the engine's ingest generation at answer time (``None``
             when the backend keeps no generation clock).  The serving tier
             returns it on every response so sessions can assert monotonic
@@ -48,7 +43,6 @@ class Provenance:
     partition: Optional[int] = None
     shard: Optional[int] = None
     outlier: Optional[bool] = None
-    degraded: bool = False
     generation: Optional[int] = None
 
 
@@ -82,8 +76,6 @@ class Estimate:
             result["shard"] = self.provenance.shard
         if self.provenance.outlier is not None:
             result["outlier"] = self.provenance.outlier
-        if self.provenance.degraded:
-            result["degraded"] = True
         if self.provenance.generation is not None:
             result["generation"] = self.provenance.generation
         if self.interval is not None:
@@ -93,6 +85,4 @@ class Estimate:
                 "additive_bound": self.interval.additive_bound,
                 "failure_probability": self.interval.failure_probability,
             }
-            if self.interval.upper_slack:
-                result["interval"]["upper_slack"] = self.interval.upper_slack
         return result

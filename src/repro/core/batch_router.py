@@ -10,12 +10,14 @@ and produces, in one vectorized pass:
 2. the canonical uint64 sketch key of every element
    (:meth:`~repro.graph.batch.EdgeBatch.hashed_keys`, vectorized splitmix64);
 3. per-partition contiguous groups, obtained from a single stable argsort of
-   the partition vector, so each group can be handed to
-   :meth:`~repro.sketches.countmin.CountMinSketch.update_batch` whole.
+   the partition vector, so each group can be handed to one partition
+   sketch whole.
 
-The stable sort preserves arrival order *within* each partition, which is what
-makes batched ingestion bit-identical to per-edge ingestion: partitions are
-independent sketches, so only intra-partition order matters.
+The grouped form serves the per-partition *direct* query paths
+(``query_edges_direct``, ``confidence_batch_direct``), which are the parity
+oracles for the compiled query plan.  Batch ingest needs no grouping: the
+one apply kernel (:func:`~repro.sketches.arena.apply_batch`) scatters a whole
+routed batch across every partition at once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.router import OUTLIER_PARTITION, VertexRouter
+from repro.core.router import VertexRouter
 from repro.graph.batch import EdgeBatch
 
 
@@ -37,14 +39,12 @@ class PartitionGroup:
         partition: destination partition index
             (:data:`~repro.core.router.OUTLIER_PARTITION` for the outlier).
         keys: canonical uint64 edge keys, in arrival order.
-        counts: frequency mass per element, aligned with ``keys``.
         positions: positions of these elements in the originating batch, used
             to scatter per-group query results back into batch order.
     """
 
     partition: int
     keys: np.ndarray
-    counts: np.ndarray
     positions: np.ndarray
 
     def __len__(self) -> int:
@@ -58,13 +58,9 @@ class RoutedBatch:
     Attributes:
         groups: per-partition groups, ordered by partition index (the outlier
             group, if any, comes first because its sentinel is -1).
-        num_elements: number of elements in the originating batch.
-        outlier_count: how many elements were routed to the outlier sketch.
     """
 
     groups: Tuple[PartitionGroup, ...]
-    num_elements: int
-    outlier_count: int
 
 
 class BatchRouter:
@@ -81,10 +77,9 @@ class BatchRouter:
     def route(self, batch: EdgeBatch) -> RoutedBatch:
         """Route one batch: hash keys, resolve partitions, group contiguously."""
         if len(batch) == 0:
-            return RoutedBatch(groups=(), num_elements=0, outlier_count=0)
+            return RoutedBatch(groups=())
         partitions = self._router.route_batch(batch.sources)
         keys = batch.hashed_keys()
-        counts = batch.frequencies
 
         order = np.argsort(partitions, kind="stable")
         sorted_partitions = partitions[order]
@@ -93,25 +88,16 @@ class BatchRouter:
         ends = np.concatenate((boundaries, [len(sorted_partitions)]))
 
         groups = []
-        outlier_count = 0
         for start, end in zip(starts.tolist(), ends.tolist()):
-            partition = int(sorted_partitions[start])
             positions = order[start:end]
-            if partition == OUTLIER_PARTITION:
-                outlier_count = end - start
             groups.append(
                 PartitionGroup(
-                    partition=partition,
+                    partition=int(sorted_partitions[start]),
                     keys=keys[positions],
-                    counts=counts[positions],
                     positions=positions,
                 )
             )
-        return RoutedBatch(
-            groups=tuple(groups),
-            num_elements=len(batch),
-            outlier_count=outlier_count,
-        )
+        return RoutedBatch(groups=tuple(groups))
 
     def route_edges(self, edges: Sequence) -> RoutedBatch:
         """Route bare ``(source, target)`` pairs (query-time convenience)."""

@@ -217,16 +217,3 @@ def total_expected_error(
         else:
             total += partition_error_with_workload(vertices, stats, workload_weights, width)
     return total
-
-
-def degraded_union_bound(
-    failures: np.ndarray, extra_failure_probability: float
-) -> np.ndarray:
-    """Union-bound widening of Equation-1 failure probabilities.
-
-    Degraded serving stacks a second failure source on top of the usual
-    Count-Min collision event (the dropped shard's unaccounted updates); by
-    the union bound the combined failure probability is at most the sum of
-    the two, capped at certainty.
-    """
-    return np.minimum(np.asarray(failures, dtype=np.float64) + extra_failure_probability, 1.0)

@@ -26,17 +26,11 @@ class ConfidenceInterval:
     ``f`` satisfies ``lower <= f <= estimate`` where
     ``lower = max(0, estimate - additive_bound)`` (Count-Min never
     underestimates).
-
-    ``upper_slack`` widens the upper end for *degraded* serving: a dropped
-    shard may have lost up to that much frequency mass, so the sketch can
-    now underestimate by it — ``upper = estimate + upper_slack`` keeps the
-    interval sound.  Healthy serving leaves it at 0 (one-sided as before).
     """
 
     estimate: float
     additive_bound: float
     failure_probability: float
-    upper_slack: float = 0.0
 
     @property
     def lower(self) -> float:
@@ -44,7 +38,7 @@ class ConfidenceInterval:
 
     @property
     def upper(self) -> float:
-        return self.estimate + self.upper_slack
+        return self.estimate
 
     def contains(self, true_frequency: float) -> bool:
         """Whether the stated interval contains ``true_frequency``."""
@@ -61,36 +55,19 @@ def countmin_confidence(sketch: CountMinSketch, estimate: float) -> ConfidenceIn
 
 
 def intervals_from_arrays(
-    estimates: np.ndarray,
-    bounds: np.ndarray,
-    failures: np.ndarray,
-    upper_slacks: "np.ndarray | None" = None,
+    estimates: np.ndarray, bounds: np.ndarray, failures: np.ndarray
 ) -> List[ConfidenceInterval]:
     """Materialize typed intervals from parallel estimate/bound/failure columns.
 
     The compiled query plan answers confidence batches as three aligned
     arrays (one routing pass, constants gathered by partition slot); this is
     the single place they become :class:`ConfidenceInterval` objects.
-    ``upper_slacks`` (degraded serving only) widens per-query upper ends by
-    the lost frequency mass of the shard that would have answered.
     """
-    if upper_slacks is None:
-        return [
-            ConfidenceInterval(
-                estimate=float(estimate),
-                additive_bound=float(bound),
-                failure_probability=float(failure),
-            )
-            for estimate, bound, failure in zip(estimates, bounds, failures)
-        ]
     return [
         ConfidenceInterval(
             estimate=float(estimate),
             additive_bound=float(bound),
             failure_probability=float(failure),
-            upper_slack=float(slack),
         )
-        for estimate, bound, failure, slack in zip(
-            estimates, bounds, failures, upper_slacks
-        )
+        for estimate, bound, failure in zip(estimates, bounds, failures)
     ]

@@ -173,8 +173,8 @@ class GlobalSketch(PlanServingMixin):
     # Introspection
     # ------------------------------------------------------------------ #
     def _plan_layout(self):
-        """One-slot arena (no router); the private table is attached."""
-        return [self._sketch], None, True
+        """One-slot arena (no router)."""
+        return [self._sketch], None
 
     @property
     def sketch(self) -> CountMinSketch:

@@ -36,12 +36,6 @@ from repro.graph.edge import EdgeKey, StreamEdge, edge_key
 from repro.graph.statistics import VertexStatistics
 from repro.graph.stream import GraphStream
 from repro.observability.health import sketch_health
-from repro.observability.instruments import (
-    INGEST_BATCHES,
-    INGEST_ELEMENTS,
-    INGEST_STAGE,
-)
-from repro.observability.tracing import stage_clock
 from repro.queries.plan import PlanServingMixin
 from repro.queries.subgraph_query import SubgraphQuery
 from repro.queries.workload import QueryWorkload
@@ -178,11 +172,11 @@ class GSketch(PlanServingMixin):
     Figure 2) or :meth:`build_with_workload` (data + workload samples,
     Figure 3) rather than the constructor.
 
-    Point queries are served through a lazily compiled
-    :class:`~repro.queries.plan.CompiledQueryPlan` (one read arena spanning
-    every partition plus the outlier sketch, answers bit-identical to the
-    live per-partition path) with a generation-tagged hot-edge cache in
-    front; the pre-plan routed path stays available as
+    Batch ingest and point queries both run through a lazily compiled
+    :class:`~repro.queries.plan.CompiledQueryPlan` (one arena spanning every
+    partition plus the outlier sketch, answers bit-identical to the
+    per-partition path) with a generation-tagged hot-edge cache in front of
+    reads; the pre-plan routed path stays available as
     :meth:`query_edges_direct` / :meth:`confidence_batch_direct`.
     """
 
@@ -305,13 +299,13 @@ class GSketch(PlanServingMixin):
     def ingest_batch(self, batch: EdgeBatch | Sequence[StreamEdge]) -> int:
         """Ingest one columnar block of stream elements.
 
-        The block is hashed, routed and grouped by destination partition in a
-        single vectorized pass (:class:`~repro.core.batch_router.BatchRouter`),
-        then each group lands in its sketch via one
-        :meth:`~repro.sketches.countmin.CountMinSketch.update_batch` call.
-        Because the grouping sort is stable and partitions are independent
-        sketches, the resulting counters are bit-identical to per-edge
-        :meth:`update` calls in arrival order.
+        The block is routed in one vectorized pass and applied to every
+        partition at once by the one apply kernel, straight into the
+        compiled plan's arena
+        (:meth:`~repro.queries.plan.PlanServingMixin._ingest_routed`): no grouping
+        sort and no per-partition call.  Every cell sees its updates in
+        arrival order, so the counters are bit-identical to per-edge
+        :meth:`update` calls.
 
         Returns the number of elements ingested.  A batch carrying a negative
         or non-finite frequency raises ``ValueError`` before any counter
@@ -320,18 +314,12 @@ class GSketch(PlanServingMixin):
         if not isinstance(batch, EdgeBatch):
             batch = EdgeBatch.from_edges(list(batch))
         require_valid_frequencies(batch.frequencies)
-        clock = stage_clock("ingest", INGEST_STAGE)
-        routed = self._batch_router.route(batch)
-        clock.lap("route")
-        for group in routed.groups:
-            self._sketch_for(group.partition).update_batch(group.keys, group.counts)
-        clock.lap("apply")
-        self._elements_processed += routed.num_elements
-        self._outlier_elements += routed.outlier_count
-        self._bump_generation()
-        INGEST_BATCHES.inc()
-        INGEST_ELEMENTS.inc(routed.num_elements)
-        return routed.num_elements
+        if len(batch) == 0:
+            return 0
+        partitions = self._ingest_routed(batch)
+        self._elements_processed += len(batch)
+        self._outlier_elements += int(np.count_nonzero(partitions == OUTLIER_PARTITION))
+        return len(batch)
 
     def process(
         self,
@@ -488,13 +476,8 @@ class GSketch(PlanServingMixin):
         return self._partitions[partition]
 
     def _plan_layout(self):
-        """Arena layout: localized sketches in leaf order, outlier last.
-
-        The tables are privately owned, so the plan attaches them as
-        zero-copy arena views — ingestion writes straight into the read
-        arena and a refresh only re-derives the confidence constants.
-        """
-        return [*self._partitions, self._outlier], self.router, True
+        """Arena layout: localized sketches in leaf order, outlier last."""
+        return [*self._partitions, self._outlier], self.router
 
     @property
     def num_partitions(self) -> int:

@@ -1,9 +1,10 @@
-"""A shard: the localized sketches owned by one worker.
+"""A shard: the localized sketches assigned to one shard of the plan.
 
 A :class:`SketchShard` holds the physical Count-Min sketches of the partitions
 a :class:`~repro.distributed.plan.ShardPlan` assigned to it — possibly
-including the outlier sketch — and applies pre-routed
-:class:`~repro.core.batch_router.PartitionGroup` blocks to them.
+including the outlier sketch.  Ingest writes them through the engine-wide
+arena their tables are views of; the shard groups them for checkpoints,
+merges and provenance.
 
 Shards are the unit of distribution, so they are fully serializable: a shard
 can be checkpointed to disk, revived, and **merged** — two shards populated
@@ -15,7 +16,7 @@ because Count-Min tables are linear in the input.
 from __future__ import annotations
 
 import pickle
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from repro.sketches.countmin import CountMinSketch
 
 
 class SketchShard:
-    """Partition-local sketch state plus the batch-apply hot path.
+    """Partition-local sketch state: checkpoint, revive, merge.
 
     Args:
         index: this shard's position in the plan.
@@ -59,35 +60,9 @@ class SketchShard:
                 f"owned: {self.partition_ids}"
             ) from None
 
-    # ------------------------------------------------------------------ #
-    # Ingestion / queries
-    # ------------------------------------------------------------------ #
-    def apply(self, groups: Sequence[PartitionGroup]) -> int:
-        """Apply pre-routed groups to the owned sketches; returns elements applied."""
-        applied = 0
-        for group in groups:
-            self.sketch_for(group.partition).update_batch(group.keys, group.counts)
-            applied += len(group)
-        return applied
-
     def estimate_group(self, group: PartitionGroup) -> np.ndarray:
         """Vectorized point estimates for one pre-routed group of edge keys."""
         return self.sketch_for(group.partition).estimate_batch(group.keys)
-
-    def credit_groups(self, groups: Sequence[PartitionGroup]) -> int:
-        """Account groups whose counter updates are applied out-of-process.
-
-        Mirrors :meth:`apply` for the scalar side of the update only (totals
-        and update counts, via
-        :meth:`~repro.sketches.countmin.CountMinSketch.credit_batch`); the
-        shared-memory executor calls this on dispatch while the worker applies
-        the counters through the shared arena.  Returns elements credited.
-        """
-        credited = 0
-        for group in groups:
-            self.sketch_for(group.partition).credit_batch(group.counts)
-            credited += len(group)
-        return credited
 
     # ------------------------------------------------------------------ #
     # State: checkpoint, revive, merge
@@ -121,14 +96,20 @@ class SketchShard:
         return cls.from_state(pickle.loads(payload))
 
     def load_state_from(self, other: "SketchShard") -> None:
-        """Adopt another shard's sketch state in place (executor sync-back)."""
+        """Adopt another shard's counters in place (checkpoint restore).
+
+        Counters are copied into the live sketches
+        (:meth:`~repro.sketches.countmin.CountMinSketch.load_state`), so an
+        arena the sketches are attached to stays their live table.
+        """
         if other.index != self.index or other.partition_ids != self.partition_ids:
             raise ValueError(
                 f"cannot adopt state of shard {other.index} "
                 f"(partitions {other.partition_ids}) into shard {self.index} "
                 f"(partitions {self.partition_ids})"
             )
-        self._sketches = dict(other._sketches)
+        for partition, sketch in self._sketches.items():
+            sketch.load_state(other._sketches[partition].state_dict())
 
     def merge(self, other: "SketchShard") -> None:
         """Add ``other``'s counters into this shard, partition by partition.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.utils.validation import (
     require_in_range,
@@ -35,8 +34,6 @@ class ExperimentConfig:
         zipf_alpha: skewness of the workload sample and of Zipf query sets.
         effectiveness_threshold: the ``G0`` of Equation 14.
         depth: Count-Min depth shared by all estimators.
-        memory_fractions: cells-per-distinct-edge ratios swept by memory
-            experiments.
         fixed_memory_fraction: the single ratio used by experiments that fix
             memory and sweep something else (the paper fixes 2 MB of 8 MB,
             i.e. a mid-sweep point).
@@ -53,7 +50,6 @@ class ExperimentConfig:
     zipf_alpha: float = 1.5
     effectiveness_threshold: float = 5.0
     depth: int = 5
-    memory_fractions: Tuple[float, ...] = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
     fixed_memory_fraction: float = 1 / 4
     outlier_fraction: float = 0.10
     min_partition_width: int = 32
@@ -70,8 +66,6 @@ class ExperimentConfig:
         require_positive_int(self.depth, "depth")
         require_in_range(self.fixed_memory_fraction, "fixed_memory_fraction", 0.0, 2.0)
         require_in_range(self.outlier_fraction, "outlier_fraction", 0.0, 0.9)
-        if not self.memory_fractions:
-            raise ValueError("memory_fractions must not be empty")
 
     def with_dataset(self, dataset: str) -> "ExperimentConfig":
         """A copy of this configuration targeting a different dataset."""

@@ -2,7 +2,9 @@
 
 Every figure driver returns an :class:`ExperimentTable`, which renders the
 same rows/series the paper plots so results can be eyeballed against the
-original figures and archived in ``EXPERIMENTS.md``.
+original figures, as plain text (:meth:`ExperimentTable.to_text`) or Markdown
+(:meth:`ExperimentTable.to_markdown`).  ``ROADMAP.md`` records where the
+tiny-tier results still disagree with the paper.
 """
 
 from __future__ import annotations

@@ -131,7 +131,7 @@ def _prepare_environment(config: ExperimentConfig) -> _Environment:
         edges_per_subgraph=config.edges_per_subgraph,
         seed=config.seed + 6,
     )
-    memory_budgets = memory_sweep_for_stream(stream, fractions=config.memory_fractions)
+    memory_budgets = memory_sweep_for_stream(stream, depth=config.depth)
     return _Environment(
         config=config,
         stream=stream,

@@ -5,17 +5,13 @@ claims.  This runner measures edges/second for
 
 * ``per-edge``   — :meth:`~repro.core.gsketch.GSketch.update` per element
   (the paper's online-maintenance loop, all-Python);
-* ``batched``    — the vectorized hash → route → group → ``np.add.at``
-  pipeline, driven through the :class:`~repro.api.engine.SketchEngine`
-  facade (the public ingest surface);
+* ``batched``    — one vectorized route → hash → scatter pass per batch
+  into the compiled plan's arena (:func:`~repro.sketches.arena.apply_batch`),
+  driven through the :class:`~repro.api.engine.SketchEngine` facade (the
+  public ingest surface);
 * ``sharded-N``  — :class:`~repro.distributed.coordinator.ShardedGSketch`
-  with N shards on the in-process sequential executor, built and fed
-  through the same facade;
-* ``sharded-N-shared`` — the same N shards on the
-  :class:`~repro.distributed.shared_memory.SharedMemoryExecutor`: counter
-  arenas in shared memory, fused apply kernels in per-shard worker
-  processes, pipelined (double-buffered) dispatch.  Timed through
-  ``ingest`` + ``flush`` so in-flight batches are fully drained,
+  with N in-process shards over one arena, built and fed through the same
+  facade,
 
 over two generators (R-MAT and Zipf), verifies that every mode returns
 identical estimates on a sample of query edges, and writes the results to
@@ -41,7 +37,6 @@ from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
 from repro.datasets.rmat import rmat_stream
 from repro.datasets.zipf import zipf_stream
-from repro.distributed import SequentialExecutor, make_executor
 from repro.graph.sampling import reservoir_sample
 from repro.observability import metrics as obs_metrics
 from repro.observability.exposition import registry_excerpt
@@ -57,18 +52,12 @@ DEFAULT_OUTPUT = "BENCH_throughput.json"
 class ThroughputResult:
     """One (dataset, mode) measurement.
 
-    ``breakdown`` (sharded modes only) decomposes the ingest wall time.  For
-    the sequential executor the numbers are deltas of the
-    :mod:`repro.observability` ingest-stage histograms (the coordinator's
-    route/dispatch laps and the executor's apply spans):
-    ``coordinator_seconds`` is the serial hash/route/group work on the
-    coordinator thread, ``apply_wall_seconds`` the time spent dispatching to
-    and waiting on shard workers, and ``route_seconds`` the routing slice of
-    the serial work.  For the shared-memory executor (``pipelined: true``):
-    ``dispatch_seconds`` is column assembly + pipe sends,
-    ``stall_seconds`` the time the coordinator blocked on worker
-    acknowledgements (backpressure + final drain), and
-    ``coordinator_seconds`` the remaining serial route/group work.
+    ``breakdown`` (sharded modes only) decomposes the ingest wall time from
+    deltas of the :mod:`repro.observability` ingest-stage histograms:
+    ``route_seconds`` is the vectorized route + key hashing of every batch,
+    ``apply_wall_seconds`` the one-kernel scatter into the arena, and
+    ``coordinator_seconds`` everything but the scatter (routing, hashing,
+    columnar slicing, validation, bookkeeping).
     """
 
     dataset: str
@@ -197,17 +186,14 @@ def run_throughput(
         batched_seconds, _ = _best_of(repeats, measure_batched)
         report("batched", batched_seconds, baseline=per_edge_seconds)
 
-        # --- sharded (in-process sequential executor) ------------------ #
+        # --- sharded (in-process shards over one arena) ---------------- #
         def measure_sharded(num_shards: int):
-            # Breakdown comes from registry deltas of the ingest-stage
-            # histograms (route/dispatch laps on the coordinator, apply spans
-            # in the executor).
             engine = (
                 SketchEngine.builder()
                 .config(config)
                 .sample(sample)
                 .stream_size_hint(len(stream))
-                .sharded(num_shards, executor=SequentialExecutor())
+                .sharded(num_shards)
                 .build()
             )
             before_stage = {name: h.sum for name, h in INGEST_STAGE.items()}
@@ -221,13 +207,12 @@ def run_throughput(
             finally:
                 obs_metrics.set_enabled(was_enabled)
             check_parity(engine)
-            engine.close()
             stage = {
                 name: INGEST_STAGE[name].sum - before_stage[name]
                 for name in INGEST_STAGE
             }
             breakdown = {
-                "coordinator_seconds": round(max(0.0, seconds - stage["dispatch"]), 6),
+                "coordinator_seconds": round(max(0.0, seconds - stage["apply"]), 6),
                 "apply_wall_seconds": round(stage["apply"], 6),
                 "route_seconds": round(stage["route"], 6),
                 "batches": int(INGEST_BATCHES.value - before_batches),
@@ -241,55 +226,6 @@ def run_throughput(
             )
             report(
                 f"sharded-{num_shards}",
-                seconds,
-                breakdown=breakdown,
-                baseline=per_edge_seconds,
-            )
-
-        # --- sharded, shared-memory pipelined ------------------------- #
-        def measure_shared(num_shards: int):
-            executor = make_executor("shared")
-            engine = (
-                SketchEngine.builder()
-                .config(config)
-                .sample(sample)
-                .stream_size_hint(len(stream))
-                .sharded(num_shards, executor=executor)
-                .build()
-            )
-            # Fork workers + allocate arenas before timing: startup is a
-            # per-engine constant, not part of steady-state throughput.
-            engine.estimator.start()
-
-            def ingest_and_flush() -> None:
-                engine.ingest(stream, batch_size=batch_size)
-                # Drain the pipeline: batches may still be applying.
-                engine.estimator.flush()
-
-            seconds = _time_mode(ingest_and_flush)
-            check_parity(engine)
-            engine.close()
-            breakdown = {
-                "coordinator_seconds": round(
-                    max(
-                        0.0,
-                        seconds - executor.dispatch_seconds - executor.stall_seconds,
-                    ),
-                    6,
-                ),
-                "dispatch_seconds": round(executor.dispatch_seconds, 6),
-                "stall_seconds": round(executor.stall_seconds, 6),
-                "batches": executor.batches,
-                "pipelined": True,
-            }
-            return seconds, breakdown
-
-        for num_shards in shard_counts:
-            seconds, breakdown = _best_of(
-                repeats, lambda: measure_shared(num_shards)
-            )
-            report(
-                f"sharded-{num_shards}-shared",
                 seconds,
                 breakdown=breakdown,
                 baseline=per_edge_seconds,
@@ -311,13 +247,12 @@ def run_throughput(
             "columnarization": "warmed before timing (shared by all batched modes)",
             "parity": "reference answers hoisted to one untimed ingest per "
             "dataset; includes compiled-plan vs direct-path bit-exact check",
-            "shared_modes": "workers pre-started; timed ingest includes pipeline flush",
         },
         "parity_ok": bool(parity_ok),
         "results": [asdict(r) for r in results],
         # Ingest-plane registry excerpt, accumulated over the instrumented
-        # (sharded sequential) runs above — bucket arrays elided.
-        "telemetry": registry_excerpt(("repro_ingest_", "repro_shared_")),
+        # (sharded) runs above — bucket arrays elided.
+        "telemetry": registry_excerpt(("repro_ingest_",)),
     }
 
 
@@ -369,13 +304,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(f"wrote {args.output}")
     print(f"parity_ok: {report['parity_ok']}")
-    header = f"{'dataset':<8} {'mode':<18} {'edges/s':>12} {'speedup':>9}"
+    header = f"{'dataset':<8} {'mode':<12} {'edges/s':>12} {'speedup':>9}"
     print(header)
     print("-" * len(header))
     for row in report["results"]:
         speedup = row["speedup_vs_per_edge"]
         print(
-            f"{row['dataset']:<8} {row['mode']:<18} "
+            f"{row['dataset']:<8} {row['mode']:<12} "
             f"{row['edges_per_second']:>12,.0f} "
             f"{('%.2fx' % speedup) if speedup else '—':>9}"
         )

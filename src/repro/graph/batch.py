@@ -6,8 +6,8 @@ batched hot path instead moves blocks of edges through the pipeline as
 parallel numpy columns — sources, targets and frequencies — so that key
 canonicalization (:func:`~repro.sketches.hashing.pair_keys_to_uint64`),
 routing (:meth:`~repro.core.router.VertexRouter.route_batch`) and counter
-updates (:meth:`~repro.sketches.countmin.CountMinSketch.update_batch`) each
-run as a handful of array kernels per batch.
+updates (:func:`~repro.sketches.arena.apply_batch`) each run as a handful of
+array kernels per batch.
 
 Integer vertex labels (the common case for every bundled generator) ride the
 fully vectorized path; arbitrary hashable labels fall back to per-element

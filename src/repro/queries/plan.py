@@ -1,48 +1,42 @@
-"""The read-optimized query plane: frozen sketch arenas + one-gather estimation.
+"""The read-optimized query plane: one sketch arena + one-gather estimation.
 
-Ingestion got its vectorized hot path in earlier iterations (batched hashing,
-shared-memory arenas, fused apply kernels); this module gives *queries* the
-same treatment.  The serving workload the ROADMAP targets — millions of small
-point-query batches per second — is dominated by per-call overhead, not kernel
-time: the live path pays, per call, an ``EdgeBatch`` round-trip, a stable
-argsort, per-partition ``PartitionGroup`` construction, and one
-``estimate_batch`` (itself a per-row Python loop) *per partition touched*.
+The serving workload — many small point-query batches per second — is
+dominated by per-call overhead, not kernel time: a per-partition path pays,
+per call, an ``EdgeBatch`` round-trip, a stable argsort, per-partition
+``PartitionGroup`` construction, and one ``estimate_batch`` (itself a
+per-row Python loop) *per partition touched*.
 
 :class:`CompiledQueryPlan` removes all of that.  At compile time the counter
 tables of every partition sketch **plus the outlier sketch** are laid out in
-one contiguous ``(depth, Σwidths)`` read arena (the same layout the
-shared-memory ingest executor uses for its per-shard arenas), together with a
-stacked per-slot hash-coefficient matrix and per-slot column offsets.  A batch
-of M edges spanning any number of partitions is then answered by exactly
+one contiguous ``(depth, Σwidths)`` arena
+(:class:`~repro.sketches.arena.ArenaLayout`: a stacked per-slot
+hash-coefficient matrix and per-slot column offsets).  A batch of M edges
+spanning any number of partitions is then answered by exactly
 
 1. one vectorized key canonicalization
    (:func:`~repro.sketches.hashing.pair_keys_to_uint64`),
 2. one vectorized key → partition route
    (:meth:`~repro.core.router.VertexRouter.route_batch`) plus one ``where``
    mapping partitions onto arena slots,
-3. one fused :func:`~repro.sketches.hashing.mulmod_mersenne61_batch` pass over
-   all ``depth × M`` (coefficient, key) pairs
-   (:func:`~repro.sketches.hashing.gathered_hash_columns` with per-element
-   coefficient columns),
+3. one fused hash pass over all ``depth × M`` (coefficient, key) pairs
+   (:meth:`~repro.sketches.arena.ArenaLayout.columns`),
 4. one fancy-index gather from the flat arena and one ``min`` reduce —
 
 with **no per-group Python loop and no per-partition ``estimate_batch``
 calls**.  Because the arithmetic is the identical uint64 kernel sequence the
-live path runs, plan answers are bit-identical to
+per-sketch path runs, plan answers are bit-identical to
 ``CountMinSketch.estimate_batch`` per element; the parity tests in
 ``tests/test_query_plan.py`` enforce that for every backend.
 
-Freshness is generation-based: every backend bumps an ingest generation
-counter on any mutation, and :class:`PlanServingMixin` lazily refreshes the
-plan (and clears the :class:`HotEdgeCache`) when the generation moved.  For
-backends whose sketches own private tables (``GSketch``, ``GlobalSketch`` and
-the per-window estimators) the arena is **attached**: the sketches adopt
-zero-copy views into the arena (:meth:`~repro.sketches.countmin.CountMinSketch.attach_table`),
-so ingestion writes land directly in the arena and a refresh only has to
-re-derive the per-slot confidence constants.  The sharded coordinator cannot
-attach (its sketches may already be views into a shared-memory ingest arena,
-re-bound whenever the executor starts or closes), so its plan re-copies the
-tables on refresh instead.
+The arena is also where partitioned backends *write*: compiling attaches
+every sketch to a zero-copy view of its slot
+(:meth:`~repro.sketches.countmin.CountMinSketch.attach_table`), and
+:meth:`CompiledQueryPlan.apply` scatters a routed batch with the one apply
+kernel (:func:`~repro.sketches.arena.apply_batch`).  Freshness is
+generation-based: every backend bumps an ingest generation counter on any
+mutation, and :class:`PlanServingMixin` lazily refreshes the plan (the
+per-slot confidence constants) and clears the :class:`HotEdgeCache` when the
+generation moved.  Ingest never pays that refresh.
 """
 
 from __future__ import annotations
@@ -55,10 +49,12 @@ import numpy as np
 from repro.graph.batch import EdgeBatch, label_column
 from repro.graph.edge import EdgeKey
 from repro.observability import metrics as _obs
+from repro.observability.instruments import INGEST_BATCHES, INGEST_ELEMENTS, INGEST_STAGE
 from repro.observability.tracing import span as _span
 from repro.observability.tracing import stage_clock as _stage_clock
+from repro.sketches import arena as _arena
 from repro.sketches.countmin import CountMinSketch
-from repro.sketches.hashing import gathered_hash_columns, key_to_uint64
+from repro.sketches.hashing import key_to_uint64
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
     from repro.core.router import VertexRouter
@@ -258,7 +254,7 @@ class HotEdgeCache:
 
 
 class CompiledQueryPlan:
-    """A frozen, arena-backed read path over a set of partition sketches.
+    """An arena-backed read and write path over a set of Count-Min sketches.
 
     Build instances through :meth:`compile`; slot ``i`` serves partition ``i``
     and, when a router is present, the last slot serves the outlier partition.
@@ -268,29 +264,21 @@ class CompiledQueryPlan:
         self,
         *,
         arena: np.ndarray,
-        hash_a: np.ndarray,
-        hash_b: np.ndarray,
-        widths: np.ndarray,
-        offsets: np.ndarray,
+        layout: _arena.ArenaLayout,
+        sketches: Sequence[CountMinSketch],
         router: Optional[VertexRouter],
-        attached: bool,
-        views: Tuple[np.ndarray, ...],
         generation: int,
     ) -> None:
         self._arena = arena
         self._flat = arena.reshape(-1)
-        self._a = hash_a
-        self._b = hash_b
-        self._widths = widths
-        self._offsets = offsets
+        self._layout = layout
+        self._sketches = tuple(sketches)
         self._router = router
-        self._attached = attached
-        self._views = views
         self.generation = generation
-        depth, total_width = arena.shape
-        self._row_base = (np.arange(depth, dtype=np.int64) * total_width)[:, None]
-        self._bounds = np.zeros(len(widths), dtype=np.float64)
-        self._failures = np.zeros(len(widths), dtype=np.float64)
+        rows = np.arange(layout.depth, dtype=np.int64)
+        self._row_base = (rows * layout.total_width)[:, None]
+        self._bounds = np.zeros(layout.num_slots, dtype=np.float64)
+        self._failures = np.zeros(layout.num_slots, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Compilation / refresh
@@ -301,67 +289,36 @@ class CompiledQueryPlan:
         sketches: Sequence[CountMinSketch],
         router: Optional[VertexRouter],
         generation: int = 0,
-        attach: bool = False,
     ) -> "CompiledQueryPlan":
-        """Lay the sketches out in one read arena and stack their hashing.
+        """Lay the sketches out in one arena and attach them to it.
 
         Args:
             sketches: the physical sketches in slot order — for partitioned
                 backends the localized sketches in partition order followed by
                 the outlier sketch; a single sketch for the global baseline.
+                Each adopts a zero-copy view of its slot as its live table,
+                so every later write lands in the arena.
             router: the vertex → partition hash structure ``H``; ``None``
                 routes every edge to slot 0 (single-sketch backends).
             generation: the owning estimator's ingest generation at compile
                 time.
-            attach: adopt zero-copy arena views as the sketches' live tables
-                (:meth:`~repro.sketches.countmin.CountMinSketch.attach_table`),
-                so subsequent ingestion writes straight into the arena.  Only
-                safe for sketches with private tables.
         """
-        if not sketches:
-            raise ValueError("cannot compile a query plan over zero sketches")
-        depth = sketches[0].depth
-        for sketch in sketches:
-            if sketch.depth != depth:
-                raise ValueError(
-                    f"all sketches must share depth {depth}, got {sketch.depth}"
-                )
-        widths = np.asarray([sketch.width for sketch in sketches], dtype=np.uint64)
-        offsets = np.zeros(len(sketches), dtype=np.int64)
-        np.cumsum(widths[:-1].astype(np.int64), out=offsets[1:])
-        total_width = int(offsets[-1]) + int(widths[-1])
-        arena = np.zeros((depth, total_width), dtype=np.float64)
-
-        hash_a = np.empty((depth, len(sketches)), dtype=np.uint64)
-        hash_b = np.empty((depth, len(sketches)), dtype=np.uint64)
-        views = []
+        layout = _arena.ArenaLayout(sketches)
+        arena = np.zeros((layout.depth, layout.total_width), dtype=np.float64)
         for slot, sketch in enumerate(sketches):
-            a, b = sketch.hash_arrays()
-            hash_a[:, slot] = a
-            hash_b[:, slot] = b
-            start = int(offsets[slot])
-            view = arena[:, start : start + sketch.width]
-            if attach:
-                sketch.attach_table(view)
-            else:
-                view[...] = sketch.table
-            views.append(view)
-
+            start = int(layout.offsets[slot])
+            sketch.attach_table(arena[:, start : start + sketch.width])
         plan = cls(
             arena=arena,
-            hash_a=hash_a,
-            hash_b=hash_b,
-            widths=widths,
-            offsets=offsets,
+            layout=layout,
+            sketches=sketches,
             router=router,
-            attached=attach,
-            views=tuple(views),
             generation=generation,
         )
-        plan._refresh_constants(sketches)
+        plan._refresh_constants()
         return plan
 
-    def _refresh_constants(self, sketches: Sequence[CountMinSketch]) -> None:
+    def _refresh_constants(self) -> None:
         """Re-derive the per-slot Equation-1 constants from the live sketches.
 
         Routed through :func:`~repro.core.estimator.countmin_confidence` — the
@@ -370,58 +327,35 @@ class CompiledQueryPlan:
         """
         from repro.core.estimator import countmin_confidence
 
-        for slot, sketch in enumerate(sketches):
+        for slot, sketch in enumerate(self._sketches):
             template = countmin_confidence(sketch, 0.0)
             self._bounds[slot] = template.additive_bound
             self._failures[slot] = template.failure_probability
 
-    def refresh(self, sketches: Sequence[CountMinSketch], generation: int) -> None:
-        """Bring the plan up to date with the live sketches after ingestion.
+    def refresh(self, generation: int) -> None:
+        """Bring the plan up to date with the sketches after a mutation.
 
-        Attached plans share counter storage with the sketches, so only the
-        confidence constants need re-deriving; detached plans (the sharded
-        coordinator, whose sketch tables the executor may have re-bound)
-        re-copy every table into the arena.  Either way the
-        arena afterwards equals a fresh :meth:`compile` of ``sketches``.
+        The sketches' tables are the arena, so only the confidence constants
+        (which follow each sketch's ``total_count``) need re-deriving.
         """
-        if len(sketches) != len(self._views):
-            raise ValueError(
-                f"plan covers {len(self._views)} slots, got {len(sketches)} sketches"
-            )
-        for slot, sketch in enumerate(sketches):
-            view = self._views[slot]
-            if view.shape != (self._arena.shape[0], sketch.width):
-                raise ValueError(
-                    f"slot {slot} width changed: plan has {view.shape[1]}, "
-                    f"sketch has {sketch.width}"
-                )
-            if self._attached:
-                # Re-adopt only if the sketch's table was swapped out from
-                # under the arena (e.g. a load_state); adoption is idempotent.
-                if not sketch.owns_table(view):
-                    sketch.attach_table(view)
-            else:
-                view[...] = sketch.table
-        self._refresh_constants(sketches)
+        self._refresh_constants()
         self.generation = generation
 
     # ------------------------------------------------------------------ #
     # Serving
     # ------------------------------------------------------------------ #
     @property
-    def attached(self) -> bool:
-        """Whether the sketches' live tables are views into this arena."""
-        return self._attached
-
-    @property
     def num_slots(self) -> int:
         """Number of arena slots (partitions plus outlier, or 1)."""
-        return len(self._widths)
+        return self._layout.num_slots
 
     @property
     def arena_cells(self) -> int:
-        """Number of counter cells in the read arena."""
+        """Number of counter cells in the arena."""
         return self._arena.size
+
+    def _slots_of(self, partitions: np.ndarray) -> np.ndarray:
+        return np.where(partitions == OUTLIER_PARTITION, self.num_slots - 1, partitions)
 
     def route_sources(
         self, sources: np.ndarray
@@ -434,10 +368,7 @@ class CompiledQueryPlan:
         if self._router is None:
             return np.zeros(len(sources), dtype=np.int64), None
         partitions = self._router.route_batch(sources)
-        slots = np.where(
-            partitions == OUTLIER_PARTITION, self.num_slots - 1, partitions
-        )
-        return slots, partitions
+        return self._slots_of(partitions), partitions
 
     def estimate_keys(self, keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Point estimates for pre-canonicalized keys with known arena slots.
@@ -449,18 +380,19 @@ class CompiledQueryPlan:
         """
         if keys.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if self.num_slots == 1:
-            # Single-slot plans (the global baseline) broadcast the one
-            # coefficient column instead of gathering it per element, and
-            # have no column offsets to apply.
-            cols = gathered_hash_columns(self._a, self._b, self._widths, keys)
-        else:
-            cols = gathered_hash_columns(
-                self._a[:, slots], self._b[:, slots], self._widths[slots], keys
-            )
-            cols += self._offsets[slots]
-        cols += self._row_base
-        return self._flat[cols].min(axis=0)
+        cells = self._layout.columns(keys, slots)
+        cells += self._row_base
+        return self._flat[cells].min(axis=0)
+
+    def apply(self, keys: np.ndarray, partitions: np.ndarray, counts: np.ndarray) -> None:
+        """Apply one routed, validated batch to the arena in one pass.
+
+        The whole batch lands through one
+        :func:`~repro.sketches.arena.apply_batch` call — no grouping sort
+        and no per-partition loop.
+        """
+        slots = self._slots_of(partitions)
+        _arena.apply_batch(self._arena, self._layout, self._sketches, keys, slots, counts)
 
     def confidence_constants(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-element additive bounds and failure probabilities, by slot."""
@@ -483,7 +415,7 @@ class CompiledQueryPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompiledQueryPlan(slots={self.num_slots}, cells={self.arena_cells}, "
-            f"attached={self._attached}, generation={self.generation})"
+            f"generation={self.generation})"
         )
 
 
@@ -494,13 +426,21 @@ class PlanServingMixin:
     construction, bumps :meth:`_bump_generation` on **every** state mutation
     (per-element update, batch ingest, merge, checkpoint restore), and
     implements :meth:`_plan_layout`; in return it gets :meth:`compile_plan`
-    (lazy compile / generation-checked refresh), plan-served
-    :meth:`_planned_estimates` with the hot-edge cache in front, and
-    :meth:`_planned_confidence` producing intervals plus partition
+    (lazy compile / generation-checked refresh), :meth:`_ingest_routed`
+    (batch ingest into the plan's arena, for backends with a ``router``),
+    plan-served :meth:`_planned_estimates` with the hot-edge cache in front,
+    and :meth:`_planned_confidence` producing intervals plus partition
     provenance from the same single routing pass.
+
+    The backend's sketch objects must stay the same for its lifetime
+    (restores copy counters in place), because the compiled plan holds them
+    and they hold views of its arena.
     """
 
     _query_plan: Optional[CompiledQueryPlan]
+    #: The vertex → partition structure of partitioned backends (read by
+    #: :meth:`_ingest_routed`).
+    router: Optional[VertexRouter]
 
     def _init_query_plane(self, cache_capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
         self._query_plan = None
@@ -516,15 +456,10 @@ class PlanServingMixin:
         """Monotonic counter of state mutations (plan/cache invalidation tag)."""
         return self._plan_generation
 
-    # -- backend hooks -------------------------------------------------- #
-    def _plan_layout(
-        self,
-    ) -> Tuple[List[CountMinSketch], Optional[VertexRouter], bool]:
-        """The sketches in slot order, the router, and whether to attach."""
+    # -- backend hook --------------------------------------------------- #
+    def _plan_layout(self) -> Tuple[List[CountMinSketch], Optional[VertexRouter]]:
+        """The sketches in slot order and the router."""
         raise NotImplementedError
-
-    def _before_plan_query(self) -> None:
-        """Pre-serve hook (the sharded coordinator drains its pipeline here)."""
 
     # -- telemetry ------------------------------------------------------ #
     def _plan_telemetry(self) -> Dict[str, object]:
@@ -537,7 +472,6 @@ class PlanServingMixin:
                 "stale": plan is not None and plan.generation != self._plan_generation,
                 "slots": plan.num_slots if plan is not None else 0,
                 "arena_cells": plan.arena_cells if plan is not None else 0,
-                "attached": plan.attached if plan is not None else False,
             },
             "hot_cache": self._hot_cache.telemetry(),
         }
@@ -545,22 +479,43 @@ class PlanServingMixin:
     # -- plan lifecycle ------------------------------------------------- #
     def compile_plan(self) -> CompiledQueryPlan:
         """The current plan, compiling or refreshing it if ingestion moved on."""
-        self._before_plan_query()
         plan = self._query_plan
         if plan is None:
             with _span("query", "compile"):
-                sketches, router, attach = self._plan_layout()
+                sketches, router = self._plan_layout()
                 plan = CompiledQueryPlan.compile(
-                    sketches, router, generation=self._plan_generation, attach=attach
+                    sketches, router, generation=self._plan_generation
                 )
             self._query_plan = plan
             _PLAN_COMPILES.inc()
         elif plan.generation != self._plan_generation:
             with _span("query", "refresh"):
-                sketches, _router, _attach = self._plan_layout()
-                plan.refresh(sketches, self._plan_generation)
+                plan.refresh(self._plan_generation)
             _PLAN_REFRESHES.inc()
         return plan
+
+    def _ingest_routed(self, batch: EdgeBatch) -> np.ndarray:
+        """The ingest of both partitioned backends: route, hash and apply one
+        validated, non-empty batch into the plan's arena.
+
+        Compiles the plan on first use but never refreshes it: the counters
+        are the arena, and the confidence constants wait for the next read.
+        Returns every element's partition (``OUTLIER_PARTITION`` for
+        outliers); the backend keeps its own element counters.
+        """
+        plan = self._query_plan
+        if plan is None:
+            plan = self.compile_plan()
+        clock = _stage_clock("ingest", INGEST_STAGE)
+        partitions = self.router.route_batch(batch.sources)
+        keys = batch.hashed_keys()
+        clock.lap("route")
+        plan.apply(keys, partitions, batch.frequencies)
+        clock.lap("apply")
+        self._bump_generation()
+        INGEST_BATCHES.inc()
+        INGEST_ELEMENTS.inc(len(batch))
+        return partitions
 
     # -- serving -------------------------------------------------------- #
     def _planned_estimates(self, edges: Sequence[EdgeKey]) -> np.ndarray:

@@ -103,14 +103,11 @@ class WireResult:
     """One answered query: the estimate values plus their generation tag.
 
     ``generation`` is the server engine's ingest generation at answer time —
-    sessions use it for monotonic-reads checking.  ``degraded`` mirrors
-    :class:`~repro.api.results.Provenance` semantics for sharded backends
-    serving with dead shards.
+    sessions use it for monotonic-reads checking.
     """
 
     values: Tuple[float, ...]
     generation: int
-    degraded: bool = False
 
     @property
     def value(self) -> float:
@@ -321,7 +318,7 @@ class ServingClient:
         return bool(frame.get("pong"))
 
     async def health(self) -> dict:
-        """The server's readiness document (``state``, ``degraded``, ...).
+        """The server's readiness document (``state``, ``generation``, ...).
 
         Answered even while the server drains — ``state`` is how a prober
         tells ``serving`` from ``draining`` without issuing a real query.
@@ -344,7 +341,6 @@ class ServingClient:
         return WireResult(
             values=tuple(float(v) for v in frame["values"]),
             generation=int(frame.get("generation", 0)),
-            degraded=bool(frame.get("degraded", False)),
         )
 
     async def query_edge(
@@ -370,7 +366,6 @@ class ServingClient:
         return WireResult(
             values=(float(frame["value"]),),
             generation=int(frame.get("generation", 0)),
-            degraded=bool(frame.get("degraded", False)),
         )
 
     async def query_edges_confidence(

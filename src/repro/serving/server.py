@@ -245,12 +245,8 @@ class SketchServer:
     def health(self) -> dict:
         """The ``health`` wire op's payload (also behind ``repro serve --health``).
 
-        ``state`` walks starting → serving → draining; ``degraded`` flags a
-        server that answers but with reduced redundancy — dead sketch shards
-        whose mass the widened intervals account for (degraded serving).
-        Readiness probes should treat only ``state == "serving"`` with
-        ``degraded == false`` as fully healthy, and ``serving`` + degraded
-        as ready-but-alarming.
+        ``state`` walks starting → serving → draining; readiness probes
+        should treat only ``state == "serving"`` as healthy.
         """
         estimator = self._engine.estimator
         if self._draining:
@@ -259,17 +255,11 @@ class SketchServer:
             state = wire.STATE_SERVING
         else:
             state = wire.STATE_STARTING
-        dead_shards = getattr(estimator, "dead_shards", None)
-        shards_degraded = bool(getattr(estimator, "degraded", False))
-        payload: dict = {
+        return {
             "state": state,
             "generation": int(getattr(estimator, "ingest_generation", 0)),
             "connections": len(self._connections),
-            "degraded": shards_degraded,
         }
-        if dead_shards is not None:
-            payload["dead_shards"] = sorted(dead_shards)
-        return payload
 
     # ------------------------------------------------------------------ #
     # Backend access (event-loop thread only)
@@ -556,8 +546,6 @@ class SketchServer:
                 payload["value"] = float(query.combine(values))
             else:
                 payload["values"] = values
-            if getattr(self._engine.estimator, "degraded", False):
-                payload["degraded"] = True
             self._respond(connection, request_id, wire.STATUS_OK, began, **payload)
         except AdmissionError as exc:
             self._respond(

@@ -5,6 +5,8 @@ builds on:
 
 * :class:`~repro.sketches.countmin.CountMinSketch` — the synopsis gSketch
   partitions (paper Figure 1, Equation 1).
+* :mod:`~repro.sketches.arena` — many Count-Min tables in one arena and the
+  one batch-apply kernel every batched write runs.
 * :class:`~repro.sketches.exact.ExactCounter` — exact dictionary counter used
   as the ground-truth oracle in tests and experiments.
 """

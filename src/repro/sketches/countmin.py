@@ -14,6 +14,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
+from repro.sketches import arena as _arena
 from repro.sketches.base import FrequencySketch
 from repro.sketches.hashing import PairwiseHashFamily, key_to_uint64
 from repro.utils.rng import SeedLike
@@ -51,6 +52,7 @@ class CountMinSketch(FrequencySketch):
         self._rows = np.arange(self._depth)
         self._total = 0.0
         self._update_count = 0
+        self._layout: _arena.ArenaLayout | None = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -124,16 +126,12 @@ class CountMinSketch(FrequencySketch):
         view.setflags(write=False)
         return view
 
-    def hash_coefficients(self) -> "tuple[tuple[int, int], ...]":
-        """The per-row ``(a, b)`` hash coefficients (shared-arena workers
-        reconstruct hashing from these without shipping sketch state)."""
-        return tuple(self._hashes.coefficients())
-
     def hash_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
         """The per-row ``(a, b)`` coefficients as uint64 columns.
 
-        The compiled query plan stacks these (one column per arena slot) into
-        the coefficient matrix its fused hash pass gathers from.
+        :class:`~repro.sketches.arena.ArenaLayout` stacks these (one column
+        per arena slot) into the coefficient matrix its fused hash pass
+        gathers from.
         """
         return self._hashes.coefficient_arrays()
 
@@ -172,8 +170,10 @@ class CountMinSketch(FrequencySketch):
     ) -> None:
         """Vectorized bulk update for pre-canonicalized keys.
 
-        Conservative update is inherently sequential, so batches fall back to
-        per-key updates when ``conservative=True``.
+        The one-slot case of :func:`~repro.sketches.arena.apply_batch`, so
+        counters, totals and update counts match per-key :meth:`update`
+        calls in order (conservative sketches apply the min-raising rule per
+        element).
         """
         keys_arr = np.asarray(keys_uint64, dtype=np.uint64)
         counts_arr = np.asarray(counts, dtype=np.float64)
@@ -184,39 +184,15 @@ class CountMinSketch(FrequencySketch):
         # Written so that NaN fails too (every comparison with NaN is false).
         if not (counts_arr >= 0).all():
             raise ValueError("counts must be non-negative")
-        if self._conservative:
-            for key, count in zip(keys_arr.tolist(), counts_arr.tolist()):
-                self.update_precomputed(int(key), float(count))
-            return
-        cols = self._hashes.indices_batch(keys_arr)
-        for row in range(self._depth):
-            np.add.at(self._table[row], cols[row], counts_arr)
-        self._total += float(counts_arr.sum())
-        self._update_count += int(keys_arr.size)
+        if self._layout is None:
+            self._layout = _arena.ArenaLayout([self])
+        _arena.apply_batch(self._table, self._layout, (self,), keys_arr, None, counts_arr)
 
-    def credit_batch(self, counts: Sequence[float] | np.ndarray) -> None:
-        """Account a batch of updates whose *counters* were applied elsewhere.
-
-        The shared-memory shard executor applies counter updates inside a
-        worker process that writes the table through a shared view; the
-        coordinator-resident sketch still owns the scalar bookkeeping
-        (``total_count``, ``update_count``).  This method performs exactly the
-        scalar side effects :meth:`update_batch` would have — including the
-        per-element accumulation order of the conservative path — so the
-        split update remains bit-identical to an in-process one.
-        """
-        counts_arr = np.asarray(counts, dtype=np.float64)
-        if counts_arr.size == 0:
-            return
-        if not (counts_arr >= 0).all():
-            raise ValueError("counts must be non-negative")
-        if self._conservative:
-            for count in counts_arr.tolist():
-                self._total += count
-                self._update_count += 1
-        else:
-            self._total += float(counts_arr.sum())
-            self._update_count += int(counts_arr.size)
+    def _credit(self, mass: float, updates: int) -> None:
+        """Account ``updates`` applied elements of total ``mass`` (the apply
+        kernel writes the counters, the sketch keeps the scalars)."""
+        self._total += mass
+        self._update_count += updates
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -297,8 +273,10 @@ class CountMinSketch(FrequencySketch):
     def load_state(self, state: dict) -> None:
         """Adopt a :meth:`state_dict` snapshot in place.
 
-        The snapshot must have this sketch's dimensions; the hash family is
-        adopted along with the counters so estimates stay consistent.
+        The snapshot must come from an identically hashed sketch of this
+        sketch's dimensions.  Its counters are copied into the live table,
+        so an arena this sketch is attached to (the compiled query plan's)
+        sees them and keeps receiving later updates.
         """
         revived = CountMinSketch.from_state(state)
         if (revived._width, revived._depth) != (self._width, self._depth):
@@ -306,9 +284,10 @@ class CountMinSketch(FrequencySketch):
                 f"state has dimensions {revived._width}x{revived._depth}, "
                 f"expected {self._width}x{self._depth}"
             )
+        if list(revived._hashes.coefficients()) != list(self._hashes.coefficients()):
+            raise ValueError("state was hashed by a different hash family")
         self._conservative = revived._conservative
-        self._hashes = revived._hashes
-        self._table = revived._table
+        self._table[...] = revived._table
         self._total = revived._total
         self._update_count = revived._update_count
 
@@ -336,17 +315,16 @@ class CountMinSketch(FrequencySketch):
         sketch._rows = np.arange(sketch._depth)
         sketch._total = float(state["total"])
         sketch._update_count = int(state["update_count"])
+        sketch._layout = None
         return sketch
 
     def attach_table(self, view: np.ndarray) -> None:
         """Move the counter table into an externally-allocated buffer view.
 
         The current counters are copied into ``view`` and the sketch adopts it
-        as its live table.  The shared-memory executor uses this to point the
-        coordinator-resident sketch at a slice of a shard's shared-memory
-        arena, so worker-process updates are visible here without any
-        serialize → pull cycle.  The caller owns the buffer's lifetime and
-        must call :meth:`detach_table` before releasing it.
+        as its live table.  The compiled query plan attaches every sketch of
+        a backend to one read arena this way, so batch ingest scatters into
+        the arena and per-element updates land in it too.
         """
         if view.shape != self._table.shape or view.dtype != np.float64:
             raise ValueError(
@@ -355,25 +333,6 @@ class CountMinSketch(FrequencySketch):
             )
         view[...] = self._table
         self._table = view
-
-    def owns_table(self, view: np.ndarray) -> bool:
-        """Whether ``view`` is this sketch's live counter table (identity).
-
-        The compiled query plan uses this to verify that a sketch is still
-        attached to the plan's read arena before skipping the table re-copy
-        on a refresh; a sketch whose table was swapped out (``load_state``)
-        fails the check and is re-attached.
-        """
-        return self._table is view
-
-    def detach_table(self) -> None:
-        """Re-privatize the counter table (copy it out of any shared buffer).
-
-        Safe to call on an already-private table; afterwards the sketch holds
-        no reference to externally-allocated memory, so the buffer can be
-        unmapped (shared-memory teardown) without invalidating this sketch.
-        """
-        self._table = np.array(self._table, dtype=np.float64, order="C", copy=True)
 
     def compatible_empty(self) -> "CountMinSketch":
         """Return an empty sketch sharing this sketch's dimensions and hash family."""
@@ -386,6 +345,7 @@ class CountMinSketch(FrequencySketch):
         clone._rows = self._rows
         clone._total = 0.0
         clone._update_count = 0
+        clone._layout = self._layout
         return clone
 
     def observed_collision_rate(self, keys: Iterable[Hashable]) -> float:

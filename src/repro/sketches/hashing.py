@@ -76,9 +76,9 @@ def mulmod_mersenne61_batch(a: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     ``a`` may be a scalar (one hash coefficient applied to every value — the
     :meth:`PairwiseHashFamily.indices_batch` case) or an array aligned with
-    ``values`` (a *different* coefficient per element — the shared-memory
-    shard executor's fused kernel, which hashes one batch spanning many
-    partition sketches in a single pass).  Both shapes run the identical
+    ``values`` (a *different* coefficient per element — the arena's fused
+    hash pass, which hashes one batch spanning many partition sketches in a
+    single pass; see :mod:`repro.sketches.arena`).  Both shapes run the identical
     sequence of uint64 numpy kernels, so results are bit-identical to the
     scalar path per element.
 
@@ -124,8 +124,9 @@ def gathered_hash_columns(
     Bit-identical per element to
     :meth:`PairwiseHashFamily.indices_batch` with that element's own family:
     the arithmetic is the same uint64 kernel sequence, merely batched across
-    families.  This is what lets the shared-memory shard worker apply a whole
-    batch spanning many partition sketches in ~one kernel pass per row
+    families.  This is what lets the one apply kernel
+    (:func:`~repro.sketches.arena.apply_batch`) and the compiled query plan
+    handle a whole batch spanning many partition sketches in one kernel pass
     instead of one :meth:`indices_batch` call per partition group.
     """
     mixed = mulmod_mersenne61_batch(a, keys)

@@ -493,13 +493,16 @@ def test_committed_baselines_parse_and_cover_both_profiles():
         assert rules["throughput"]["require_parity"] is True
         for floor in rules["throughput"]["floors"]:
             assert floor["min_ratio"] > 0
-    # The tentpole acceptance bar: full profile enforces shared-memory
-    # sharded-4 >= 1.5x single-threaded batched on the R-MAT stream.
+    # The ingest acceptance bars: the full profile holds fused batched ingest
+    # >= 20x per-edge on both streams (a return to per-partition apply reads
+    # about 10x) and sharded-4 >= 0.5x batched on the R-MAT stream.
     full_floors = {
         (f["dataset"], f["numerator"], f["denominator"]): f["min_ratio"]
         for f in data["profiles"]["full"]["throughput"]["floors"]
     }
-    assert full_floors[("rmat", "sharded-4-shared", "batched")] >= 1.5
+    assert full_floors[("rmat", "batched", "per-edge")] >= 20.0
+    assert full_floors[("zipf", "batched", "per-edge")] >= 20.0
+    assert full_floors[("rmat", "sharded-4", "batched")] >= 0.5
     # The query-plane acceptance bar: both profiles enforce the compiled
     # plan >= 5x the pre-plan path on small gsketch batches, parity required.
     for profile in ("quick", "full"):

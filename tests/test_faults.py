@@ -1,12 +1,9 @@
-"""Fault injection, supervised recovery, degraded serving and durability.
+"""Durability under injected faults: torn and corrupt snapshot bytes.
 
-The acceptance bar for the fault-tolerance plane: for every seeded worker
-fault site, a crash-and-recover run ends with ``state_dict()`` **bit-exact**
-to an unfaulted run of the same stream; torn or corrupt snapshot/checkpoint
-bytes are rejected by the loaders with the damaged section named (never
-silently deserialized); and degraded-mode answers on surviving shards still
-satisfy their (widened) Equation-1 confidence statements against exact
-ground truth.
+The acceptance bar for the durability plane: torn or corrupt
+snapshot/checkpoint bytes are rejected by the loaders with the damaged
+section named (never silently deserialized), incremental checkpoints rewrite
+only the shards that changed, and every round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -28,26 +25,10 @@ from repro.api.snapshot import (
     save_snapshot,
 )
 from repro.core.config import GSketchConfig
-from repro.distributed import (
-    BatchJournal,
-    RecoveryPolicy,
-    SequentialExecutor,
-    ShardExecutionError,
-    ShardedGSketch,
-    SharedMemoryExecutor,
-)
+from repro.distributed import ShardedGSketch
 from repro.graph.sampling import reservoir_sample
 
 NUM_SHARDS = 3
-
-#: Fast supervised policy for tests: cheap backoff, tight ack deadline so
-#: dropped/slow acks surface quickly.
-FAST_POLICY = RecoveryPolicy(
-    max_restarts=3, backoff_seconds=0.01, ack_deadline_seconds=0.25
-)
-
-#: Executors the recovery supervisor can restart and replay, by name.
-EXECUTORS = {"shared": SharedMemoryExecutor}
 
 
 @pytest.fixture(scope="module")
@@ -65,22 +46,9 @@ def fault_config():
     return GSketchConfig(total_cells=8_000, depth=4, seed=7)
 
 
-@pytest.fixture(scope="module")
-def baseline_state(fault_stream, fault_sample, fault_config):
-    """state_dict of an unfaulted sequential run — the parity reference."""
-    reference = _build(fault_sample, fault_config, fault_stream)
-    reference.ingest(fault_stream, batch_size=256)
-    return reference.state_dict()
-
-
-def _build(sample, config, stream, executor=None, recovery=None):
+def _build(sample, config, stream):
     return ShardedGSketch.build(
-        sample,
-        config,
-        num_shards=NUM_SHARDS,
-        executor=executor or SequentialExecutor(),
-        stream_size_hint=len(stream),
-        recovery=recovery,
+        sample, config, num_shards=NUM_SHARDS, stream_size_hint=len(stream)
     )
 
 
@@ -103,195 +71,6 @@ def _exact_truth(stream) -> dict:
         key = (edge.source, edge.target)
         truth[key] = truth.get(key, 0.0) + edge.frequency
     return truth
-
-
-class TestCrashRecoveryParity:
-    """Every injection point: crash, recover, replay → bit-exact state."""
-
-    @pytest.mark.parametrize("site", faults.WORKER_SITES)
-    @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
-    def test_seeded_fault_recovers_bit_exact(
-        self,
-        executor_name,
-        site,
-        fault_stream,
-        fault_sample,
-        fault_config,
-        baseline_state,
-    ):
-        faults.install(faults.FaultPlan([faults.FaultSpec(site=site, at_hit=3)]))
-        try:
-            engine = _build(
-                fault_sample,
-                fault_config,
-                fault_stream,
-                executor=EXECUTORS[executor_name](),
-                recovery=FAST_POLICY,
-            )
-            try:
-                engine.ingest(fault_stream, batch_size=256)
-                state = engine.state_dict()
-                restarts = engine.supervisor.restarts
-            finally:
-                engine.close()
-        finally:
-            faults.clear()
-        assert restarts > 0, "the injected fault never triggered a recovery"
-        _assert_states_bit_exact(baseline_state, state)
-
-    def test_recovery_telemetry_surfaces(
-        self, fault_stream, fault_sample, fault_config
-    ):
-        """A recovered run reports its incidents through telemetry_snapshot."""
-        faults.install(
-            faults.FaultPlan(
-                [faults.FaultSpec(site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=2)]
-            )
-        )
-        try:
-            engine = _build(
-                fault_sample,
-                fault_config,
-                fault_stream,
-                executor=SharedMemoryExecutor(),
-                recovery=FAST_POLICY,
-            )
-            try:
-                engine.ingest(fault_stream, batch_size=256)
-                engine.flush()
-                recovery = engine.telemetry_snapshot()["recovery"]
-            finally:
-                engine.close()
-        finally:
-            faults.clear()
-        assert recovery["restarts"] > 0
-        assert recovery["dead_shards"] == []
-        assert recovery["lost_elements"] == 0
-
-
-class TestRetryExhaustion:
-    """A persistently-crashing shard either poisons the run or degrades."""
-
-    def test_exhaustion_without_degraded_serving_poisons(
-        self, fault_stream, fault_sample, fault_config
-    ):
-        policy = RecoveryPolicy(max_restarts=2, backoff_seconds=0.01)
-        spec = faults.FaultSpec(
-            site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=1, persistent=True
-        )
-        faults.install(faults.FaultPlan([spec]))
-        try:
-            engine = _build(
-                fault_sample,
-                fault_config,
-                fault_stream,
-                executor=SharedMemoryExecutor(),
-                recovery=policy,
-            )
-            try:
-                with pytest.raises(ShardExecutionError):
-                    engine.ingest(fault_stream, batch_size=256)
-                    engine.flush()
-                with pytest.raises(RuntimeError, match="incomplete"):
-                    engine.state_dict()
-            finally:
-                engine.close()
-        finally:
-            faults.clear()
-
-    @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
-    def test_degraded_serving_keeps_widened_bounds_sound(
-        self, executor_name, fault_stream, fault_sample, fault_config
-    ):
-        policy = RecoveryPolicy(
-            max_restarts=2,
-            backoff_seconds=0.01,
-            ack_deadline_seconds=0.25,
-            degraded_serving=True,
-        )
-        spec = faults.FaultSpec(
-            site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=1, shard=1, persistent=True
-        )
-        faults.install(faults.FaultPlan([spec]))
-        try:
-            engine = _build(
-                fault_sample,
-                fault_config,
-                fault_stream,
-                executor=EXECUTORS[executor_name](),
-                recovery=policy,
-            )
-            try:
-                engine.ingest(fault_stream, batch_size=256)
-                engine.flush()
-                assert engine.degraded
-                assert engine.dead_shards == (1,)
-                supervisor = engine.supervisor
-                assert supervisor.lost_elements > 0
-                assert supervisor.lost_frequency(1) > 0.0
-
-                truth = _exact_truth(fault_stream)
-                keys = sorted(truth)[:300]
-                intervals, partitions = engine.confidence_batch_with_partitions(keys)
-                widened = 0
-                for key, interval, partition in zip(keys, intervals, partitions):
-                    shard = engine.plan.shard_of(partition)
-                    if shard in engine.dead_shards:
-                        assert interval.upper_slack > 0.0
-                        widened += 1
-                    else:
-                        assert interval.upper_slack == 0.0
-                    # The (possibly widened) Equation-1 statement stays sound.
-                    assert interval.contains(truth[key]), (
-                        f"{key}: truth {truth[key]} outside "
-                        f"[{interval.lower}, {interval.upper}]"
-                    )
-                assert widened > 0, "no query landed on the dead shard"
-            finally:
-                engine.close()
-        finally:
-            faults.clear()
-
-    def test_degraded_provenance_through_the_facade(
-        self, fault_stream, fault_sample, fault_config
-    ):
-        spec = faults.FaultSpec(
-            site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=1, shard=1, persistent=True
-        )
-        faults.install(faults.FaultPlan([spec]))
-        try:
-            engine = (
-                SketchEngine.builder()
-                .config(fault_config)
-                .sample(fault_sample)
-                .stream_size_hint(len(fault_stream))
-                .sharded(NUM_SHARDS, "shared")
-                .recovery(
-                    max_restarts=1, backoff_seconds=0.01, degraded_serving=True
-                )
-                .build()
-            )
-            try:
-                engine.ingest(fault_stream, batch_size=256)
-                keys = sorted(_exact_truth(fault_stream))[:200]
-                estimates = engine.query(keys)
-                degraded = [e for e in estimates if e.provenance.degraded]
-                healthy = [e for e in estimates if not e.provenance.degraded]
-                assert degraded and healthy
-                for estimate in degraded:
-                    assert estimate.provenance.shard in engine.estimator.dead_shards
-                    assert estimate.interval.upper_slack > 0.0
-                    assert estimate.to_dict()["degraded"] is True
-                    assert "upper_slack" in estimate.to_dict()["interval"]
-                for estimate in healthy:
-                    assert "degraded" not in estimate.to_dict()
-                summary = engine.describe()
-                assert summary["degraded"] is True
-                assert summary["dead_shards"] == [1]
-            finally:
-                engine.close()
-        finally:
-            faults.clear()
 
 
 class TestDurability:
@@ -422,73 +201,3 @@ class TestDurability:
         victim.unlink()
         with pytest.raises(SnapshotError, match="missing checkpoint section"):
             load_checkpoint(directory)
-
-
-class TestFaultPlanAndJournalUnits:
-    """Pure in-process units: schedules, the journal, policy validation."""
-
-    def test_seeded_plan_is_deterministic(self):
-        left = faults.FaultPlan.seeded(42, num_shards=4)
-        right = faults.FaultPlan.seeded(42, num_shards=4)
-        assert [
-            (s.site, s.at_hit, s.shard) for s in left.specs
-        ] == [(s.site, s.at_hit, s.shard) for s in right.specs]
-        different = faults.FaultPlan.seeded(43, num_shards=4)
-        assert [(s.site, s.at_hit, s.shard) for s in left.specs] != [
-            (s.site, s.at_hit, s.shard) for s in different.specs
-        ]
-
-    def test_one_shot_specs_do_not_ship_to_restarted_workers(self):
-        plan = faults.FaultPlan(
-            [faults.FaultSpec(site=faults.SITE_DROP_ACK, at_hit=1)]
-        )
-        # One-shot specs never re-ship: a restarted worker must not re-crash
-        # on the fault that killed its predecessor.
-        assert plan.for_restart() is None
-        assert plan.arm(faults.SITE_DROP_ACK, shard=0) is not None
-
-    def test_persistent_specs_survive_restart(self):
-        plan = faults.FaultPlan(
-            [faults.FaultSpec(site=faults.SITE_DROP_ACK, at_hit=1, persistent=True)]
-        )
-        restart = plan.for_restart()
-        assert restart is not None
-        assert restart.arm(faults.SITE_DROP_ACK, shard=0) is not None
-        # Once fired in this process, even a persistent spec stops shipping.
-        # (In production the plan crosses a process boundary, so the worker
-        # fires its own copy; this in-process view shares the spec objects.)
-        assert plan.for_restart() is None
-
-    def test_journal_replay_floor_and_ack_pruning(self):
-        journal = BatchJournal(limit=8)
-        seq_a = journal.append({0: ["batch-a"], 1: ["batch-a1"]})
-        seq_b = journal.append({0: ["batch-b"]})
-        assert (seq_a, seq_b) == (1, 2)
-        assert [seq for seq, _ in journal.entries_for(0, after=None)] == [1, 2]
-        assert [seq for seq, _ in journal.entries_for(0, after=seq_a)] == [2]
-        assert [seq for seq, _ in journal.entries_for(1, after=None)] == [1]
-        journal.prune_acked({0: seq_b, 1: seq_a})
-        assert len(journal) == 0
-
-    def test_journal_limit_forces_flush(self):
-        from repro.distributed.recovery import ShardSupervisor, can_supervise
-
-        policy = RecoveryPolicy(journal_limit=2)
-        supervisor = ShardSupervisor(policy, num_shards=2)
-        assert not supervisor.needs_flush()
-        supervisor.journal.append({0: ["a"]})
-        supervisor.journal.append({1: ["b"]})
-        assert supervisor.needs_flush()
-        supervisor.on_sync()
-        assert not supervisor.needs_flush()
-        # Only restartable executors are journaled at all.
-        assert can_supervise(SharedMemoryExecutor())
-        assert not can_supervise(SequentialExecutor())
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="max_restarts"):
-            RecoveryPolicy(max_restarts=0)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(backoff_seconds=-1.0)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(journal_limit=0)

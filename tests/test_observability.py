@@ -356,9 +356,11 @@ def test_telemetry_snapshot_shapes_per_backend(zipf_stream, zipf_sample, small_c
     assert snapshot["elements_processed"] == len(zipf_stream)
     partitions = {table["partition"] for table in snapshot["tables"]}
     assert OUTLIER_PARTITION in partitions
-    assert snapshot["plan"]["compiled"] is False
+    # Batch ingest writes through the plan's arena, so it compiled the plan.
+    assert snapshot["plan"]["compiled"] is True
+    assert snapshot["plan"]["stale"] is True
     gsketch.query_edges(sorted(zipf_stream.distinct_edges())[:4])
-    assert gsketch.telemetry_snapshot()["plan"]["compiled"] is True
+    assert gsketch.telemetry_snapshot()["plan"]["stale"] is False
 
     baseline = GlobalSketch(small_config)
     baseline.process(zipf_stream)
@@ -465,33 +467,6 @@ def test_engine_metrics_document(telemetry):
     assert "repro_accuracy_mean_error{" in text
 
 
-def test_shared_memory_executor_telemetry(telemetry):
-    from repro.distributed.executor import make_executor
-    from repro.graph.sampling import reservoir_sample
-
-    stream = _tiny_stream()
-    sample = reservoir_sample(stream, 300, seed=7)
-    sharded = ShardedGSketch.build(
-        sample,
-        GSketchConfig(total_cells=4_000, depth=4, seed=7),
-        num_shards=2,
-        executor=make_executor("shared"),
-    )
-    try:
-        sharded.ingest(stream, batch_size=512)
-        sharded.flush()
-    finally:
-        sharded.close()
-    snapshot = {entry["name"]: entry for entry in get_registry().snapshot()}
-    assert snapshot["repro_shared_batches_total"]["value"] > 0
-    assert snapshot["repro_shared_dispatch_seconds_total"]["value"] >= 0.0
-    planes = {event["stage"] for event in trace_events() if event["plane"] == "ingest"}
-    assert "shm_dispatch" in planes
-
-
-# ---------------------------------------------------------------------- #
-# CLI stats surface
-# ---------------------------------------------------------------------- #
 def test_cli_stats_json(capsys):
     was = obs_metrics.enabled()
     try:

@@ -220,22 +220,15 @@ def test_cache_invalidates_across_snapshot_restore(
     assert restored.query_edges(keys) == restored.query_edges_direct(keys)
 
 
-def test_shared_memory_executor_serves_through_plan(
+def test_sharded_serves_through_plan_across_ingest(
     zipf_stream, zipf_sample, small_config
 ):
-    from repro.distributed.executor import make_executor
-
-    sharded = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, executor=make_executor("shared")
-    )
-    try:
-        sharded.ingest(zipf_stream, batch_size=1024)
-        keys = _query_set(zipf_stream, count=100)
-        assert sharded.query_edges(keys) == sharded.query_edges_direct(keys)
-        sharded.ingest_batch(list(zipf_stream)[:256])
-        assert sharded.query_edges(keys) == sharded.query_edges_direct(keys)
-    finally:
-        sharded.close()
+    sharded = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
+    sharded.ingest(zipf_stream, batch_size=1024)
+    keys = _query_set(zipf_stream, count=100)
+    assert sharded.query_edges(keys) == sharded.query_edges_direct(keys)
+    sharded.ingest_batch(list(zipf_stream)[:256])
+    assert sharded.query_edges(keys) == sharded.query_edges_direct(keys)
 
 
 # ---------------------------------------------------------------------- #
@@ -253,7 +246,7 @@ def test_compiled_plan_matches_estimate_batch():
     keys = rng.integers(0, 2**63, size=500, dtype=np.int64).astype(np.uint64)
     for index, sketch in enumerate(sketches):
         sketch.update_batch(keys[index::3], np.ones(len(keys[index::3])))
-    plan = CompiledQueryPlan.compile(sketches, router=None, attach=False)
+    plan = CompiledQueryPlan.compile(sketches, router=None)
     slots = np.asarray([index % 3 for index in range(len(keys))], dtype=np.int64)
     estimates = plan.estimate_keys(keys, slots)
     for slot, sketch in enumerate(sketches):
@@ -273,7 +266,6 @@ def test_compiled_plan_rejects_mixed_depths():
 def test_attached_plan_sees_ingest_without_refresh(zipf_sample, small_config):
     gsketch = GSketch.build(zipf_sample, small_config)
     plan = gsketch.compile_plan()
-    assert plan.attached
     edge = next(iter(zipf_sample.distinct_edges()))
     gsketch.update(edge[0], edge[1], 3.0)
     # The arena is the live table: no refresh needed for raw estimates.

@@ -30,7 +30,6 @@ import time
 import pytest
 
 from conftest import make_zipf_stream
-from repro import faults
 from repro.api.engine import SketchEngine
 from repro.core.config import GSketchConfig
 from repro.queries.plan import demux_by_counts
@@ -658,7 +657,7 @@ class TestDrain:
 
 
 # ---------------------------------------------------------------------- #
-# Sharded and degraded serving over the wire
+# Sharded serving over the wire
 # ---------------------------------------------------------------------- #
 class TestShardedServing:
     def test_sharded_backend_served_bit_exact(self, serve_stream, serve_config):
@@ -680,51 +679,6 @@ class TestShardedServing:
             assert list(result.values) == list(direct)
         finally:
             engine.close()
-
-    def test_degraded_provenance_crosses_the_wire(self, serve_stream, serve_config):
-        from repro.graph.sampling import reservoir_sample
-
-        sample = reservoir_sample(serve_stream, 800, seed=5)
-        spec = faults.FaultSpec(
-            site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=1, shard=1, persistent=True
-        )
-        faults.install(faults.FaultPlan([spec]))
-        try:
-            engine = (
-                SketchEngine.builder()
-                .config(serve_config)
-                .sample(sample)
-                .stream_size_hint(len(serve_stream))
-                .sharded(3, "shared")
-                .recovery(
-                    max_restarts=1, backoff_seconds=0.01, degraded_serving=True
-                )
-                .build()
-            )
-            try:
-                engine.ingest(serve_stream, batch_size=256)
-                assert engine.estimator.degraded
-                # Stride across the whole distinct set so the query batch
-                # spans every shard's partitions, including the dead one.
-                all_keys = sorted(serve_stream.distinct_edges())
-                keys = all_keys[:: max(1, len(all_keys) // 256)]
-                direct = engine.estimator.query_edges(keys)
-                with engine.serve() as handle:
-                    with SyncServingClient(*handle.address) as client:
-                        result = client.query_edges(keys)
-                        confidence = client.query_edges_confidence(keys)
-                # Degraded serving is flagged on the coalesced lane...
-                assert result.degraded is True
-                assert list(result.values) == list(direct)
-                # ...and per-key provenance rides the confidence lane.
-                flagged = [row for row in confidence if row.get("degraded")]
-                assert flagged, "no confidence row carried degraded provenance"
-                for row in flagged:
-                    assert row["interval"]["upper_slack"] > 0.0
-            finally:
-                engine.close()
-        finally:
-            faults.clear()
 
 
 # ---------------------------------------------------------------------- #
