@@ -1,15 +1,13 @@
-"""Executor lifecycle tests: shared-memory parity, restart, crash recovery.
+"""Shard execution over shared memory: bit-exact parity and lifecycle.
 
-The acceptance bar for the shared-memory backend is the strongest one the
-engine offers: after any interleaving of ingest / query / snapshot, a
-:class:`~repro.distributed.shared_memory.SharedMemoryExecutor`-backed engine
-holds **bit-exact** ``state_dict`` contents versus the in-process
-:class:`~repro.distributed.executor.SequentialExecutor` reference — counter
+Every shard of a :class:`~repro.distributed.coordinator.ShardedGSketch` keeps
+its Count-Min tables in one engine-wide arena, and the batch kernel
+(:func:`~repro.sketches.arena.apply_batch`) executes each ingest batch against
+that shared memory in process.  The acceptance bar is bit-exact state versus
+per-edge :meth:`~repro.core.gsketch.GSketch.update` ingestion — counter
 tables, totals and update counts alike — for unit, fractional and
-conservative-update streams.  On top of parity, this module covers the
-lifecycle edges: restart after close, snapshot-while-attached, worker death
-(:class:`~repro.distributed.executor.ShardExecutionError`) and idempotent
-teardown.
+conservative-update streams, across interleaved queries and snapshots, engine
+close, snapshot restore and re-aggregation.
 """
 
 from __future__ import annotations
@@ -17,46 +15,36 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import faults
-from repro.api.engine import EngineError, SketchEngine
+from repro.api.engine import SketchEngine
 from repro.core.config import GSketchConfig
-from repro.distributed import (
-    SequentialExecutor,
-    ShardExecutionError,
-    ShardedGSketch,
-    SharedMemoryExecutor,
-    make_executor,
-)
+from repro.core.gsketch import GSketch
+from repro.distributed import ShardedGSketch
+from repro.graph.sampling import reservoir_sample
 
 
-#: Executor names the recovery supervisor can restart and replay.
-SUPERVISABLE = ["shared"]
+def _per_edge(sample, config, stream, prefix=None) -> GSketch:
+    gsketch = GSketch.build(sample, config, stream_size_hint=len(stream))
+    for edge in stream if prefix is None else stream.prefix(prefix):
+        gsketch.update(edge.source, edge.target, edge.frequency)
+    return gsketch
 
 
-def _build(sample, config, stream, num_shards=2, executor=None):
-    return ShardedGSketch.build(
-        sample,
-        config,
-        num_shards=num_shards,
-        executor=executor,
-        stream_size_hint=len(stream),
-    )
+def _assert_matches(sharded: ShardedGSketch, gsketch: GSketch) -> None:
+    """Table-, total- and count-exact equality with a single sketch."""
+    assert sharded.elements_processed == gsketch.elements_processed
+    assert sharded.outlier_elements == gsketch.outlier_elements
+    mine = sharded.to_gsketch()
+    pairs = list(zip(mine.partitions, gsketch.partitions))
+    pairs.append((mine.outlier_sketch, gsketch.outlier_sketch))
+    for index, (left, right) in enumerate(pairs):
+        assert np.array_equal(left.table, right.table), f"slot {index}: tables diverge"
+        assert left.total_count == right.total_count
+        assert left.update_count == right.update_count
 
 
-def _assert_states_bit_exact(left: dict, right: dict) -> None:
-    """Shard-by-shard, partition-by-partition state_dict equality."""
-    assert left["elements_processed"] == right["elements_processed"]
-    assert left["outlier_elements"] == right["outlier_elements"]
-    assert len(left["shards"]) == len(right["shards"])
-    for shard_left, shard_right in zip(left["shards"], right["shards"]):
-        assert shard_left["sketches"].keys() == shard_right["sketches"].keys()
-        for partition, sketch_left in shard_left["sketches"].items():
-            sketch_right = shard_right["sketches"][partition]
-            assert np.array_equal(sketch_left["table"], sketch_right["table"]), (
-                f"partition {partition}: counter tables diverge"
-            )
-            assert sketch_left["total"] == sketch_right["total"]
-            assert sketch_left["update_count"] == sketch_right["update_count"]
+@pytest.fixture(scope="module")
+def reference(zipf_stream, zipf_sample, small_config):
+    return _per_edge(zipf_sample, small_config, zipf_stream)
 
 
 class TestSharedMemoryParity:
@@ -64,420 +52,104 @@ class TestSharedMemoryParity:
         self, zipf_stream, zipf_sample, small_config
     ):
         """Ingest → query → snapshot → ingest again: state stays bit-exact."""
-        reference = _build(
-            zipf_sample, small_config, zipf_stream, executor=SequentialExecutor()
+        half = len(zipf_stream) // 2
+        edges = sorted(zipf_stream.distinct_edges())[:150]
+        sharded = ShardedGSketch.build(
+            zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
         )
-        with _build(
-            zipf_sample, small_config, zipf_stream, executor=SharedMemoryExecutor()
-        ) as shared:
-            half = len(zipf_stream) // 2
-            edges = sorted(zipf_stream.distinct_edges())[:150]
+        sharded.ingest(zipf_stream.prefix(half), batch_size=512)
+        midway = _per_edge(zipf_sample, small_config, zipf_stream, prefix=half)
+        assert sharded.query_edges(edges) == midway.query_edges(edges)
+        _assert_matches(ShardedGSketch.from_state(sharded.state_dict()), midway)
 
-            reference.ingest(zipf_stream.prefix(half), batch_size=512)
-            shared.ingest(zipf_stream.prefix(half), batch_size=512)
-            # Mid-stream queries force a pipeline flush; answers must agree.
-            assert shared.query_edges(edges) == reference.query_edges(edges)
-            # Mid-stream snapshot while workers stay attached.
-            _assert_states_bit_exact(reference.state_dict(), shared.state_dict())
-
-            reference.ingest(zipf_stream.suffix(half), batch_size=512)
-            shared.ingest(zipf_stream.suffix(half), batch_size=512)
-            assert shared.query_edges(edges) == reference.query_edges(edges)
-            _assert_states_bit_exact(reference.state_dict(), shared.state_dict())
-            assert shared.total_frequency == reference.total_frequency
+        sharded.ingest(zipf_stream.suffix(half), batch_size=512)
+        whole = _per_edge(zipf_sample, small_config, zipf_stream)
+        assert sharded.query_edges(edges) == whole.query_edges(edges)
+        _assert_matches(sharded, whole)
+        assert sharded.total_frequency == whole.total_frequency
 
     def test_fractional_frequencies_bit_exact(self, weighted_stream, small_config):
-        """Float (non-integral) frequencies keep bit-exact accumulation order."""
-        from repro.graph.sampling import reservoir_sample
-
+        """Float (non-integral) frequencies keep bit-exact tables and totals."""
         sample = reservoir_sample(weighted_stream, 400, seed=3)
-        reference = _build(sample, small_config, weighted_stream, num_shards=3)
-        reference.ingest(weighted_stream, batch_size=256)
-        with _build(
-            sample,
-            small_config,
-            weighted_stream,
-            num_shards=3,
-            executor=SharedMemoryExecutor(),
-        ) as shared:
-            shared.ingest(weighted_stream, batch_size=256)
-            _assert_states_bit_exact(reference.state_dict(), shared.state_dict())
+        sharded = ShardedGSketch.build(
+            sample, small_config, num_shards=3, stream_size_hint=len(weighted_stream)
+        )
+        sharded.ingest(weighted_stream, batch_size=256)
+        reference = _per_edge(sample, small_config, weighted_stream)
+        mine = sharded.to_gsketch()
+        for left, right in zip(mine.partitions, reference.partitions):
+            assert np.array_equal(left.table, right.table)
+        assert np.array_equal(mine.outlier_sketch.table, reference.outlier_sketch.table)
 
     def test_conservative_updates_bit_exact(self, zipf_stream, zipf_sample):
-        """Conservative update falls back to the sequential worker kernel."""
+        """Conservative update keeps its per-element rule inside the kernel."""
         config = GSketchConfig(
             total_cells=4_000, depth=3, seed=11, conservative_updates=True
         )
         prefix = zipf_stream.prefix(1_500)
-        reference = _build(zipf_sample, config, prefix)
-        reference.ingest(prefix, batch_size=256)
-        with _build(
-            zipf_sample, config, prefix, executor=SharedMemoryExecutor()
-        ) as shared:
-            shared.ingest(prefix, batch_size=256)
-            _assert_states_bit_exact(reference.state_dict(), shared.state_dict())
+        sharded = ShardedGSketch.build(
+            zipf_sample, config, num_shards=2, stream_size_hint=len(prefix)
+        )
+        sharded.ingest(prefix, batch_size=256)
+        _assert_matches(sharded, _per_edge(zipf_sample, config, prefix))
 
-    def test_more_shards_than_partitions(self, zipf_stream, zipf_sample, small_config):
-        """Empty shards get no worker but the engine still answers exactly."""
-        reference = _build(zipf_sample, small_config, zipf_stream)
-        reference.ingest(zipf_stream)
-        with _build(
-            zipf_sample,
-            small_config,
-            zipf_stream,
-            num_shards=50,
-            executor=SharedMemoryExecutor(),
-        ) as shared:
-            shared.ingest(zipf_stream)
-            edges = sorted(zipf_stream.distinct_edges())[:100]
-            assert shared.query_edges(edges) == reference.query_edges(edges)
+    def test_more_shards_than_partitions(
+        self, zipf_stream, zipf_sample, small_config, reference
+    ):
+        """Shards that own no partition still leave the engine exact."""
+        sharded = ShardedGSketch.build(
+            zipf_sample, small_config, num_shards=50, stream_size_hint=len(zipf_stream)
+        )
+        sharded.ingest(zipf_stream)
+        assert any(not shard.partition_ids for shard in sharded.shards)
+        edges = sorted(zipf_stream.distinct_edges())[:100]
+        assert sharded.query_edges(edges) == reference.query_edges(edges)
+        _assert_matches(sharded, reference)
 
 
 class TestSharedMemoryLifecycle:
-    def test_restart_after_close(self, zipf_stream, zipf_sample, small_config):
-        """close() detaches state; further ingest respawns workers correctly."""
+    def test_restart_after_close(self, zipf_stream, zipf_sample, small_config, reference):
+        """Ingest resumes after ``SketchEngine.close()``; close is idempotent."""
         half = len(zipf_stream) // 2
-        reference = _build(zipf_sample, small_config, zipf_stream)
-        reference.ingest(zipf_stream, batch_size=1024)
-
-        shared = _build(
-            zipf_sample, small_config, zipf_stream, executor=SharedMemoryExecutor()
+        engine = (
+            SketchEngine.builder()
+            .config(small_config)
+            .sample(zipf_sample)
+            .stream_size_hint(len(zipf_stream))
+            .sharded(2)
+            .build()
         )
-        shared.ingest(zipf_stream.prefix(half), batch_size=1024)
-        shared.close()
-        # Ingestion after close restarts the executor from detached state.
-        shared.ingest(zipf_stream.suffix(half), batch_size=1024)
-        _assert_states_bit_exact(reference.state_dict(), shared.state_dict())
-        shared.close()
-        shared.close()  # idempotent
+        engine.ingest(zipf_stream.prefix(half), batch_size=1024)
+        engine.close()
+        engine.ingest(zipf_stream.suffix(half), batch_size=1024)
+        _assert_matches(engine.estimator, reference)
+        engine.close()
+        engine.close()
 
     def test_snapshot_restore_resumes_exactly(
-        self, zipf_stream, zipf_sample, small_config
+        self, zipf_stream, zipf_sample, small_config, reference
     ):
-        """A snapshot taken while attached restores to a bit-exact resume."""
+        """A mid-stream snapshot restores to a bit-exact resume."""
         half = len(zipf_stream) // 2
-        reference = _build(zipf_sample, small_config, zipf_stream)
-        reference.ingest(zipf_stream, batch_size=512)
-
-        with _build(
-            zipf_sample, small_config, zipf_stream, executor=SharedMemoryExecutor()
-        ) as shared:
-            shared.ingest(zipf_stream.prefix(half), batch_size=512)
-            snapshot = shared.state_dict()
-
-        resumed = ShardedGSketch.from_state(snapshot, executor=SharedMemoryExecutor())
-        try:
-            resumed.ingest(zipf_stream.suffix(half), batch_size=512)
-            _assert_states_bit_exact(reference.state_dict(), resumed.state_dict())
-        finally:
-            resumed.close()
-
-    def test_checkpoint_and_merge_through_shared_executor(
-        self, zipf_stream, zipf_sample, small_config
-    ):
-        """Coordinator-side merge survives attached arenas and keeps serving."""
-        half = len(zipf_stream) // 2
-        reference = _build(zipf_sample, small_config, zipf_stream)
-        reference.ingest(zipf_stream, batch_size=1024)
-        edges = sorted(zipf_stream.distinct_edges())[:100]
-
-        with _build(
-            zipf_sample, small_config, zipf_stream, executor=SharedMemoryExecutor()
-        ) as first:
-            first.ingest(zipf_stream.prefix(half), batch_size=1024)
-            second = _build(zipf_sample, small_config, zipf_stream)
-            second.ingest(zipf_stream.suffix(half), batch_size=1024)
-            first.merge(second)
-            assert first.query_edges(edges) == reference.query_edges(edges)
-            # Workers were reset by the merge; keep ingesting through them.
-            first.update(987_654_321, 42)
-            assert first.query_edge((987_654_321, 42)) >= 1.0
+        sharded = ShardedGSketch.build(
+            zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
+        )
+        sharded.ingest(zipf_stream.prefix(half), batch_size=512)
+        resumed = ShardedGSketch.from_state(sharded.state_dict())
+        resumed.ingest(zipf_stream.suffix(half), batch_size=512)
+        _assert_matches(resumed, reference)
 
     def test_to_gsketch_does_not_alias_arena(
         self, zipf_stream, zipf_sample, small_config
     ):
-        """Re-aggregation deep-copies: closing the engine must not corrupt it."""
-        with _build(
-            zipf_sample, small_config, zipf_stream, executor=SharedMemoryExecutor()
-        ) as shared:
-            shared.ingest(zipf_stream, batch_size=2048)
-            gsketch = shared.to_gsketch()
-            tables_before = [p.table.copy() for p in gsketch.partitions]
+        """Re-aggregation deep-copies: further ingest must not reach it."""
+        half = len(zipf_stream) // 2
+        sharded = ShardedGSketch.build(
+            zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
+        )
+        sharded.ingest(zipf_stream.prefix(half), batch_size=2048)
+        gsketch = sharded.to_gsketch()
+        tables_before = [p.table.copy() for p in gsketch.partitions]
+        sharded.ingest(zipf_stream.suffix(half), batch_size=2048)
         for partition, before in zip(gsketch.partitions, tables_before):
             assert np.array_equal(partition.table, before)
-
-
-class TestWorkerCrashRecovery:
-    def _kill_first_worker(self, executor: SharedMemoryExecutor) -> None:
-        for process in executor.worker_processes:
-            if process is not None:
-                process.kill()
-                process.join(timeout=5.0)
-                return
-        raise AssertionError("no worker process to kill")
-
-    def test_shared_memory_crash_raises_named_error(
-        self, zipf_stream, zipf_sample, small_config
-    ):
-        executor = SharedMemoryExecutor()
-        engine = _build(
-            zipf_sample, small_config, zipf_stream, executor=executor
-        )
-        engine.ingest(zipf_stream.prefix(2_000), batch_size=512)
-        engine.flush()
-        self._kill_first_worker(executor)
-        with pytest.raises(ShardExecutionError, match=r"shard \d+"):
-            engine.ingest(zipf_stream.suffix(2_000), batch_size=512)
-            engine.flush()
-        # The failed batch may be half-applied across shards: reads must
-        # refuse to serve (no silently inconsistent totals or snapshots).
-        with pytest.raises(RuntimeError, match="incomplete"):
-            engine.total_frequency
-        with pytest.raises(RuntimeError, match="incomplete"):
-            engine.state_dict()
-        engine.close()
-        engine.close()  # close stays idempotent after the failure
-
-    def test_failed_close_poisons_reads_until_restore(
-        self, zipf_stream, zipf_sample, small_config
-    ):
-        """Losing in-flight batches at close() must not silently serve partial data."""
-        engine = _build(
-            zipf_sample, small_config, zipf_stream, executor=SharedMemoryExecutor()
-        )
-        # Workers die before applying their fourth (last) 512-edge batch,
-        # which is still in flight when ingest returns: close() drains first.
-        faults.install(
-            faults.FaultPlan(
-                [faults.FaultSpec(site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=4)]
-            )
-        )
-        try:
-            engine.ingest(zipf_stream.prefix(2_000), batch_size=512)
-        finally:
-            faults.clear()
-        with pytest.raises(ShardExecutionError):
-            engine.close()
-        engine.close()  # second close is a clean no-op
-        with pytest.raises(RuntimeError, match="incomplete"):
-            engine.query_edge((1, 2))
-        with pytest.raises(RuntimeError, match="incomplete"):
-            engine.state_dict()
-        # Restoring a checkpoint recovers the engine.
-        donor = _build(zipf_sample, small_config, zipf_stream)
-        donor.ingest(zipf_stream.prefix(2_000), batch_size=512)
-        engine.load_shard_states(donor.shard_states())
-        assert engine.query_edges([(1, 2)]) == donor.query_edges([(1, 2)])
-
-    def test_error_names_the_failing_shard(self, zipf_stream, zipf_sample, small_config):
-        executor = SharedMemoryExecutor()
-        engine = _build(zipf_sample, small_config, zipf_stream, executor=executor)
-        engine.ingest(zipf_stream.prefix(1_000), batch_size=512)
-        engine.flush()
-        killed_index = None
-        for index, process in enumerate(executor.worker_processes):
-            if process is not None:
-                process.kill()
-                process.join(timeout=5.0)
-                killed_index = index
-                break
-        with pytest.raises(ShardExecutionError) as excinfo:
-            engine.ingest(zipf_stream.suffix(1_000), batch_size=512)
-            engine.flush()
-        assert excinfo.value.shard_index == killed_index
-        assert f"shard {killed_index}" in str(excinfo.value)
-        engine.close()
-
-
-class TestEngineExecutorKnob:
-    @pytest.mark.parametrize("spec", ["sequential", "shared"])
-    def test_named_executors_reach_parity(
-        self, zipf_stream, zipf_sample, small_config, spec
-    ):
-        prefix = zipf_stream.prefix(2_000)
-        reference = _build(zipf_sample, small_config, prefix)
-        reference.ingest(prefix, batch_size=512)
-        edges = sorted(prefix.distinct_edges())[:50]
-        with (
-            SketchEngine.builder()
-            .config(small_config)
-            .sample(zipf_sample)
-            .stream_size_hint(len(prefix))
-            .sharded(2)
-            .executor(spec)
-            .build()
-        ) as engine:
-            engine.ingest(prefix, batch_size=512)
-            assert engine.estimator.query_edges(edges) == reference.query_edges(edges)
-
-    def test_executor_without_sharded_is_rejected(self, zipf_sample, small_config):
-        with pytest.raises(EngineError, match="sharded"):
-            (
-                SketchEngine.builder()
-                .config(small_config)
-                .sample(zipf_sample)
-                .executor("shared")
-                .build()
-            )
-
-    def test_unknown_executor_name_is_rejected(self, zipf_sample, small_config):
-        for name in ("warp-drive", "threads", "processes"):
-            with pytest.raises(EngineError, match="unknown executor.*sequential, shared"):
-                (
-                    SketchEngine.builder()
-                    .config(small_config)
-                    .sample(zipf_sample)
-                    .sharded(2)
-                    .executor(name)
-                    .build()
-                )
-
-    def test_make_executor_passthrough_and_names(self):
-        sequential = SequentialExecutor()
-        assert make_executor(sequential) is sequential
-        assert make_executor(None) is None
-        assert isinstance(make_executor("shared"), SharedMemoryExecutor)
-        for name in ("bogus", "threads", "processes"):
-            with pytest.raises(ValueError, match="sequential, shared"):
-                make_executor(name)
-
-
-class TestSupervisedLifecycle:
-    """Supervised recovery on the raw executor lifecycle edges."""
-
-    POLICY_KWARGS = dict(max_restarts=2, backoff_seconds=0.01)
-
-    def _kill_one(self, executor) -> None:
-        for process in executor.worker_processes:
-            if process is not None and process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
-                return
-        raise AssertionError("no worker process to kill")
-
-    @pytest.mark.parametrize("executor_name", SUPERVISABLE)
-    def test_crash_during_flush_recovers_bit_exact(
-        self, executor_name, zipf_stream, zipf_sample, small_config
-    ):
-        """A worker killed with batches outstanding: flush recovers, parity holds."""
-        from repro.distributed import RecoveryPolicy
-
-        reference = _build(zipf_sample, small_config, zipf_stream)
-        reference.ingest(zipf_stream, batch_size=512)
-
-        executor = make_executor(executor_name)
-        half = len(zipf_stream) // 2
-        engine = ShardedGSketch.build(
-            zipf_sample,
-            small_config,
-            num_shards=2,
-            executor=executor,
-            stream_size_hint=len(zipf_stream),
-            recovery=RecoveryPolicy(**self.POLICY_KWARGS),
-        )
-        try:
-            engine.ingest(zipf_stream.prefix(half), batch_size=512)
-            self._kill_one(executor)  # dies with batches possibly still in flight
-            engine.ingest(zipf_stream.suffix(half), batch_size=512)
-            engine.flush()
-            _assert_states_bit_exact(reference.state_dict(), engine.state_dict())
-            assert engine.supervisor.restarts >= 1
-            assert engine.dead_shards == ()
-        finally:
-            engine.close()
-
-    @pytest.mark.parametrize("executor_name", SUPERVISABLE)
-    def test_repeated_crashes_keep_recovering(
-        self, executor_name, zipf_stream, zipf_sample, small_config
-    ):
-        """Each incident gets a fresh restart budget; serial crashes all heal."""
-        from repro.distributed import RecoveryPolicy
-
-        reference = _build(zipf_sample, small_config, zipf_stream)
-        reference.ingest(zipf_stream, batch_size=1024)
-
-        executor = make_executor(executor_name)
-        third = len(zipf_stream) // 3
-        engine = ShardedGSketch.build(
-            zipf_sample,
-            small_config,
-            num_shards=2,
-            executor=executor,
-            stream_size_hint=len(zipf_stream),
-            recovery=RecoveryPolicy(**self.POLICY_KWARGS),
-        )
-        try:
-            engine.ingest(zipf_stream.prefix(third), batch_size=1024)
-            self._kill_one(executor)
-            engine.ingest(zipf_stream.prefix(2 * third).suffix(third), batch_size=1024)
-            engine.flush()
-            self._kill_one(executor)
-            engine.ingest(zipf_stream.suffix(2 * third), batch_size=1024)
-            engine.flush()
-            _assert_states_bit_exact(reference.state_dict(), engine.state_dict())
-            assert engine.supervisor.restarts >= 2
-        finally:
-            engine.close()
-
-    def test_supervised_empty_shards_reach_parity(
-        self, zipf_stream, zipf_sample, small_config
-    ):
-        """More shards than partitions: empty shards have no worker to
-        restart, and supervision must not trip over them."""
-        from repro.distributed import RecoveryPolicy
-
-        reference = _build(zipf_sample, small_config, zipf_stream)
-        reference.ingest(zipf_stream, batch_size=1024)
-        executor = SharedMemoryExecutor()
-        engine = ShardedGSketch.build(
-            zipf_sample,
-            small_config,
-            num_shards=50,
-            executor=executor,
-            stream_size_hint=len(zipf_stream),
-            recovery=RecoveryPolicy(**self.POLICY_KWARGS),
-        )
-        try:
-            engine.ingest(zipf_stream.prefix(2_000), batch_size=1024)
-            self._kill_one(executor)
-            engine.ingest(zipf_stream.suffix(2_000), batch_size=1024)
-            engine.flush()
-            edges = sorted(zipf_stream.distinct_edges())[:100]
-            assert engine.query_edges(edges) == reference.query_edges(edges)
-            # An empty shard has no worker: restarting it is a named error,
-            # not a hang or a silent no-op.
-            empty = next(
-                index
-                for index, process in enumerate(executor.worker_processes)
-                if process is None
-            )
-            with pytest.raises(ShardExecutionError, match="no worker"):
-                executor.restart_shard(engine.shards, empty)
-        finally:
-            engine.close()
-
-    def test_teardown_escalates_to_kill(self):
-        """A worker ignoring SIGTERM is force-killed within the deadline."""
-        import multiprocessing
-        import signal
-        import time as time_module
-
-        from repro.distributed.executor import reap_workers
-
-        def stubborn() -> None:
-            signal.signal(signal.SIGTERM, signal.SIG_IGN)
-            while True:
-                time_module.sleep(0.1)
-
-        process = multiprocessing.get_context("fork").Process(target=stubborn)
-        process.start()
-        try:
-            start = time_module.monotonic()
-            reap_workers([], [process], deadline=0.5)
-            elapsed = time_module.monotonic() - start
-            assert not process.is_alive()
-            assert elapsed < 5.0  # escalated instead of waiting out SIGTERM
-            assert process.exitcode == -signal.SIGKILL
-        finally:
-            if process.is_alive():  # pragma: no cover - cleanup on failure
-                process.kill()
