@@ -10,8 +10,8 @@ comparison table, appends the same table as markdown to
 summary), and exits non-zero on any regression.
 
 Floors are *ratios between modes of the same run* (batched vs per-edge,
-sharded vs batched, columnar vs scalar build, compiled query plan vs the
-pre-plan routed path, N-client serving QPS vs 1-client), so they
+columnar vs scalar build, compiled query plan vs the pre-plan routed path,
+N-client serving QPS vs 1-client), so they
 are portable across machine speeds; the ``quick`` profile carries loose
 sanity floors suitable for PR smoke sizes, the ``full`` profile carries the
 real performance bars enforced nightly and locally::

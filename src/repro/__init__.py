@@ -45,7 +45,6 @@ from repro.core.config import GSketchConfig
 from repro.core.global_sketch import GlobalSketch
 from repro.core.gsketch import GSketch
 from repro.core.windowed import WindowedGSketch
-from repro.distributed import ShardPlan, ShardedGSketch
 from repro.faults import FaultPlan, FaultSpec
 from repro.graph.batch import EdgeBatch
 from repro.graph.edge import StreamEdge
@@ -80,8 +79,6 @@ __all__ = [
     "GlobalSketch",
     "GraphStream",
     "Provenance",
-    "ShardPlan",
-    "ShardedGSketch",
     "ServingClient",
     "ServingConfig",
     "SketchEngine",

@@ -3,10 +3,9 @@
 This package is the canonical way to build, ingest into, query and persist
 any estimator backend:
 
-* :class:`~repro.api.protocol.Estimator` — the structural Protocol all four
+* :class:`~repro.api.protocol.Estimator` — the structural Protocol all three
   backends (:class:`~repro.core.gsketch.GSketch`,
   :class:`~repro.core.global_sketch.GlobalSketch`,
-  :class:`~repro.distributed.coordinator.ShardedGSketch`,
   :class:`~repro.core.windowed.WindowedGSketch`) implement;
 * typed queries (:class:`EdgeQuery`, :class:`SubgraphQuery`,
   :class:`WindowQuery`) and typed results (:class:`Estimate`,
@@ -25,7 +24,8 @@ Quickstart::
     engine = (SketchEngine.builder()
               .config(total_cells=60_000, depth=4, seed=7)
               .dataset(stream)            # or .sample(...) / .workload(...)
-              .build())                   # .sharded(4) / .windowed(86400.0)
+              # .windowed(86400.0)        # or: one estimator per time window
+              .build())
     engine.ingest(stream)
     estimate = engine.query(EdgeQuery("alice", "bob"))
     engine.save("sketch.snap")
@@ -36,7 +36,6 @@ from repro.api.engine import DEFAULT_SAMPLE_SIZE, EngineBuilder, EngineError, Sk
 from repro.api.protocol import (
     BACKEND_GLOBAL,
     BACKEND_GSKETCH,
-    BACKEND_SHARDED,
     BACKEND_WINDOWED,
     Estimator,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "BACKEND_CLASSES",
     "BACKEND_GLOBAL",
     "BACKEND_GSKETCH",
-    "BACKEND_SHARDED",
     "BACKEND_WINDOWED",
     "ConfidenceInterval",
     "DEFAULT_SAMPLE_SIZE",

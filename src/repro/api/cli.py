@@ -102,10 +102,10 @@ def _open_engine(path: str) -> SketchEngine:
 # Commands
 # ---------------------------------------------------------------------- #
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.baseline and (args.sharded is not None or args.windowed is not None):
+    if args.baseline and args.windowed is not None:
         raise EngineError(
             "--baseline builds the unpartitioned Global Sketch and cannot be "
-            "combined with --sharded or --windowed"
+            "combined with --windowed"
         )
     stream = resolve_stream(args)
     config = GSketchConfig(total_cells=args.cells, depth=args.depth, seed=args.seed)
@@ -117,8 +117,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             stream, args.sample_size, args.workload_alpha, seed=args.seed + 1
         )
         builder = builder.workload(workload)
-    if args.sharded is not None:
-        builder = builder.sharded(args.sharded)
     if args.windowed is not None:
         builder = builder.windowed(args.windowed, sample_size=args.sample_size)
 
@@ -145,7 +143,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         summary["checkpoint"] = args.checkpoint_dir
     out = args.out or args.snapshot
     if os.path.isdir(out):
-        # The input was a checkpoint directory: update it incrementally.
+        # The input was a checkpoint directory: checkpoint into it again.
         engine.checkpoint(out)
         summary["checkpoint"] = out
     else:
@@ -314,10 +312,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     stream = resolve_stream(args)
     config = GSketchConfig(total_cells=args.cells, depth=args.depth, seed=args.seed)
-    builder = SketchEngine.builder().config(config).dataset(stream)
-    if args.sharded is not None:
-        builder = builder.sharded(args.sharded)
-    engine = builder.build()
+    engine = SketchEngine.builder().config(config).dataset(stream).build()
 
     start = time.perf_counter()
     ingested = engine.ingest(stream, batch_size=args.batch_size)
@@ -355,18 +350,16 @@ def cmd_query_bench(args: argparse.Namespace) -> int:
     """
     from repro.experiments.query_bench import build_query_workload, measure_query_paths
 
-    if args.baseline and (args.sharded is not None or args.windowed is not None):
+    if args.baseline and args.windowed is not None:
         raise EngineError(
             "--baseline benches the unpartitioned Global Sketch and cannot be "
-            "combined with --sharded or --windowed"
+            "combined with --windowed"
         )
     stream = resolve_stream(args)
     config = GSketchConfig(total_cells=args.cells, depth=args.depth, seed=args.seed)
     builder = SketchEngine.builder().config(config)
     if not args.baseline:
         builder = builder.dataset(stream)
-    if args.sharded is not None:
-        builder = builder.sharded(args.sharded)
     if args.windowed is not None:
         builder = builder.windowed(args.windowed)
     engine = builder.build()
@@ -414,10 +407,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         set_enabled,
     )
 
-    if args.baseline and (args.sharded is not None or args.windowed is not None):
+    if args.baseline and args.windowed is not None:
         raise EngineError(
             "--baseline profiles the unpartitioned Global Sketch and cannot be "
-            "combined with --sharded or --windowed"
+            "combined with --windowed"
         )
     set_enabled(True)
     get_registry().reset()
@@ -428,8 +421,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     builder = SketchEngine.builder().config(config)
     if not args.baseline:
         builder = builder.dataset(stream)
-    if args.sharded is not None:
-        builder = builder.sharded(args.sharded)
     if args.windowed is not None:
         builder = builder.windowed(args.windowed)
     engine = builder.build()
@@ -478,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="partition with a Zipf workload sample of this skewness",
     )
-    build.add_argument("--sharded", type=int, default=None, metavar="N")
     build.add_argument("--windowed", type=float, default=None, metavar="LENGTH")
     build.add_argument(
         "--baseline", action="store_true", help="Global Sketch baseline (no partitioning)"
@@ -505,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="also write (or incrementally update) a checkpoint directory",
+        help="also write a crash-consistent checkpoint directory",
     )
     ingest.set_defaults(func=cmd_ingest)
 
@@ -583,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(bench)
     bench.add_argument("--cells", type=int, default=DEFAULT_CELLS)
     bench.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    bench.add_argument("--sharded", type=int, default=None, metavar="N")
     bench.add_argument("--batch-size", type=int, default=8192)
     bench.add_argument("--queries", type=int, default=500)
     bench.set_defaults(func=cmd_bench)
@@ -595,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(query_bench)
     query_bench.add_argument("--cells", type=int, default=DEFAULT_CELLS)
     query_bench.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    query_bench.add_argument("--sharded", type=int, default=None, metavar="N")
     query_bench.add_argument(
         "--windowed", type=float, default=None, metavar="LENGTH"
     )
@@ -627,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(stats)
     stats.add_argument("--cells", type=int, default=DEFAULT_CELLS)
     stats.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    stats.add_argument("--sharded", type=int, default=None, metavar="N")
     stats.add_argument("--windowed", type=float, default=None, metavar="LENGTH")
     stats.add_argument(
         "--baseline",

@@ -1,14 +1,14 @@
 """The :class:`SketchEngine` facade: one entry point for every backend.
 
 ``SketchEngine`` owns the full estimator lifecycle — **build** (fluent
-builder over data sample / query workload / shard count / window length),
+builder over data sample / query workload / window length),
 **ingest** (columnar batches through the
 :class:`~repro.api.protocol.Estimator` surface), **query** (typed
 :class:`~repro.api.queries.Query` objects in,
 :class:`~repro.api.results.Estimate` objects out) and **snapshot/restore**
 (the versioned :mod:`repro.api.snapshot` format) — so callers program against
 one logical interface while the physical execution strategy (single sketch,
-partitioned, sharded, windowed) stays a construction-time choice::
+partitioned, windowed) stays a construction-time choice::
 
     engine = (SketchEngine.builder()
               .config(total_cells=60_000, depth=4, seed=7)
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
 from repro.api.protocol import (
     BACKEND_GLOBAL,
     BACKEND_GSKETCH,
-    BACKEND_SHARDED,
     BACKEND_WINDOWED,
     Estimator,
 )
@@ -50,7 +49,6 @@ from repro.core.gsketch import DEFAULT_BATCH_SIZE, GSketch, iter_edge_batches
 from repro.core.router import OUTLIER_PARTITION
 from repro.core.windowed import WindowedGSketch
 from repro.datasets.registry import load_dataset
-from repro.distributed.coordinator import ShardedGSketch
 from repro.graph.batch import EdgeBatch
 from repro.graph.edge import EdgeKey, StreamEdge
 from repro.graph.sampling import reservoir_sample
@@ -239,24 +237,19 @@ class SketchEngine:
                 for interval in self._estimator.confidence_batch(keys)
             ]
         intervals, partitions = combined(keys)
-        plan = self._estimator.plan if self._backend == BACKEND_SHARDED else None
-        estimates = []
-        for interval, partition in zip(intervals, partitions):
-            shard = None if plan is None else plan.shard_of(partition)
-            estimates.append(
-                Estimate(
-                    value=interval.estimate,
-                    interval=interval,
-                    provenance=Provenance(
-                        backend=self._backend,
-                        partition=partition,
-                        shard=shard,
-                        outlier=partition == OUTLIER_PARTITION,
-                        generation=generation,
-                    ),
-                )
+        return [
+            Estimate(
+                value=interval.estimate,
+                interval=interval,
+                provenance=Provenance(
+                    backend=self._backend,
+                    partition=partition,
+                    outlier=partition == OUTLIER_PARTITION,
+                    generation=generation,
+                ),
             )
-        return estimates
+            for interval, partition in zip(intervals, partitions)
+        ]
 
     def _query_window(self, query: WindowQuery) -> Estimate:
         if self._backend != BACKEND_WINDOWED:
@@ -330,12 +323,12 @@ class SketchEngine:
         return cls.from_estimator(load_snapshot(path))
 
     def checkpoint(self, directory: Union[str, Path]) -> Path:
-        """Write (or incrementally update) a crash-consistent checkpoint.
+        """Write a crash-consistent checkpoint of the whole engine state.
 
-        Sections whose dirty generation is unchanged since the previous
-        checkpoint of the same engine instance are carried forward, so
-        steady-state checkpoints rewrite only the shards that ingested in
-        between.  See :func:`repro.api.snapshot.save_checkpoint`.
+        A repeat checkpoint into the same directory writes a new state file
+        and swaps the manifest; a crash at any point leaves the previous or
+        the new checkpoint loadable.  See
+        :func:`repro.api.snapshot.save_checkpoint`.
         """
         return save_checkpoint(self._estimator, directory)
 
@@ -387,7 +380,7 @@ class SketchEngine:
             "backend": self._backend,
             "elements_processed": self.elements_processed,
         }
-        for attribute in ("num_partitions", "num_shards", "num_windows", "memory_cells"):
+        for attribute in ("num_partitions", "num_windows", "memory_cells"):
             value = getattr(estimator, attribute, None)
             if value is not None:
                 summary[attribute] = int(value)
@@ -536,9 +529,9 @@ class EngineBuilder:
     """Fluent configuration of a :class:`SketchEngine`.
 
     Call order is free; :meth:`build` validates the combination.  The variant
-    defaults to the partitioned single-process gSketch when a sample source is
-    given and the Global Sketch baseline otherwise; :meth:`sharded` and
-    :meth:`windowed` select the scale-out and time-windowed variants.
+    defaults to the partitioned gSketch when a sample source is given and the
+    Global Sketch baseline otherwise; :meth:`windowed` selects the
+    time-windowed variant.
     """
 
     def __init__(self) -> None:
@@ -549,7 +542,6 @@ class EngineBuilder:
         self._sample_size = DEFAULT_SAMPLE_SIZE
         self._workload: Optional[Union[QueryWorkload, GraphStream]] = None
         self._smoothing_alpha = 1.0
-        self._num_shards: Optional[int] = None
         self._window_length: Optional[float] = None
         self._window_sample_size = DEFAULT_SAMPLE_SIZE
         self._stream_size_hint: Optional[int] = None
@@ -606,13 +598,6 @@ class EngineBuilder:
         return self
 
     # -- variants ------------------------------------------------------ #
-    def sharded(self, num_shards: int) -> "EngineBuilder":
-        """Spread the partitioning over ``num_shards`` in-process shards."""
-        if num_shards <= 0:
-            raise EngineError(f"shard count must be > 0, got {num_shards}")
-        self._num_shards = num_shards
-        return self
-
     def windowed(
         self, window_length: float, sample_size: int = DEFAULT_SAMPLE_SIZE
     ) -> "EngineBuilder":
@@ -626,8 +611,6 @@ class EngineBuilder:
         """Validate the combination and construct the engine."""
         if self._config is None:
             raise EngineError("a space budget is required: call .config(...) first")
-        if self._window_length is not None and self._num_shards is not None:
-            raise EngineError("windowed and sharded variants are mutually exclusive")
 
         if self._window_length is not None:
             if self._workload is not None:
@@ -645,11 +628,6 @@ class EngineBuilder:
 
         sample, hint = self._resolve_sample()
         if sample is None:
-            if self._num_shards is not None:
-                raise EngineError(
-                    "the sharded backend needs a partitioning sample: call "
-                    ".sample(...) or .dataset(...)"
-                )
             if self._workload is not None:
                 raise EngineError(
                     "workload-aware partitioning needs a data sample: call "
@@ -665,21 +643,8 @@ class EngineBuilder:
                 smoothing_alpha=self._smoothing_alpha,
                 stream_size_hint=hint,
             )
-            if self._num_shards is not None:
-                # Workload-aware sharding has no direct ShardedGSketch
-                # constructor; re-shard the freshly built (empty) sketch.
-                sharded = ShardedGSketch.from_gsketch(gsketch, num_shards=self._num_shards)
-                return SketchEngine(sharded, BACKEND_SHARDED)
             return SketchEngine(gsketch, BACKEND_GSKETCH)
 
-        if self._num_shards is not None:
-            sharded = ShardedGSketch.build(
-                sample,
-                self._config,
-                num_shards=self._num_shards,
-                stream_size_hint=hint,
-            )
-            return SketchEngine(sharded, BACKEND_SHARDED)
         gsketch = GSketch.build(sample, self._config, stream_size_hint=hint)
         return SketchEngine(gsketch, BACKEND_GSKETCH)
 

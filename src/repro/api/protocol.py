@@ -3,10 +3,9 @@ implements.
 
 Production query engines separate the *logical* query surface callers program
 against from the *physical* execution strategy behind it.  This module pins
-down that logical surface for the four estimator backends —
+down that logical surface for the three estimator backends —
 :class:`~repro.core.gsketch.GSketch`,
-:class:`~repro.core.global_sketch.GlobalSketch`,
-:class:`~repro.distributed.coordinator.ShardedGSketch` and
+:class:`~repro.core.global_sketch.GlobalSketch` and
 :class:`~repro.core.windowed.WindowedGSketch` — so that experiments, the
 :class:`~repro.api.engine.SketchEngine` facade and the ``python -m repro`` CLI
 can treat any of them interchangeably.
@@ -30,7 +29,6 @@ from repro.queries.subgraph_query import SubgraphQuery
 #: Canonical backend names, used by snapshots and provenance records.
 BACKEND_GSKETCH = "gsketch"
 BACKEND_GLOBAL = "global"
-BACKEND_SHARDED = "sharded"
 BACKEND_WINDOWED = "windowed"
 
 

@@ -4,8 +4,8 @@ The raw backend methods return bare floats; the public facade surface wraps
 them in :class:`Estimate` objects that carry the point value, the
 per-partition Equation-1 :class:`~repro.core.estimator.ConfidenceInterval`
 (when the query shape admits one), and a :class:`Provenance` record saying
-*which physical structure answered* — the backend, the partition, the shard
-and whether the outlier sketch served the query.  Different partitions give
+*which physical structure answered* — the backend, the partition and
+whether the outlier sketch served the query.  Different partitions give
 different error guarantees (Section 5), so provenance is part of the answer,
 not debug metadata.
 """
@@ -24,13 +24,11 @@ class Provenance:
 
     Attributes:
         backend: canonical backend name (``"gsketch"``, ``"global"``,
-            ``"sharded"``, ``"windowed"``).
+            ``"windowed"``).
         partition: index of the localized partition that answered, when the
             backend routes queries through a partitioning
             (:data:`~repro.core.router.OUTLIER_PARTITION` marks the outlier
             sketch); ``None`` when the notion does not apply.
-        shard: index of the shard owning that partition (sharded backend
-            only).
         outlier: whether the outlier sketch served the query; ``None`` when
             the backend has no outlier reservation.
         generation: the engine's ingest generation at answer time (``None``
@@ -41,7 +39,6 @@ class Provenance:
 
     backend: str
     partition: Optional[int] = None
-    shard: Optional[int] = None
     outlier: Optional[bool] = None
     generation: Optional[int] = None
 
@@ -72,8 +69,6 @@ class Estimate:
         }
         if self.provenance.partition is not None:
             result["partition"] = self.provenance.partition
-        if self.provenance.shard is not None:
-            result["shard"] = self.provenance.shard
         if self.provenance.outlier is not None:
             result["outlier"] = self.provenance.outlier
         if self.provenance.generation is not None:

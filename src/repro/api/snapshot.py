@@ -17,23 +17,20 @@ The header is a plain pickle; the section payloads follow it back to back.
 Each section carries a CRC32 and its exact length, so a torn write
 (truncation) or silent corruption (bit flip) is rejected by
 :func:`load_snapshot` with a :class:`SnapshotError` *naming the bad
-section* — never deserialized into garbage counters.  Sharded engines split
-into a small ``state`` section (partitioning, plan, scalars) plus one
-``shard-N`` section per shard; other backends write a single ``state``
-section.  Version 1 files (one pickle, no checksums) still load.
+section* — never deserialized into garbage counters.  Every backend writes
+one ``state`` section holding its whole ``state_dict()``.  Version 1 files
+(one pickle, no checksums) still load.
 
-:func:`save_checkpoint` / :func:`load_checkpoint` keep the same sections as
-*files in a directory* under an atomically-swapped ``MANIFEST.json`` —
-an **incremental** checkpoint: a section whose dirty generation matches the
-manifest is carried forward instead of rewritten, so steady-state
-checkpoints rewrite only the shards that ingested since the last one.
-Every file is written temp-file → flush → fsync → ``os.replace``, so a
-crash mid-checkpoint leaves the previous checkpoint fully intact.
+:func:`save_checkpoint` / :func:`load_checkpoint` keep the same section as a
+*file in a directory* under an atomically-swapped ``MANIFEST.json``.  Each
+checkpoint writes a new ``state-{n}.bin`` (``n`` one past the live
+manifest's generation), never a file the live manifest names, and every file
+is written temp-file → flush → fsync → ``os.replace``, so a crash
+mid-checkpoint leaves the previous checkpoint fully intact.
 
 Payloads are pickled (counter tables are numpy arrays and the partitioning
 tree/router carry arbitrary hashable vertex labels), so snapshots are a
-trusted-input format — the same trust model as
-:meth:`~repro.distributed.shard.SketchShard.serialize`.
+trusted-input format: load only files this program wrote.
 """
 
 from __future__ import annotations
@@ -43,20 +40,18 @@ import os
 import pickle
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type, Union
+from typing import Dict, List, Mapping, Optional, Type, Union
 
 from repro import faults as _faults
 from repro.api.protocol import (
     BACKEND_GLOBAL,
     BACKEND_GSKETCH,
-    BACKEND_SHARDED,
     BACKEND_WINDOWED,
     Estimator,
 )
 from repro.core.global_sketch import GlobalSketch
 from repro.core.gsketch import GSketch
 from repro.core.windowed import WindowedGSketch
-from repro.distributed.coordinator import ShardedGSketch
 
 SNAPSHOT_FORMAT = "repro.sketch-snapshot"
 SNAPSHOT_VERSION = 2
@@ -69,7 +64,6 @@ MANIFEST_NAME = "MANIFEST.json"
 BACKEND_CLASSES: Dict[str, type] = {
     BACKEND_GSKETCH: GSketch,
     BACKEND_GLOBAL: GlobalSketch,
-    BACKEND_SHARDED: ShardedGSketch,
     BACKEND_WINDOWED: WindowedGSketch,
 }
 
@@ -112,25 +106,9 @@ def _resolve_backend(backend, source: str) -> type:
     return cls
 
 
-def _estimator_sections(
-    estimator: Estimator,
-) -> Tuple[Dict[str, int], Callable[[str], bytes]]:
-    """The estimator's checkpoint sections: ``{name: generation}`` + loader.
-
-    Sharded engines expose ``checkpoint_generations``/``checkpoint_section``
-    (one section per shard, dirty-generation tracked); every other backend
-    falls back to a single always-dirty ``state`` section holding its full
-    ``state_dict``.
-    """
-    generations_fn = getattr(estimator, "checkpoint_generations", None)
-    section_fn = getattr(estimator, "checkpoint_section", None)
-    if generations_fn is not None and section_fn is not None:
-        return generations_fn(), section_fn
-
-    def whole_state(name: str) -> bytes:
-        return pickle.dumps(estimator.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
-
-    return {"state": 0}, whole_state
+def _state_section(estimator: Estimator) -> bytes:
+    """The one ``state`` section: the estimator's pickled ``state_dict``."""
+    return pickle.dumps(estimator.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _revive_from_sections(
@@ -138,10 +116,7 @@ def _revive_from_sections(
 ) -> Estimator:
     """Assemble an estimator from verified section payloads."""
     cls: Type = _resolve_backend(backend, source)
-    assemble = getattr(cls, "from_checkpoint_sections", None)
     try:
-        if assemble is not None:
-            return assemble(sections)
         return cls.from_state(pickle.loads(sections["state"]))
     except _PICKLE_ERRORS as error:
         raise SnapshotError(
@@ -171,23 +146,18 @@ def save_snapshot(estimator: Estimator, path: Union[str, Path]) -> Path:
     bit-identically; a file damaged on disk afterwards (truncated, bit
     flipped) is rejected at load with the damaged section named.
     """
-    generations, section_fn = _estimator_sections(estimator)
-    names = sorted(generations)
-    payloads = [section_fn(name) for name in names]
+    data = _state_section(estimator)
     header = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "backend": backend_name(estimator),
-        "payload_length": sum(len(data) for data in payloads),
-        "sections": [
-            {"name": name, "length": len(data), "crc32": zlib.crc32(data)}
-            for name, data in zip(names, payloads)
-        ],
+        "payload_length": len(data),
+        "sections": [{"name": "state", "length": len(data), "crc32": zlib.crc32(data)}],
     }
     # Checksums cover the true bytes; the durability fault sites mangle what
     # is physically written, so an injected torn/corrupt write fails
     # validation exactly like a real one.
-    body, _ = _faults.mangle_payload(b"".join(payloads))
+    body, _ = _faults.mangle_payload(data)
     path = Path(path)
     _write_atomic(
         path, pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL) + body
@@ -254,72 +224,49 @@ def _verify_sections(
 
 
 # ---------------------------------------------------------------------- #
-# Checkpoint directories (incremental, crash-consistent)
+# Checkpoint directories (crash-consistent)
 # ---------------------------------------------------------------------- #
 def save_checkpoint(estimator: Estimator, directory: Union[str, Path]) -> Path:
-    """Write (or incrementally update) a checkpoint directory.
+    """Write a checkpoint directory, replacing any checkpoint already there.
 
-    Layout: one ``{section}-{generation}.bin`` file per section plus an
-    atomically-swapped ``MANIFEST.json`` naming the live files with their
-    lengths and CRC32 checksums.  Sections whose dirty generation matches
-    the existing manifest are carried forward untouched; superseded section
-    files are removed after the new manifest is in place.  A crash at any
+    Layout: one ``state-{generation}.bin`` file holding the estimator's whole
+    state plus an atomically-swapped ``MANIFEST.json`` naming it with its
+    length and CRC32.  The generation is one past the live manifest's, so a
+    checkpoint never writes to a file the live manifest names; the superseded
+    file is removed only after the new manifest is in place.  A crash at any
     point leaves the directory loading as either the old or the new
     checkpoint, never a mix.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     backend = backend_name(estimator)
-    epoch = getattr(estimator, "checkpoint_epoch", None)
-    generations, section_fn = _estimator_sections(estimator)
-
-    carried: Dict[str, dict] = {}
     previous = _read_manifest(directory, required=False)
-    if (
-        previous is not None
-        and epoch is not None
-        and previous.get("epoch") == epoch
-        and previous.get("backend") == backend
-    ):
-        carried = {entry["name"]: entry for entry in previous["sections"]}
-
-    entries: List[dict] = []
-    for name in sorted(generations):
-        generation = int(generations[name])
-        prior = carried.get(name)
-        if (
-            prior is not None
-            and int(prior["generation"]) == generation
-            and (directory / prior["file"]).exists()
-        ):
-            entries.append(prior)  # clean section: carry the file forward
-            continue
-        data = section_fn(name)
-        entry = {
-            "name": name,
-            "generation": generation,
-            "file": f"{name}-{generation}.bin",
-            "length": len(data),
-            "crc32": zlib.crc32(data),
-        }
-        # Checksum the true bytes, write the (possibly fault-mangled) bytes:
-        # an injected torn/corrupt section write must fail validation.
-        mangled, _ = _faults.mangle_payload(data)
-        _write_atomic(directory / entry["file"], mangled)
-        entries.append(entry)
+    generation = 0
+    if previous is not None and previous["sections"]:
+        generation = 1 + max(int(entry["generation"]) for entry in previous["sections"])
+    data = _state_section(estimator)
+    entry = {
+        "name": "state",
+        "generation": generation,
+        "file": f"state-{generation}.bin",
+        "length": len(data),
+        "crc32": zlib.crc32(data),
+    }
+    # Checksum the true bytes, write the (possibly fault-mangled) bytes:
+    # an injected torn/corrupt section write must fail validation.
+    mangled, _ = _faults.mangle_payload(data)
+    _write_atomic(directory / entry["file"], mangled)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "backend": backend,
-        "epoch": epoch,
-        "sections": entries,
+        "sections": [entry],
     }
     _write_atomic(
         directory / MANIFEST_NAME, json.dumps(manifest, indent=2).encode("utf-8")
     )
-    live = {entry["file"] for entry in entries}
     for stale in directory.glob("*.bin"):
-        if stale.name not in live:
+        if stale.name != entry["file"]:
             stale.unlink(missing_ok=True)
     return directory
 

@@ -48,10 +48,10 @@ DEFAULT_BATCH_SIZE = 8192
 def make_partition_sketch(config: GSketchConfig, leaf: PartitionLeaf) -> CountMinSketch:
     """The physical sketch of one partition-tree leaf.
 
-    Centralized so that every consumer — :class:`GSketch` and the shards of
-    :class:`~repro.distributed.coordinator.ShardedGSketch` — constructs
-    sketches with identical dimensions and hash seeds, which is what makes
-    sharded and single-process ingestion bit-identical.
+    Its width comes from the leaf and its hash seed from the leaf index, so
+    two engines built from one partitioning hold identically hashed sketches
+    partition for partition — which is what lets :meth:`GSketch.merge` add
+    their counters exactly.
     """
     return CountMinSketch(
         width=leaf.width,
@@ -101,56 +101,6 @@ def iter_edge_batches(
     if isinstance(stream, GraphStream):
         return stream.iter_batches(batch_size)
     return chunked_batches(stream, batch_size)
-
-
-def routed_confidence_batch(
-    batch_router: BatchRouter,
-    edges: Sequence[EdgeKey],
-    sketch_for,
-) -> "tuple[List[ConfidenceInterval], List[int]]":
-    """Equation-1 confidence intervals for a block of edges, one routing pass.
-
-    The single source of truth for partitioned confidence queries, shared by
-    :meth:`GSketch.confidence_batch` and
-    :meth:`~repro.distributed.coordinator.ShardedGSketch.confidence_batch` so
-    the two cannot diverge.  Edges are routed once and estimated per
-    partition via ``estimate_batch``; the additive bound and failure
-    probability are per-partition constants, so each group contributes two
-    scalars.  Returns the intervals plus the partition id that answered each
-    edge (:data:`~repro.core.router.OUTLIER_PARTITION` for outliers), both
-    positionally aligned with ``edges``.
-
-    Args:
-        batch_router: the engine's vectorized router.
-        edges: the ``(source, target)`` keys to estimate.
-        sketch_for: partition index → physical sketch resolver.
-    """
-    if len(edges) == 0:
-        return [], []
-    routed = batch_router.route_edges(edges)
-    estimates = np.empty(len(edges), dtype=np.float64)
-    bounds = np.empty(len(edges), dtype=np.float64)
-    failures = np.empty(len(edges), dtype=np.float64)
-    partitions = np.empty(len(edges), dtype=np.int64)
-    for group in routed.groups:
-        sketch = sketch_for(group.partition)
-        estimates[group.positions] = sketch.estimate_batch(group.keys)
-        # The bound and failure probability are per-partition constants;
-        # derive them once per group from the scalar single source of truth
-        # so the two confidence paths cannot diverge.
-        template = countmin_confidence(sketch, 0.0)
-        bounds[group.positions] = template.additive_bound
-        failures[group.positions] = template.failure_probability
-        partitions[group.positions] = group.partition
-    intervals = [
-        ConfidenceInterval(
-            estimate=float(estimate),
-            additive_bound=float(bound),
-            failure_probability=float(failure),
-        )
-        for estimate, bound, failure in zip(estimates, bounds, failures)
-    ]
-    return intervals, partitions.tolist()
 
 
 @dataclass(frozen=True)
@@ -338,6 +288,29 @@ class GSketch(PlanServingMixin):
             processed += self.ingest_batch(batch)
         return processed
 
+    def merge(self, other: "GSketch") -> None:
+        """Add another engine's counters into this one, sketch by sketch.
+
+        Count-Min tables are linear in their input, so after merging an
+        engine fed a disjoint sub-stream this engine equals one that ingested
+        both streams: same tables, totals and element counts.  (Conservative
+        updates are not linear: their merged tables still never underestimate,
+        but differ from the concatenated ingest's.)  Both engines must come
+        from one partitioning; otherwise ``ValueError`` is raised before any
+        counter moves.  The tables are arena views, so the compiled plan
+        serves the merged counters.
+        """
+        if not self.router.same_routing(other.router):
+            raise ValueError("cannot merge engines built from different partitionings")
+        pairs = list(zip(self._plan_layout()[0], other._plan_layout()[0]))
+        for mine, theirs in pairs:
+            mine.require_mergeable(theirs)
+        for mine, theirs in pairs:
+            mine.merge(theirs)
+        self._elements_processed += other._elements_processed
+        self._outlier_elements += other._outlier_elements
+        self._bump_generation()
+
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -415,8 +388,32 @@ class GSketch(PlanServingMixin):
     def confidence_batch_direct(
         self, edges: Sequence[EdgeKey]
     ) -> "tuple[List[ConfidenceInterval], List[int]]":
-        """The pre-plan routed confidence path (parity oracle)."""
-        return routed_confidence_batch(self._batch_router, edges, self._sketch_for)
+        """The pre-plan routed confidence path (parity oracle).
+
+        Edges are routed once and estimated per partition via
+        ``estimate_batch``; the additive bound and failure probability are
+        per-partition constants, so each group contributes two scalars.
+        Returns the intervals plus the partition id that answered each edge
+        (:data:`~repro.core.router.OUTLIER_PARTITION` for outliers), both
+        positionally aligned with ``edges``.
+        """
+        if len(edges) == 0:
+            return [], []
+        routed = self._batch_router.route_edges(edges)
+        estimates = np.empty(len(edges), dtype=np.float64)
+        bounds = np.empty(len(edges), dtype=np.float64)
+        failures = np.empty(len(edges), dtype=np.float64)
+        partitions = np.empty(len(edges), dtype=np.int64)
+        for group in routed.groups:
+            sketch = self._sketch_for(group.partition)
+            estimates[group.positions] = sketch.estimate_batch(group.keys)
+            # Derived once per group from the scalar single source of truth,
+            # so the direct and plan confidence paths cannot diverge.
+            template = countmin_confidence(sketch, 0.0)
+            bounds[group.positions] = template.additive_bound
+            failures[group.positions] = template.failure_probability
+            partitions[group.positions] = group.partition
+        return intervals_from_arrays(estimates, bounds, failures), partitions.tolist()
 
     def is_outlier_query(self, edge: EdgeKey) -> bool:
         """Whether the edge query would be answered by the outlier sketch."""

@@ -174,6 +174,13 @@ class VertexRouter:
             count=len(arr),
         )
 
+    def same_routing(self, other: "VertexRouter") -> bool:
+        """Whether ``other`` routes every vertex to the same partition."""
+        return self is other or (
+            self._num_partitions == other._num_partitions
+            and self._assignments == other._assignments
+        )
+
     def is_outlier(self, vertex: Hashable) -> bool:
         """Whether ``vertex`` is served by the outlier sketch."""
         return vertex not in self._assignments

@@ -37,7 +37,6 @@ from repro.core.global_sketch import GlobalSketch
 from repro.core.gsketch import GSketch
 from repro.core.windowed import WindowedGSketch
 from repro.datasets.rmat import rmat_stream
-from repro.distributed.coordinator import ShardedGSketch
 from repro.graph.edge import EdgeKey
 from repro.graph.sampling import reservoir_sample
 from repro.graph.stream import GraphStream
@@ -48,7 +47,7 @@ from repro.queries.workload import zipf_edge_queries
 DEFAULT_EDGES = 100_000
 QUICK_EDGES = 10_000
 DEFAULT_BATCH_SIZES = (1, 8, 64, 1024)
-DEFAULT_BACKENDS = ("global", "gsketch", "sharded-2", "windowed")
+DEFAULT_BACKENDS = ("global", "gsketch", "windowed")
 DEFAULT_QUERIES = 1_024
 DEFAULT_OUTPUT = "BENCH_query.json"
 
@@ -145,13 +144,6 @@ def build_backend(
     if name == "gsketch":
         estimator = GSketch.build(sample, config, stream_size_hint=len(stream))
         estimator.process(stream)
-        return estimator
-    if name.startswith("sharded-"):
-        num_shards = int(name.split("-", 1)[1])
-        estimator = ShardedGSketch.build(
-            sample, config, num_shards=num_shards, stream_size_hint=len(stream)
-        )
-        estimator.ingest(stream)
         return estimator
     if name == "windowed":
         estimator = WindowedGSketch(

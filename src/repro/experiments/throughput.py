@@ -1,4 +1,4 @@
-"""Ingestion-throughput benchmark: per-edge vs batched vs sharded.
+"""Ingestion-throughput benchmark: per-edge vs batched.
 
 The ROADMAP demands that hot-path speedups be *tracked artifacts*, not
 claims.  This runner measures edges/second for
@@ -8,10 +8,7 @@ claims.  This runner measures edges/second for
 * ``batched``    — one vectorized route → hash → scatter pass per batch
   into the compiled plan's arena (:func:`~repro.sketches.arena.apply_batch`),
   driven through the :class:`~repro.api.engine.SketchEngine` facade (the
-  public ingest surface);
-* ``sharded-N``  — :class:`~repro.distributed.coordinator.ShardedGSketch`
-  with N in-process shards over one arena, built and fed through the same
-  facade,
+  public ingest surface),
 
 over two generators (R-MAT and Zipf), verifies that every mode returns
 identical estimates on a sample of query edges, and writes the results to
@@ -29,7 +26,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api.engine import SketchEngine
@@ -38,27 +35,15 @@ from repro.core.gsketch import GSketch
 from repro.datasets.rmat import rmat_stream
 from repro.datasets.zipf import zipf_stream
 from repro.graph.sampling import reservoir_sample
-from repro.observability import metrics as obs_metrics
-from repro.observability.exposition import registry_excerpt
-from repro.observability.instruments import INGEST_BATCHES, INGEST_STAGE
 
 DEFAULT_EDGES = 100_000
 QUICK_EDGES = 10_000
-DEFAULT_SHARD_COUNTS = (1, 2, 4)
 DEFAULT_OUTPUT = "BENCH_throughput.json"
 
 
 @dataclass(frozen=True)
 class ThroughputResult:
-    """One (dataset, mode) measurement.
-
-    ``breakdown`` (sharded modes only) decomposes the ingest wall time from
-    deltas of the :mod:`repro.observability` ingest-stage histograms:
-    ``route_seconds`` is the vectorized route + key hashing of every batch,
-    ``apply_wall_seconds`` the one-kernel scatter into the arena, and
-    ``coordinator_seconds`` everything but the scatter (routing, hashing,
-    columnar slicing, validation, bookkeeping).
-    """
+    """One (dataset, mode) measurement."""
 
     dataset: str
     mode: str
@@ -66,7 +51,6 @@ class ThroughputResult:
     seconds: float
     edges_per_second: float
     speedup_vs_per_edge: Optional[float] = None
-    breakdown: Optional[Dict[str, object]] = field(default=None)
 
 
 def _time_mode(ingest: Callable[[], object]) -> float:
@@ -75,26 +59,17 @@ def _time_mode(ingest: Callable[[], object]) -> float:
     return time.perf_counter() - start
 
 
-def _best_of(repeats: int, measure: Callable[[], "tuple[float, object]"]):
-    """Run ``measure`` ``repeats`` times; keep the fastest run's result.
+def _best_of(repeats: int, measure: Callable[[], float]) -> float:
+    """Run ``measure`` ``repeats`` times; keep the fastest wall time.
 
-    ``measure`` builds a fresh engine, times one full ingest, and returns
-    ``(seconds, payload)`` — the payload (breakdown, reference estimates)
-    of the minimum-time run is what gets reported, so timing and diagnostics
-    always describe the same run.
+    ``measure`` builds a fresh engine, times one full ingest, checks parity
+    and returns the seconds.
     """
-    best_seconds = float("inf")
-    best_payload: object = None
-    for _ in range(repeats):
-        seconds, payload = measure()
-        if seconds < best_seconds:
-            best_seconds, best_payload = seconds, payload
-    return best_seconds, best_payload
+    return min(measure() for _ in range(repeats))
 
 
 def run_throughput(
     num_edges: int = DEFAULT_EDGES,
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
     batch_size: int = 8192,
     total_cells: int = 60_000,
     depth: int = 4,
@@ -123,8 +98,8 @@ def run_throughput(
     for name, stream in streams.items():
         sample = reservoir_sample(stream, sample_size, seed=seed)
         query_edges = sorted(stream.distinct_edges())[:parity_queries]
-        # Columnarize once up front: the cache is shared by every batched
-        # mode, so no mode is charged the one-time conversion.
+        # Columnarize once up front, so the batched mode is not charged the
+        # one-time conversion.
         stream.to_batch()
 
         def fresh() -> GSketch:
@@ -149,7 +124,7 @@ def run_throughput(
                 engine.estimator.query_edges(query_edges) == reference_estimates
             )
 
-        def report(mode: str, seconds: float, breakdown=None, baseline=None) -> None:
+        def report(mode: str, seconds: float, baseline=None) -> None:
             results.append(
                 ThroughputResult(
                     dataset=name,
@@ -158,7 +133,6 @@ def run_throughput(
                     seconds=seconds,
                     edges_per_second=len(stream) / seconds,
                     speedup_vs_per_edge=None if baseline is None else baseline / seconds,
-                    breakdown=breakdown,
                 )
             )
 
@@ -171,9 +145,9 @@ def run_throughput(
                 ]
             )
             check_parity(SketchEngine.from_estimator(per_edge))
-            return seconds, None
+            return seconds
 
-        per_edge_seconds, _ = _best_of(repeats, measure_per_edge)
+        per_edge_seconds = _best_of(repeats, measure_per_edge)
         report("per-edge", per_edge_seconds)
 
         # --- batched (through the facade) ----------------------------- #
@@ -181,55 +155,10 @@ def run_throughput(
             engine = SketchEngine.from_estimator(fresh())
             seconds = _time_mode(lambda: engine.ingest(stream, batch_size))
             check_parity(engine)
-            return seconds, None
+            return seconds
 
-        batched_seconds, _ = _best_of(repeats, measure_batched)
+        batched_seconds = _best_of(repeats, measure_batched)
         report("batched", batched_seconds, baseline=per_edge_seconds)
-
-        # --- sharded (in-process shards over one arena) ---------------- #
-        def measure_sharded(num_shards: int):
-            engine = (
-                SketchEngine.builder()
-                .config(config)
-                .sample(sample)
-                .stream_size_hint(len(stream))
-                .sharded(num_shards)
-                .build()
-            )
-            before_stage = {name: h.sum for name, h in INGEST_STAGE.items()}
-            before_batches = INGEST_BATCHES.value
-            was_enabled = obs_metrics.enabled()
-            obs_metrics.set_enabled(True)
-            try:
-                seconds = _time_mode(
-                    lambda: engine.ingest(stream, batch_size=batch_size)
-                )
-            finally:
-                obs_metrics.set_enabled(was_enabled)
-            check_parity(engine)
-            stage = {
-                name: INGEST_STAGE[name].sum - before_stage[name]
-                for name in INGEST_STAGE
-            }
-            breakdown = {
-                "coordinator_seconds": round(max(0.0, seconds - stage["apply"]), 6),
-                "apply_wall_seconds": round(stage["apply"], 6),
-                "route_seconds": round(stage["route"], 6),
-                "batches": int(INGEST_BATCHES.value - before_batches),
-                "source": "repro_ingest_stage_seconds registry deltas",
-            }
-            return seconds, breakdown
-
-        for num_shards in shard_counts:
-            seconds, breakdown = _best_of(
-                repeats, lambda: measure_sharded(num_shards)
-            )
-            report(
-                f"sharded-{num_shards}",
-                seconds,
-                breakdown=breakdown,
-                baseline=per_edge_seconds,
-            )
 
     return {
         "benchmark": "ingestion-throughput",
@@ -241,18 +170,14 @@ def run_throughput(
             "depth": depth,
             "sample_size": sample_size,
             "seed": seed,
-            "shard_counts": list(shard_counts),
             "repeats": repeats,
             "timing": "minimum wall time over repeats (fresh engine per repeat)",
-            "columnarization": "warmed before timing (shared by all batched modes)",
+            "columnarization": "warmed before timing",
             "parity": "reference answers hoisted to one untimed ingest per "
             "dataset; includes compiled-plan vs direct-path bit-exact check",
         },
         "parity_ok": bool(parity_ok),
         "results": [asdict(r) for r in results],
-        # Ingest-plane registry excerpt, accumulated over the instrumented
-        # (sharded) runs above — bucket arrays elided.
-        "telemetry": registry_excerpt(("repro_ingest_",)),
     }
 
 
@@ -267,7 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=f"CI smoke mode: {QUICK_EDGES} edges, shards (1, 2)",
+        help=f"CI smoke mode: {QUICK_EDGES} edges",
     )
     parser.add_argument(
         "--batch-size", type=int, default=8192, help="elements per ingest block"
@@ -288,11 +213,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     num_edges = QUICK_EDGES if args.quick else args.edges
-    shard_counts = (1, 2) if args.quick else DEFAULT_SHARD_COUNTS
     repeats = args.repeats if args.repeats is not None else (2 if args.quick else 3)
     report = run_throughput(
         num_edges=num_edges,
-        shard_counts=shard_counts,
         batch_size=args.batch_size,
         seed=args.seed,
         repeats=repeats,

@@ -495,7 +495,7 @@ class PlanServingMixin:
         return plan
 
     def _ingest_routed(self, batch: EdgeBatch) -> np.ndarray:
-        """The ingest of both partitioned backends: route, hash and apply one
+        """The partitioned backend's ingest: route, hash and apply one
         validated, non-empty batch into the plan's arena.
 
         Compiles the plan on first use but never refreshes it: the counters

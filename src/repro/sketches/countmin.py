@@ -10,7 +10,7 @@ is overestimated by at most ``e * N / w`` with probability at least
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -18,11 +18,7 @@ from repro.sketches import arena as _arena
 from repro.sketches.base import FrequencySketch
 from repro.sketches.hashing import PairwiseHashFamily, key_to_uint64
 from repro.utils.rng import SeedLike
-from repro.utils.validation import (
-    require_non_negative,
-    require_positive_int,
-    require_probability,
-)
+from repro.utils.validation import require_non_negative, require_positive_int
 
 
 class CountMinSketch(FrequencySketch):
@@ -53,39 +49,6 @@ class CountMinSketch(FrequencySketch):
         self._total = 0.0
         self._update_count = 0
         self._layout: _arena.ArenaLayout | None = None
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_error_guarantees(
-        cls,
-        epsilon: float,
-        delta: float,
-        seed: SeedLike = None,
-        conservative: bool = False,
-    ) -> "CountMinSketch":
-        """Build a sketch with ``w = ceil(e/epsilon)`` and ``d = ceil(ln(1/delta))``."""
-        require_probability(delta, "delta")
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-        width = int(math.ceil(math.e / float(epsilon)))
-        depth = max(1, int(math.ceil(math.log(1.0 / float(delta)))))
-        return cls(width=width, depth=depth, seed=seed, conservative=conservative)
-
-    @classmethod
-    def from_memory_cells(
-        cls,
-        total_cells: int,
-        depth: int,
-        seed: SeedLike = None,
-        conservative: bool = False,
-    ) -> "CountMinSketch":
-        """Build the widest sketch of the given ``depth`` using ``total_cells`` counters."""
-        require_positive_int(total_cells, "total_cells")
-        require_positive_int(depth, "depth")
-        width = max(1, total_cells // depth)
-        return cls(width=width, depth=depth, seed=seed, conservative=conservative)
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -141,19 +104,14 @@ class CountMinSketch(FrequencySketch):
     def update(self, key: Hashable, count: float = 1.0) -> None:
         """Add ``count`` occurrences of ``key`` to the sketch."""
         count = require_non_negative(count, "count")
-        cols = self._hashes.indices_for_uint64(key_to_uint64(key))
-        if self._conservative:
-            current = self._table[self._rows, cols]
-            new_min = current.min() + count
-            np.maximum(current, new_min, out=current)
-            self._table[self._rows, cols] = current
-        else:
-            self._table[self._rows, cols] += count
-        self._total += count
-        self._update_count += 1
+        self.update_precomputed(key_to_uint64(key), count)
 
     def update_precomputed(self, key_uint64: int, count: float = 1.0) -> None:
-        """Update using an already-canonicalized 64-bit key (hot path)."""
+        """Update using an already-canonicalized 64-bit key.
+
+        :meth:`update` validates ``count``, canonicalizes its key and lands
+        here.
+        """
         cols = self._hashes.indices_for_uint64(key_uint64)
         if self._conservative:
             current = self._table[self._rows, cols]
@@ -226,27 +184,21 @@ class CountMinSketch(FrequencySketch):
         """Probability ``e^-d`` that a point query exceeds :meth:`error_bound`."""
         return math.exp(-self._depth)
 
-    def inner_product(self, other: "CountMinSketch") -> float:
-        """Estimate the inner product of the two underlying frequency vectors.
-
-        Both sketches must share dimensions and hash seeds (i.e. be built via
-        :meth:`compatible_empty`).
-        """
-        if (self._width, self._depth) != (other._width, other._depth):
-            raise ValueError("sketches must share width and depth for inner product")
-        products = (self._table * other._table).sum(axis=1)
-        return float(products.min())
-
     # ------------------------------------------------------------------ #
     # Structural operations
     # ------------------------------------------------------------------ #
-    def merge(self, other: "CountMinSketch") -> None:
-        """Add ``other``'s counters into this sketch (requires identical hashing)."""
+    def require_mergeable(self, other: "CountMinSketch") -> None:
+        """Raise ``ValueError`` unless ``other`` shares this sketch's width,
+        depth and hash family (the precondition of :meth:`merge`)."""
         if (self._width, self._depth) != (other._width, other._depth):
             raise ValueError("cannot merge sketches with different dimensions")
         for (a1, b1), (a2, b2) in zip(self._hashes.coefficients(), other._hashes.coefficients()):
             if (a1, b1) != (a2, b2):
                 raise ValueError("cannot merge sketches built from different hash families")
+
+    def merge(self, other: "CountMinSketch") -> None:
+        """Add ``other``'s counters into this sketch (requires identical hashing)."""
+        self.require_mergeable(other)
         self._table += other._table
         self._total += other._total
         self._update_count += other._update_count
@@ -347,25 +299,6 @@ class CountMinSketch(FrequencySketch):
         clone._update_count = 0
         clone._layout = self._layout
         return clone
-
-    def observed_collision_rate(self, keys: Iterable[Hashable]) -> float:
-        """Fraction of the given keys whose estimate exceeds zero pre-insertion cells.
-
-        Diagnostic helper used by tests of Theorem 1: for an *empty* sketch it
-        always returns 0; after insertion it reports the fraction of keys whose
-        minimum cell is shared with at least one other inserted key.
-        """
-        keys = list(keys)
-        if not keys:
-            return 0.0
-        exact_once = {}
-        for key in keys:
-            exact_once[key] = exact_once.get(key, 0) + 1
-        collided = 0
-        for key, multiplicity in exact_once.items():
-            if self.estimate(key) > multiplicity:
-                collided += 1
-        return collided / len(exact_once)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

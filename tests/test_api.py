@@ -2,7 +2,7 @@
 typed query/result objects, and the versioned snapshot format.
 
 The central suite here is the parametrized lifecycle test: the *same*
-build → ingest → query → snapshot → restore scenario runs against all four
+build → ingest → query → snapshot → restore scenario runs against all three
 backends purely through the :class:`repro.api.Estimator` Protocol surface.
 """
 
@@ -40,14 +40,6 @@ BACKEND_BUILDERS = {
         .build()
     ),
     "global": lambda stream, sample, config: SketchEngine.builder().config(config).build(),
-    "sharded": lambda stream, sample, config: (
-        SketchEngine.builder()
-        .config(config)
-        .sample(sample)
-        .stream_size_hint(len(stream))
-        .sharded(3)
-        .build()
-    ),
     "windowed": lambda stream, sample, config: (
         SketchEngine.builder().config(config).windowed(2_000.0, sample_size=800).build()
     ),
@@ -62,7 +54,7 @@ def query_keys(stream, count: int = 50):
 
 
 # ---------------------------------------------------------------------- #
-# The one scenario, all four backends, through the Protocol
+# The one scenario, all three backends, through the Protocol
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", sorted(BACKEND_BUILDERS))
 def test_lifecycle_roundtrip_through_protocol(
@@ -170,22 +162,6 @@ def test_restored_engine_continues_ingesting_identically(
 # ---------------------------------------------------------------------- #
 # Backend parity details
 # ---------------------------------------------------------------------- #
-def test_sharded_subgraph_and_confidence_match_gsketch_bit_exactly(
-    zipf_stream, zipf_sample, small_config
-):
-    gsketch_engine = BACKEND_BUILDERS["gsketch"](zipf_stream, zipf_sample, small_config)
-    sharded_engine = BACKEND_BUILDERS["sharded"](zipf_stream, zipf_sample, small_config)
-    gsketch_engine.ingest(zipf_stream)
-    sharded_engine.ingest(zipf_stream)
-
-    keys = query_keys(zipf_stream, count=120)
-    subgraph = SubgraphQuery.from_edges(keys[:12])
-    assert sharded_engine.estimator.query_subgraph(subgraph) == gsketch_engine.estimator.query_subgraph(subgraph)
-    assert sharded_engine.estimator.confidence_batch(keys) == gsketch_engine.estimator.confidence_batch(keys)
-    assert sharded_engine.estimator.confidence(keys[0]) == gsketch_engine.estimator.confidence(keys[0])
-    sharded_engine.close()
-
-
 def test_global_query_edges_matches_scalar_path(zipf_stream, small_config):
     baseline = GlobalSketch(small_config)
     baseline.process(zipf_stream)
@@ -237,16 +213,6 @@ def test_estimates_carry_partition_provenance(zipf_stream, zipf_sample, small_co
     document = estimate.to_dict()
     assert document["backend"] == "gsketch"
     assert "interval" in document and document["interval"]["lower"] >= 0.0
-
-
-def test_sharded_estimates_carry_shard_provenance(zipf_stream, zipf_sample, small_config):
-    engine = BACKEND_BUILDERS["sharded"](zipf_stream, zipf_sample, small_config)
-    engine.ingest(zipf_stream)
-    estimate = engine.query(EdgeQuery(*sorted(zipf_stream.distinct_edges())[0]))
-    assert estimate.provenance.backend == "sharded"
-    assert estimate.provenance.shard is not None
-    assert 0 <= estimate.provenance.shard < engine.estimator.num_shards
-    engine.close()
 
 
 def test_window_query_dispatch(zipf_stream, small_config):
@@ -316,17 +282,6 @@ def test_builder_config_kwargs(zipf_sample):
 
 
 def test_builder_variant_conflicts(zipf_sample, small_config):
-    with pytest.raises(EngineError, match="mutually exclusive"):
-        (
-            SketchEngine.builder()
-            .config(small_config)
-            .sample(zipf_sample)
-            .sharded(2)
-            .windowed(10.0)
-            .build()
-        )
-    with pytest.raises(EngineError, match="sample"):
-        SketchEngine.builder().config(small_config).sharded(2).build()
     with pytest.raises(EngineError, match="sample"):
         SketchEngine.builder().config(small_config).workload(zipf_sample).build()
     with pytest.raises(EngineError, match="workload"):

@@ -3,8 +3,8 @@
 Every partitioned batch ingest is a single
 :func:`~repro.sketches.arena.apply_batch` call into the compiled plan's
 arena, and the sketches' tables are views of that arena.  So every way of
-replacing an engine's counters (revive, re-shard, restore, merge) must copy
-into the live tables: afterwards further ingest lands where both the plan and
+replacing an engine's counters (revive, restore, merge) must copy into the
+live tables: afterwards further ingest lands where both the plan and
 the per-partition direct path read.
 """
 
@@ -17,7 +17,6 @@ from conftest import make_zipf_stream
 from repro.api.snapshot import load_checkpoint, load_snapshot, save_checkpoint, save_snapshot
 from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
-from repro.distributed import ShardedGSketch
 from repro.graph.sampling import reservoir_sample
 from repro.sketches import arena
 from repro.sketches.countmin import CountMinSketch
@@ -39,16 +38,11 @@ def wide_config():
     return GSketchConfig(total_cells=20_000, depth=4, seed=7)
 
 
-@pytest.mark.parametrize("backend", ["gsketch", "sharded"])
+@pytest.mark.parametrize("backend", ["gsketch"])
 def test_one_kernel_call_per_batch(
     monkeypatch, wide_stream, wide_sample, wide_config, backend
 ):
-    if backend == "gsketch":
-        engine = GSketch.build(wide_sample, wide_config, stream_size_hint=len(wide_stream))
-    else:
-        engine = ShardedGSketch.build(
-            wide_sample, wide_config, num_shards=4, stream_size_hint=len(wide_stream)
-        )
+    engine = GSketch.build(wide_sample, wide_config, stream_size_hint=len(wide_stream))
     assert engine.num_partitions >= 30
     batch = next(wide_stream.iter_batches(4_096))
     touched = np.unique(engine.router.route_batch(batch.sources))
@@ -88,10 +82,6 @@ def test_update_batch_is_the_one_slot_kernel_case(monkeypatch):
 # ---------------------------------------------------------------------- #
 # Every way of replacing counters keeps the arena live
 # ---------------------------------------------------------------------- #
-def _sharded(sample, config, stream):
-    return ShardedGSketch.build(sample, config, num_shards=3, stream_size_hint=len(stream))
-
-
 def _gsketch(sample, config, stream):
     return GSketch.build(sample, config, stream_size_hint=len(stream))
 
@@ -108,29 +98,12 @@ def _from_state(sample, config, stream, first, keys, tmp_path):
     return GSketch.from_state(source.state_dict())
 
 
-def _from_gsketch(sample, config, stream, first, keys, tmp_path):
-    source = _gsketch(sample, config, stream)
-    _feed(source, first)
-    source.query_edges(keys)
-    return ShardedGSketch.from_gsketch(source, num_shards=3)
-
-
-def _load_shard_states(sample, config, stream, first, keys, tmp_path):
-    donor = _sharded(sample, config, stream)
-    _feed(donor, first)
-    engine = _sharded(sample, config, stream)
-    _feed(engine, first.prefix(500))  # counters the restore must replace
-    engine.query_edges(keys)  # the plan is compiled before the restore
-    engine.load_shard_states(donor.shard_states())
-    return engine
-
-
 def _merge(sample, config, stream, first, keys, tmp_path):
     half = len(first) // 2
-    engine = _sharded(sample, config, stream)
+    engine = _gsketch(sample, config, stream)
     _feed(engine, first.prefix(half))
     engine.query_edges(keys)
-    other = _sharded(sample, config, stream)
+    other = _gsketch(sample, config, stream)
     _feed(other, first.suffix(half))
     engine.merge(other)
     return engine
@@ -144,7 +117,7 @@ def _snapshot_restore(sample, config, stream, first, keys, tmp_path):
 
 
 def _checkpoint_restore(sample, config, stream, first, keys, tmp_path):
-    source = _sharded(sample, config, stream)
+    source = _gsketch(sample, config, stream)
     _feed(source, first)
     source.query_edges(keys)
     save_checkpoint(source, tmp_path / "ckpt")
@@ -155,16 +128,12 @@ def _checkpoint_restore(sample, config, stream, first, keys, tmp_path):
     "mutate",
     [
         _from_state,
-        _from_gsketch,
-        _load_shard_states,
         _merge,
         _snapshot_restore,
         _checkpoint_restore,
     ],
     ids=[
         "from_state",
-        "from_gsketch",
-        "load_shard_states",
         "merge",
         "snapshot",
         "checkpoint",

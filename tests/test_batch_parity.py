@@ -2,18 +2,19 @@
 
 These tests pin the core contract of the vectorized hot path: grouping a
 stream by partition and applying ``update_batch`` produces exactly the
-counters that arrival-order ``update`` calls produce, and serialized shard
-state merges into the state of the concatenated stream.
+counters that arrival-order ``update`` calls produce, and the serialized
+engines of two halves of a stream merge into the state of the whole stream.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
-from repro.distributed.shard import SketchShard
 from repro.graph.sampling import reservoir_sample
 
 
@@ -109,17 +110,9 @@ def test_shard_merge_of_serialized_halves_equals_concatenated_ingest(
     second = GSketch.build(zipf_sample, small_config, stream_size_hint=len(zipf_stream))
     second.process(zipf_stream.suffix(half))
 
-    def as_shard(gsketch: GSketch) -> SketchShard:
-        sketches = {i: s for i, s in enumerate(gsketch.partitions)}
-        sketches[-1] = gsketch.outlier_sketch
-        return SketchShard(0, sketches)
+    def revive(gsketch: GSketch) -> GSketch:
+        return GSketch.from_state(pickle.loads(pickle.dumps(gsketch.state_dict())))
 
-    merged = SketchShard.deserialize(as_shard(first).serialize())
-    merged.merge(SketchShard.deserialize(as_shard(second).serialize()))
-
-    whole_shard = as_shard(whole)
-    for partition, sketch in merged.sketches():
-        assert np.array_equal(
-            sketch.table, whole_shard.sketch_for(partition).table
-        ), f"partition {partition} diverged after merge"
-    assert merged.total_count == whole_shard.total_count
+    merged = revive(first)
+    merged.merge(revive(second))
+    assert_same_counters(merged, whole)

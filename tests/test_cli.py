@@ -71,7 +71,7 @@ def test_query_bench_mode(capsys):
 
 def test_query_bench_baseline_conflicts(capsys):
     code = main(
-        ["query-bench", *RMAT, "--baseline", "--sharded", "2"]
+        ["query-bench", *RMAT, "--baseline", "--windowed", "1000"]
     )
     assert code == 2
     err = json.loads(capsys.readouterr().err)
@@ -79,15 +79,6 @@ def test_query_bench_baseline_conflicts(capsys):
 
 
 def test_build_variants(tmp_path, capsys):
-    sharded_snap = str(tmp_path / "sharded.snap")
-    built = run_cli(
-        capsys,
-        "build", *RMAT, "--cells", "12000", "--sharded", "2", "--ingest",
-        "--out", sharded_snap,
-    )
-    assert built["backend"] == "sharded"
-    assert built["num_shards"] == 2
-
     windowed_snap = str(tmp_path / "windowed.snap")
     built = run_cli(
         capsys,

@@ -1,22 +1,26 @@
-"""Parity and state tests for the sharded ingestion & query engine.
+"""Distributing one partitioning: routing, merge and checkpoint parity.
 
-The acceptance bar: a :class:`~repro.distributed.coordinator.ShardedGSketch`
-with **any** shard count returns estimates identical to a single
-:class:`~repro.core.gsketch.GSketch` over the same stream, and its state
-stays bit-exact with per-edge ingestion across every lifecycle edge:
-interleaved queries and snapshots, restore, merge, re-sharding and
-re-aggregation.
+gSketch routes every element by its source vertex to exactly one localized
+sketch, so engines built from one partitioning can each absorb a disjoint
+sub-stream and be combined afterwards: Count-Min tables are linear, and
+:meth:`~repro.core.gsketch.GSketch.merge` adds them exactly.  The acceptance
+bar is bit-exact state versus a single engine fed the whole stream per edge —
+plan answers, direct answers, tables, totals and counts — across merge,
+checkpoint restore and further ingest.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.api.snapshot import load_checkpoint, save_checkpoint
 from repro.core.gsketch import GSketch
 from repro.core.router import OUTLIER_PARTITION, VertexRouter
-from repro.distributed import ShardedGSketch, ShardPlan
 from repro.graph.edge import StreamEdge
+from repro.graph.sampling import reservoir_sample
 
 
 @pytest.fixture(scope="module")
@@ -36,39 +40,24 @@ def query_edges(zipf_stream):
     return edges
 
 
-class TestShardPlan:
-    def test_every_partition_assigned_exactly_once(self, reference):
-        plan = ShardPlan.from_tree(reference.tree, 3, stats=reference.stats)
-        assigned = sorted(plan.assignments)
-        assert assigned == sorted(
-            list(range(reference.num_partitions)) + [OUTLIER_PARTITION]
-        )
+def _build(zipf_stream, zipf_sample, small_config) -> GSketch:
+    return GSketch.build(zipf_sample, small_config, stream_size_hint=len(zipf_stream))
 
-    def test_loads_are_balanced(self, reference):
-        plan = ShardPlan.from_tree(reference.tree, 2, stats=reference.stats)
-        loads = plan.shard_loads()
-        total = sum(loads)
-        # LPT keeps the heaviest bin within a modest factor of the mean
-        # whenever there are enough items to pack (4/3 bound for many items;
-        # leave slack for degenerate leaf distributions).
-        assert max(loads) <= 0.95 * total
-        assert min(loads) > 0
 
-    def test_lookup_table_matches_assignments(self, reference):
-        plan = ShardPlan.from_tree(reference.tree, 4, stats=reference.stats)
-        table = plan.lookup_table()
-        for partition in range(plan.num_partitions):
-            assert table[partition] == plan.shard_of(partition)
-        assert table[OUTLIER_PARTITION] == plan.shard_of(OUTLIER_PARTITION)
-
-    def test_more_shards_than_partitions_is_allowed(self, reference):
-        many = reference.num_partitions + 5
-        plan = ShardPlan.from_tree(reference.tree, many, stats=reference.stats)
-        assert plan.num_shards == many
-
-    def test_rejects_incomplete_assignments(self):
-        with pytest.raises(ValueError):
-            ShardPlan(num_shards=2, num_partitions=2, assignments={0: 0, -1: 1})
+def _assert_matches(engine: GSketch, reference: GSketch, edges) -> None:
+    """Answers, tables, totals and counts equal the reference engine's."""
+    expected = reference.query_edges(edges)
+    assert engine.query_edges(edges) == expected
+    assert engine.query_edges_direct(edges) == expected
+    assert engine.elements_processed == reference.elements_processed
+    assert engine.outlier_elements == reference.outlier_elements
+    assert engine.total_frequency == reference.total_frequency
+    pairs = list(zip(engine.partitions, reference.partitions))
+    pairs.append((engine.outlier_sketch, reference.outlier_sketch))
+    for index, (left, right) in enumerate(pairs):
+        assert np.array_equal(left.table, right.table), f"slot {index}: tables diverge"
+        assert left.total_count == right.total_count
+        assert left.update_count == right.update_count
 
 
 class TestVertexRouterBatch:
@@ -88,105 +77,89 @@ class TestVertexRouterBatch:
         assert routed.tolist() == [0, 1, OUTLIER_PARTITION]
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
-def test_sharded_estimates_identical_to_single_gsketch(
-    zipf_stream, zipf_sample, small_config, reference, query_edges, num_shards
+def test_checkpoint_round_trip(
+    zipf_stream, zipf_sample, small_config, query_edges, reference, tmp_path
 ):
-    sharded = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=num_shards,
-        stream_size_hint=len(zipf_stream),
-    )
-    sharded.ingest(zipf_stream, batch_size=1024)
-    assert sharded.query_edges(query_edges) == reference.query_edges(query_edges)
-    assert sharded.elements_processed == reference.elements_processed
-    assert sharded.outlier_elements == reference.outlier_elements
-    assert sharded.total_frequency == reference.total_frequency
-
-
-def test_to_gsketch_reassembles_reference_tables(
-    zipf_stream, zipf_sample, small_config, reference, query_edges
-):
-    sharded = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-    )
-    sharded.ingest(zipf_stream, batch_size=2048)
-    assert sharded.query_edges(query_edges) == reference.query_edges(query_edges)
-    reassembled = sharded.to_gsketch()
-    for left, right in zip(reference.partitions, reassembled.partitions):
-        assert np.array_equal(left.table, right.table)
-    assert np.array_equal(
-        reference.outlier_sketch.table, reassembled.outlier_sketch.table
-    )
-
-
-def test_checkpoint_round_trip(zipf_stream, zipf_sample, small_config, query_edges,
-                               reference):
-    source = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=3, stream_size_hint=len(zipf_stream)
-    )
-    source.ingest(zipf_stream)
-    states = source.shard_states()
-    assert all(isinstance(state, bytes) for state in states)
-
-    restored = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=3, stream_size_hint=len(zipf_stream)
-    )
-    restored.load_shard_states(states)
-    assert restored.query_edges(query_edges) == reference.query_edges(query_edges)
+    source = _build(zipf_stream, zipf_sample, small_config)
+    source.process(zipf_stream)
+    restored = load_checkpoint(save_checkpoint(source, tmp_path / "ckpt"))
+    _assert_matches(restored, reference, query_edges)
 
 
 def test_merge_equals_concatenated_stream(
     zipf_stream, zipf_sample, small_config, query_edges, reference
 ):
     half = len(zipf_stream) // 2
-
-    def build():
-        return ShardedGSketch.build(
-            zipf_sample, small_config, num_shards=2,
-            stream_size_hint=len(zipf_stream),
-        )
-
-    first, second = build(), build()
-    first.ingest(zipf_stream.prefix(half))
-    second.ingest(zipf_stream.suffix(half))
+    first = _build(zipf_stream, zipf_sample, small_config)
+    second = _build(zipf_stream, zipf_sample, small_config)
+    first.process(zipf_stream.prefix(half))
+    second.process(zipf_stream.suffix(half))
     first.merge(second)
-    assert first.query_edges(query_edges) == reference.query_edges(query_edges)
-    assert first.elements_processed == reference.elements_processed
-
-
-def test_from_gsketch_preserves_populated_state(reference, query_edges):
-    sharded = ShardedGSketch.from_gsketch(reference, num_shards=2)
-    assert sharded.query_edges(query_edges) == reference.query_edges(query_edges)
-    assert sharded.elements_processed == reference.elements_processed
-    # and it keeps ingesting correctly from there
-    sharded.update(987_654_321, 42)
-    assert sharded.query_edge((987_654_321, 42)) >= 1.0
+    _assert_matches(first, reference, query_edges)
 
 
 def test_single_element_update_path(zipf_sample, small_config):
-    sharded = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
-    sharded.update(1, 2, 3.0)
-    assert sharded.query_edge((1, 2)) >= 3.0
-    assert sharded.elements_processed == 1
+    gsketch = GSketch.build(zipf_sample, small_config)
+    gsketch.update(1, 2, 3.0)
+    assert gsketch.query_edge((1, 2)) >= 3.0
+    assert gsketch.elements_processed == 1
 
 
-def test_merge_rejects_mismatched_plans(zipf_sample, small_config):
-    a = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
-    b = ShardedGSketch.build(zipf_sample, small_config, num_shards=3)
-    with pytest.raises(ValueError):
-        a.merge(b)
+def test_merge_rejects_mismatched_plans(zipf_stream, zipf_sample, small_config):
+    """Engines from another sample or config are refused before any counter
+    moves: another routing over identical sketches, or identical routing
+    where only the last sketch pair (the outlier) differs."""
+    engine = _build(zipf_stream, zipf_sample, small_config)
+    engine.process(zipf_stream.prefix(2_000))
+    other_sample = GSketch.build(
+        reservoir_sample(zipf_stream, 700, seed=99), small_config
+    )
+    shifted = {
+        vertex: (partition + 1) % engine.num_partitions
+        for vertex, partition in engine.tree.vertex_partition_map().items()
+    }
+    other_routing = GSketch(
+        config=small_config,
+        tree=engine.tree,
+        router=VertexRouter(shifted, engine.num_partitions),
+        stats=engine.stats,
+    )
+    other_seed = GSketch.build(
+        zipf_sample,
+        small_config.with_seed(small_config.seed + 1),
+        stream_size_hint=len(zipf_stream),
+    )
+    other_outlier = GSketch(
+        config=dataclasses.replace(small_config, outlier_fraction=0.2),
+        tree=engine.tree,
+        router=engine.router,
+        stats=engine.stats,
+    )
+    assert other_outlier.router.same_routing(engine.router)
+    keys = sorted(zipf_stream.distinct_edges())[:100] + [(987_654_321, 42)]
+    for other in (other_sample, other_routing, other_seed, other_outlier):
+        other.process(zipf_stream.suffix(len(zipf_stream) - 1_000))
+        before = (engine.query_edges(keys), other.query_edges(keys))
+        tables = [sketch.table.copy() for sketch in engine.partitions]
+        with pytest.raises(ValueError):
+            engine.merge(other)
+        assert (engine.query_edges(keys), other.query_edges(keys)) == before
+        assert engine.query_edges_direct(keys) == before[0]
+        for sketch, table in zip(engine.partitions, tables):
+            assert np.array_equal(sketch.table, table)
+        assert engine.elements_processed == 2_000
 
 
 def test_ingest_accepts_plain_edge_iterables(zipf_sample, small_config):
-    sharded = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
+    gsketch = GSketch.build(zipf_sample, small_config)
     edges = [StreamEdge(1, 2), StreamEdge(3, 4), StreamEdge(1, 2)]
-    assert sharded.ingest(edges) == 3
-    assert sharded.query_edge((1, 2)) >= 2.0
+    assert gsketch.process(edges) == 3
+    assert gsketch.query_edge((1, 2)) >= 2.0
 
 
 def test_ingest_consumes_generators_lazily(zipf_sample, small_config):
     """Generator input is chunked without materializing the whole stream."""
-    sharded = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
+    gsketch = GSketch.build(zipf_sample, small_config)
     consumed = []
 
     def edge_source():
@@ -194,25 +167,9 @@ def test_ingest_consumes_generators_lazily(zipf_sample, small_config):
             consumed.append(i)
             yield StreamEdge(i % 50, (i * 3) % 50)
 
-    assert sharded.ingest(edge_source(), batch_size=256) == 5_000
+    assert gsketch.process(edge_source(), batch_size=256) == 5_000
     assert len(consumed) == 5_000
-    assert sharded.elements_processed == 5_000
-
-
-def test_checkpoint_restore_recovers_element_counters(
-    zipf_stream, zipf_sample, small_config
-):
-    source = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-    )
-    source.ingest(zipf_stream)
-    restored = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-    )
-    restored.load_shard_states(source.shard_states())
-    assert restored.elements_processed == source.elements_processed
-    assert restored.outlier_elements == source.outlier_elements
-    assert restored.total_frequency == source.total_frequency
+    assert gsketch.elements_processed == 5_000
 
 
 def test_merge_then_further_ingest_matches_reference(
@@ -220,42 +177,14 @@ def test_merge_then_further_ingest_matches_reference(
 ):
     """A merge folds counters into the live arena; later ingest adds to them."""
     half = len(zipf_stream) // 2
-    first = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-    )
-    first.ingest(zipf_stream.prefix(half), batch_size=1024)
+    first = _build(zipf_stream, zipf_sample, small_config)
+    first.process(zipf_stream.prefix(half), batch_size=1024)
     first.query_edges(query_edges)  # compile the plan before the merge
-    second = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-    )
-    second.ingest(zipf_stream.suffix(half + 100), batch_size=1024)
+    second = _build(zipf_stream, zipf_sample, small_config)
+    second.process(zipf_stream.suffix(half + 100), batch_size=1024)
     first.merge(second)
-    first.ingest(zipf_stream.prefix(half + 100).suffix(half), batch_size=1024)
-    assert first.query_edges(query_edges) == reference.query_edges(query_edges)
-    assert first.query_edges_direct(query_edges) == reference.query_edges(query_edges)
-    assert first.elements_processed == reference.elements_processed
-
-
-def test_load_shard_states_replaces_prior_state_then_ingests(
-    zipf_stream, zipf_sample, small_config, query_edges, reference
-):
-    """Restoring a checkpoint discards the engine's own counters, and the
-    restored counters keep absorbing ingest."""
-    half = len(zipf_stream) // 2
-    source = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-    )
-    source.ingest(zipf_stream.prefix(half))
-    target = ShardedGSketch.build(
-        zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-    )
-    target.ingest(zipf_stream.prefix(300), batch_size=128)  # state to discard
-    target.query_edges(query_edges)  # compile the plan before the restore
-    target.load_shard_states(source.shard_states())
-    target.ingest(zipf_stream.suffix(half), batch_size=512)
-    assert target.query_edges(query_edges) == reference.query_edges(query_edges)
-    assert target.query_edges_direct(query_edges) == reference.query_edges(query_edges)
-    assert target.elements_processed == reference.elements_processed
+    first.process(zipf_stream.prefix(half + 100).suffix(half), batch_size=1024)
+    _assert_matches(first, reference, query_edges)
 
 
 # ---------------------------------------------------------------------- #
@@ -263,25 +192,18 @@ def test_load_shard_states_replaces_prior_state_then_ingests(
 # ---------------------------------------------------------------------- #
 class TestShardedLifecycle:
     def test_checkpoint_and_merge_then_ingest(
-        self, zipf_stream, zipf_sample, small_config, reference
+        self, zipf_stream, zipf_sample, small_config, reference, tmp_path
     ):
         """A checkpoint-restored engine merges and keeps ingesting."""
         half = len(zipf_stream) // 2
         edges = sorted(zipf_stream.distinct_edges())[:100]
-        first = ShardedGSketch.build(
-            zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-        )
-        first.ingest(zipf_stream.prefix(half), batch_size=1024)
-        restored = ShardedGSketch.build(
-            zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-        )
-        restored.load_shard_states(first.shard_states())
-        second = ShardedGSketch.build(
-            zipf_sample, small_config, num_shards=2, stream_size_hint=len(zipf_stream)
-        )
-        second.ingest(zipf_stream.suffix(half), batch_size=1024)
+        first = _build(zipf_stream, zipf_sample, small_config)
+        first.process(zipf_stream.prefix(half), batch_size=1024)
+        restored = load_checkpoint(save_checkpoint(first, tmp_path / "ckpt"))
+        second = _build(zipf_stream, zipf_sample, small_config)
+        second.process(zipf_stream.suffix(half), batch_size=1024)
         restored.merge(second)
-        assert restored.query_edges(edges) == reference.query_edges(edges)
+        _assert_matches(restored, reference, edges)
         restored.update(987_654_321, 42)
         assert restored.query_edge((987_654_321, 42)) >= 1.0
         assert restored.query_edges(edges) == restored.query_edges_direct(edges)

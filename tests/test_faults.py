@@ -2,8 +2,9 @@
 
 The acceptance bar for the durability plane: torn or corrupt
 snapshot/checkpoint bytes are rejected by the loaders with the damaged
-section named (never silently deserialized), incremental checkpoints rewrite
-only the shards that changed, and every round trip is bit-exact.
+section named (never silently deserialized), a crash during a repeat
+checkpoint leaves the previous one loadable, and every round trip is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import make_zipf_stream
 from repro import faults
+from repro.api import snapshot
 from repro.api.engine import SketchEngine
 from repro.api.snapshot import (
     MANIFEST_NAME,
@@ -25,10 +27,8 @@ from repro.api.snapshot import (
     save_snapshot,
 )
 from repro.core.config import GSketchConfig
-from repro.distributed import ShardedGSketch
+from repro.core.gsketch import GSketch
 from repro.graph.sampling import reservoir_sample
-
-NUM_SHARDS = 3
 
 
 @pytest.fixture(scope="module")
@@ -47,22 +47,20 @@ def fault_config():
 
 
 def _build(sample, config, stream):
-    return ShardedGSketch.build(
-        sample, config, num_shards=NUM_SHARDS, stream_size_hint=len(stream)
-    )
+    return GSketch.build(sample, config, stream_size_hint=len(stream))
 
 
 def _assert_states_bit_exact(left: dict, right: dict) -> None:
     assert left["elements_processed"] == right["elements_processed"]
     assert left["outlier_elements"] == right["outlier_elements"]
-    for shard_left, shard_right in zip(left["shards"], right["shards"]):
-        assert shard_left["sketches"].keys() == shard_right["sketches"].keys()
-        for partition, sketch_left in shard_left["sketches"].items():
-            sketch_right = shard_right["sketches"][partition]
-            assert np.array_equal(sketch_left["table"], sketch_right["table"]), (
-                f"partition {partition}: counter tables diverge"
-            )
-            assert sketch_left["total"] == sketch_right["total"]
+    assert len(left["partitions"]) == len(right["partitions"])
+    pairs = list(zip(left["partitions"], right["partitions"]))
+    pairs.append((left["outlier"], right["outlier"]))
+    for slot, (sketch_left, sketch_right) in enumerate(pairs):
+        assert np.array_equal(sketch_left["table"], sketch_right["table"]), (
+            f"slot {slot}: counter tables diverge"
+        )
+        assert sketch_left["total"] == sketch_right["total"]
 
 
 def _exact_truth(stream) -> dict:
@@ -79,7 +77,7 @@ class TestDurability:
     @pytest.fixture()
     def ingested(self, fault_stream, fault_sample, fault_config):
         engine = _build(fault_sample, fault_config, fault_stream)
-        engine.ingest(fault_stream, batch_size=512)
+        engine.process(fault_stream, batch_size=512)
         return engine
 
     def test_truncated_snapshot_names_section(self, ingested, tmp_path):
@@ -125,7 +123,7 @@ class TestDurability:
         legacy = {
             "format": "repro.sketch-snapshot",
             "version": 1,
-            "backend": "sharded",
+            "backend": "gsketch",
             "state": ingested.state_dict(),
         }
         path = tmp_path / "v1.snap"
@@ -138,41 +136,48 @@ class TestDurability:
         revived = load_snapshot(path)
         _assert_states_bit_exact(ingested.state_dict(), revived.state_dict())
 
-    def test_incremental_checkpoint_rewrites_only_dirty_shards(
-        self, fault_stream, fault_sample, fault_config, tmp_path
+    @pytest.mark.parametrize("backend", ["gsketch", "global", "windowed"])
+    def test_crash_before_manifest_swap_keeps_previous_checkpoint(
+        self, backend, fault_stream, fault_sample, fault_config, tmp_path, monkeypatch
     ):
-        import json
-
-        engine = _build(fault_sample, fault_config, fault_stream)
-        engine.ingest(fault_stream, batch_size=512)
+        """A repeat checkpoint that dies before its manifest lands must leave
+        the previous checkpoint loadable: it may not overwrite a file the
+        live manifest names."""
+        builder = SketchEngine.builder().config(fault_config)
+        if backend == "gsketch":
+            builder = builder.sample(fault_sample)
+        elif backend == "windowed":
+            builder = builder.windowed(1_000.0, sample_size=400)
+        engine = builder.build()
+        half = len(fault_stream) // 2
+        keys = sorted(_exact_truth(fault_stream))[:100] + [(10**9, 3)]
         directory = tmp_path / "ckpt"
-        save_checkpoint(engine, directory)
-        manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        first = {entry["name"]: entry["file"] for entry in manifest["sections"]}
+        engine.ingest(fault_stream.prefix(half), batch_size=512)
+        engine.checkpoint(directory)
+        first = engine.estimator.query_edges(keys)
+        engine.ingest(fault_stream.suffix(half), batch_size=512)
 
-        # Route 100 more edges through a single source vertex: exactly one
-        # shard goes dirty.
-        from repro.graph.stream import GraphStream
+        write_atomic = snapshot._write_atomic
 
-        source = next(iter(_exact_truth(fault_stream)))[0]
-        extra = GraphStream.from_tuples(
-            (source, target, float(target), 1.0) for target in range(100)
-        )
-        engine.ingest(extra, batch_size=512)
-        save_checkpoint(engine, directory)
-        manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        second = {entry["name"]: entry["file"] for entry in manifest["sections"]}
+        def crash_on_manifest(path, data):
+            if path.name == MANIFEST_NAME:
+                raise OSError("simulated crash before the manifest swap")
+            write_atomic(path, data)
 
-        rewritten = sorted(name for name in first if first[name] != second[name])
-        assert "state" in rewritten
-        assert len([n for n in rewritten if n.startswith("shard-")]) == 1
-        # Superseded section files are cleaned up; live ones all resolve.
-        for name in rewritten:
-            assert not (directory / first[name]).exists()
-        for file_name in second.values():
-            assert (directory / file_name).exists()
-        revived = load_checkpoint(directory)
-        _assert_states_bit_exact(engine.state_dict(), revived.state_dict())
+        monkeypatch.setattr(snapshot, "_write_atomic", crash_on_manifest)
+        with pytest.raises(OSError, match="simulated crash"):
+            engine.checkpoint(directory)
+        monkeypatch.setattr(snapshot, "_write_atomic", write_atomic)
+        revived = SketchEngine.restore(directory)
+        assert revived.backend == backend
+        assert revived.estimator.query_edges(keys) == first
+
+        # The next checkpoint lands whole and leaves one live state file.
+        engine.checkpoint(directory)
+        revived = SketchEngine.restore(directory)
+        assert revived.estimator.query_edges(keys) == engine.estimator.query_edges(keys)
+        assert revived.elements_processed == len(fault_stream)
+        assert len(list(directory.glob("*.bin"))) == 1
 
     def test_engine_checkpoint_restore_round_trip(
         self, fault_stream, fault_sample, fault_config, tmp_path
@@ -181,13 +186,12 @@ class TestDurability:
             SketchEngine.builder()
             .config(fault_config)
             .sample(fault_sample)
-            .sharded(NUM_SHARDS)
             .build()
         )
         engine.ingest(fault_stream, batch_size=512)
         engine.checkpoint(tmp_path / "ckpt")
         revived = SketchEngine.restore(tmp_path / "ckpt")
-        assert revived.backend == "sharded"
+        assert revived.backend == "gsketch"
         keys = sorted(_exact_truth(fault_stream))[:100]
         assert [e.value for e in revived.query(keys)] == [
             e.value for e in engine.query(keys)
@@ -197,7 +201,7 @@ class TestDurability:
         with pytest.raises(SnapshotError, match=MANIFEST_NAME):
             load_checkpoint(tmp_path / "nowhere")
         directory = save_checkpoint(ingested, tmp_path / "ckpt")
-        victim = next(directory.glob("shard-*.bin"))
+        victim = next(directory.glob("state-*.bin"))
         victim.unlink()
         with pytest.raises(SnapshotError, match="missing checkpoint section"):
             load_checkpoint(directory)

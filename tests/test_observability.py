@@ -22,7 +22,6 @@ from repro.core.global_sketch import GlobalSketch
 from repro.core.gsketch import GSketch
 from repro.core.router import OUTLIER_PARTITION
 from repro.core.windowed import WindowedGSketch
-from repro.distributed.coordinator import ShardedGSketch
 from repro.graph.batch import EdgeBatch
 from repro.observability import (
     AccuracyTracker,
@@ -367,13 +366,6 @@ def test_telemetry_snapshot_shapes_per_backend(zipf_stream, zipf_sample, small_c
     snapshot = baseline.telemetry_snapshot()
     assert snapshot["backend"] == "global"
     assert len(snapshot["tables"]) == 1
-
-    sharded = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
-    sharded.ingest(zipf_stream)
-    snapshot = sharded.telemetry_snapshot()
-    assert snapshot["backend"] == "sharded"
-    assert snapshot["num_shards"] == 2
-    assert all("shard" in table for table in snapshot["tables"])
 
     windowed = WindowedGSketch(
         small_config, window_length=len(zipf_stream) / 3.0, sample_size=200, seed=7

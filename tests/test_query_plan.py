@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from repro.api.engine import SketchEngine
-from repro.api.snapshot import load_snapshot, save_snapshot
+from repro.api.snapshot import load_checkpoint, load_snapshot, save_checkpoint, save_snapshot
 from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
 from repro.core.global_sketch import GlobalSketch
 from repro.core.router import OUTLIER_PARTITION
 from repro.core.windowed import WindowedGSketch
-from repro.distributed.coordinator import ShardedGSketch
 from repro.queries import plan as plan_module
 from repro.queries.plan import (
     HOT_CACHE_MAX_BATCH,
@@ -43,11 +42,6 @@ def _build_backend(kind, stream, sample, config):
     elif kind == "gsketch":
         estimator = GSketch.build(sample, config, stream_size_hint=len(stream))
         estimator.process(stream)
-    elif kind == "sharded":
-        estimator = ShardedGSketch.build(
-            sample, config, num_shards=2, stream_size_hint=len(stream)
-        )
-        estimator.ingest(stream)
     elif kind == "windowed":
         estimator = WindowedGSketch(
             config, window_length=len(stream) / 3.0, sample_size=400, seed=7
@@ -58,7 +52,7 @@ def _build_backend(kind, stream, sample, config):
     return estimator
 
 
-BACKENDS = ("global", "gsketch", "sharded", "windowed")
+BACKENDS = ("global", "gsketch", "windowed")
 
 
 # ---------------------------------------------------------------------- #
@@ -108,17 +102,6 @@ def test_confidence_batch_rides_the_plan(zipf_stream, zipf_sample, small_config)
     # Scalar path agreement (different code path, same constants).
     for key, interval in zip(keys[:20], plan_intervals[:20]):
         assert gsketch.confidence(key) == interval
-
-
-def test_sharded_confidence_batch_rides_the_plan(
-    zipf_stream, zipf_sample, small_config
-):
-    sharded = _build_backend("sharded", zipf_stream, zipf_sample, small_config)
-    keys = _query_set(zipf_stream, count=150)
-    assert (
-        sharded.confidence_batch_with_partitions(keys)
-        == sharded.confidence_batch_direct(keys)
-    )
 
 
 def test_windowed_confidence_composes_per_window(zipf_stream, small_config):
@@ -171,12 +154,13 @@ def test_point_query_cache_invalidates_on_update(zipf_sample, small_config):
 
 
 def test_plan_survives_sharded_merge(zipf_stream, zipf_sample, small_config):
-    left = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
-    right = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
+    """Two engines fed the halves of a stream merge under a compiled plan."""
+    left = GSketch.build(zipf_sample, small_config)
+    right = GSketch.build(zipf_sample, small_config)
     half = len(zipf_stream) // 2
     edges = list(zipf_stream)
-    left.ingest(edges[:half])
-    right.ingest(edges[half:])
+    left.process(edges[:half])
+    right.process(edges[half:])
     keys = _query_set(zipf_stream, count=100)
     left.query_edges(keys)  # compile the plan pre-merge
     left.merge(right)
@@ -187,20 +171,23 @@ def test_plan_survives_sharded_merge(zipf_stream, zipf_sample, small_config):
 
 
 def test_plan_refreshes_after_checkpoint_restore(
-    zipf_stream, zipf_sample, small_config
+    tmp_path, zipf_stream, zipf_sample, small_config
 ):
-    sharded = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
-    sharded.ingest(zipf_stream)
+    gsketch = GSketch.build(zipf_sample, small_config)
+    gsketch.process(zipf_stream)
     keys = _query_set(zipf_stream, count=80)
-    populated = sharded.query_edges(keys)
-    checkpoint = sharded.shard_states()
-    sharded.ingest(list(zipf_stream)[:400])
-    assert sharded.query_edges(keys) != populated
-    sharded.load_shard_states(checkpoint)
-    # The plan (compiled against the post-ingest state) must refresh back
-    # to the checkpoint's counters, not serve the stale arena.
-    assert sharded.query_edges(keys) == populated
-    assert sharded.query_edges(keys) == sharded.query_edges_direct(keys)
+    populated = gsketch.query_edges(keys)
+    save_checkpoint(gsketch, tmp_path / "ckpt")
+    gsketch.ingest_batch(list(zipf_stream)[:400])
+    assert gsketch.query_edges(keys) != populated
+    restored = load_checkpoint(tmp_path / "ckpt")
+    # The restored engine serves the checkpoint's counters, and its plan
+    # follows later ingest like any other.
+    assert restored.query_edges(keys) == populated
+    assert restored.query_edges(keys) == restored.query_edges_direct(keys)
+    restored.ingest_batch(list(zipf_stream)[:400])
+    assert restored.query_edges(keys) == gsketch.query_edges(keys)
+    assert restored.query_edges(keys) == restored.query_edges_direct(keys)
 
 
 def test_cache_invalidates_across_snapshot_restore(
@@ -218,17 +205,6 @@ def test_cache_invalidates_across_snapshot_restore(
     # the pre-restore memo.
     restored.ingest_batch(list(zipf_stream)[:300])
     assert restored.query_edges(keys) == restored.query_edges_direct(keys)
-
-
-def test_sharded_serves_through_plan_across_ingest(
-    zipf_stream, zipf_sample, small_config
-):
-    sharded = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
-    sharded.ingest(zipf_stream, batch_size=1024)
-    keys = _query_set(zipf_stream, count=100)
-    assert sharded.query_edges(keys) == sharded.query_edges_direct(keys)
-    sharded.ingest_batch(list(zipf_stream)[:256])
-    assert sharded.query_edges(keys) == sharded.query_edges_direct(keys)
 
 
 # ---------------------------------------------------------------------- #
@@ -349,12 +325,12 @@ def test_cache_invalidation_counter_on_restore(
 
 
 def test_cache_invalidation_counter_on_merge(zipf_stream, zipf_sample, small_config):
-    left = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
-    right = ShardedGSketch.build(zipf_sample, small_config, num_shards=2)
+    left = GSketch.build(zipf_sample, small_config)
+    right = GSketch.build(zipf_sample, small_config)
     half = len(zipf_stream) // 2
     edges = list(zipf_stream)
-    left.ingest(edges[:half])
-    right.ingest(edges[half:])
+    left.process(edges[:half])
+    right.process(edges[half:])
     keys = sorted(zipf_stream.distinct_edges())[:4]
     left.query_edges(keys)  # warm the memo pre-merge
     before = left._hot_cache.invalidations

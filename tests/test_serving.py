@@ -657,31 +657,6 @@ class TestDrain:
 
 
 # ---------------------------------------------------------------------- #
-# Sharded serving over the wire
-# ---------------------------------------------------------------------- #
-class TestShardedServing:
-    def test_sharded_backend_served_bit_exact(self, serve_stream, serve_config):
-        engine = (
-            SketchEngine.builder()
-            .config(serve_config)
-            .dataset(serve_stream)
-            .sharded(2)
-            .build()
-        )
-        try:
-            engine.ingest(serve_stream)
-            keys = sorted(serve_stream.distinct_edges())[:48]
-            direct = engine.estimator.query_edges(keys)
-            with engine.serve() as handle:
-                with SyncServingClient(*handle.address) as client:
-                    assert client.hello["backend"] == "sharded"
-                    result = client.query_edges(keys)
-            assert list(result.values) == list(direct)
-        finally:
-            engine.close()
-
-
-# ---------------------------------------------------------------------- #
 # CLI: serve + query --connect end to end
 # ---------------------------------------------------------------------- #
 class TestServeCli:

@@ -13,7 +13,6 @@ from repro.experiments.throughput import main, run_throughput
 def test_run_throughput_reports_all_modes():
     report = run_throughput(
         num_edges=1_500,
-        shard_counts=(1, 2),
         batch_size=512,
         total_cells=4_000,
         sample_size=300,
@@ -24,25 +23,10 @@ def test_run_throughput_reports_all_modes():
     for dataset in ("rmat", "zipf"):
         assert (dataset, "per-edge") in modes
         assert (dataset, "batched") in modes
-        assert (dataset, "sharded-1") in modes
-        assert (dataset, "sharded-2") in modes
     for row in report["results"]:
         assert row["edges_per_second"] > 0
         if row["mode"] != "per-edge":
             assert row["speedup_vs_per_edge"] > 0
-        if row["mode"].startswith("sharded-"):
-            # Registry-delta breakdown of the ingest wall time.
-            breakdown = row["breakdown"]
-            assert breakdown["batches"] > 0
-            assert breakdown["apply_wall_seconds"] >= 0
-            assert breakdown["route_seconds"] >= 0
-            assert breakdown["coordinator_seconds"] >= 0
-            assert "registry" in breakdown["source"]
-        else:
-            assert row["breakdown"] is None
-    assert any(
-        entry["name"] == "repro_ingest_stage_seconds" for entry in report["telemetry"]
-    )
 
 
 def test_run_build_bench_verifies_equivalence():
@@ -82,7 +66,7 @@ def test_main_writes_report(tmp_path, monkeypatch, capsys):
 def test_run_query_bench_reports_all_backends():
     report = run_query_bench(
         num_edges=1_500,
-        backends=("global", "gsketch", "sharded-2", "windowed"),
+        backends=("global", "gsketch", "windowed"),
         batch_sizes=(1, 8, 64),
         num_queries=128,
         total_cells=4_000,
@@ -92,7 +76,7 @@ def test_run_query_bench_reports_all_backends():
     )
     assert report["parity_ok"] is True
     rows = {(row["backend"], row["batch_size"]) for row in report["results"]}
-    for backend in ("global", "gsketch", "sharded-2", "windowed"):
+    for backend in ("global", "gsketch", "windowed"):
         for batch_size in (1, 8, 64):
             assert (backend, batch_size) in rows
     for row in report["results"]:
