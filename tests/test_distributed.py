@@ -86,6 +86,21 @@ def test_checkpoint_round_trip(
     _assert_matches(restored, reference, query_edges)
 
 
+def test_checkpoint_restore_recovers_element_counters(
+    zipf_stream, zipf_sample, small_config, tmp_path
+):
+    source = _build(zipf_stream, zipf_sample, small_config)
+    source.process(zipf_stream)
+    assert source.outlier_elements > 0
+    restored = load_checkpoint(save_checkpoint(source, tmp_path / "ckpt"))
+    assert restored.elements_processed == source.elements_processed
+    assert restored.outlier_elements == source.outlier_elements
+    assert restored.total_frequency == source.total_frequency
+    restored.update(987_654_321, 42)
+    assert restored.elements_processed == source.elements_processed + 1
+    assert restored.outlier_elements == source.outlier_elements + 1
+
+
 def test_merge_equals_concatenated_stream(
     zipf_stream, zipf_sample, small_config, query_edges, reference
 ):

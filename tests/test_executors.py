@@ -5,8 +5,9 @@ Count-Min table in one engine-wide arena, and the batch kernel
 (:func:`~repro.sketches.arena.apply_batch`) executes each ingest batch against
 that shared memory in process.  The acceptance bar is bit-exact state versus
 per-edge :meth:`~repro.core.gsketch.GSketch.update` ingestion — counter
-tables, totals and update counts alike — across interleaved queries and
-snapshots, engine close and snapshot restore.
+tables, totals and update counts alike — for unit, fractional and
+conservative-update streams, across interleaved queries and snapshots, engine
+close and snapshot restore.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.api.engine import SketchEngine
+from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
+from repro.graph.sampling import reservoir_sample
 
 
 def _per_edge(sample, config, stream, prefix=None) -> GSketch:
@@ -60,6 +63,25 @@ class TestSharedMemoryParity:
         assert engine.query_edges(edges) == whole.query_edges(edges)
         _assert_matches(engine, whole)
         assert engine.total_frequency == whole.total_frequency
+
+    def test_fractional_frequencies_bit_exact(self, weighted_stream, small_config):
+        """Float (non-integral) frequencies keep bit-exact tables and totals."""
+        sample = reservoir_sample(weighted_stream, 400, seed=3)
+        engine = GSketch.build(sample, small_config, stream_size_hint=len(weighted_stream))
+        engine.process(weighted_stream, batch_size=256)
+        reference = _per_edge(sample, small_config, weighted_stream)
+        _assert_matches(engine, reference)
+        assert engine.total_frequency == reference.total_frequency
+
+    def test_conservative_updates_bit_exact(self, zipf_stream, zipf_sample):
+        """Conservative update keeps its per-element rule inside the kernel."""
+        config = GSketchConfig(
+            total_cells=4_000, depth=3, seed=11, conservative_updates=True
+        )
+        prefix = zipf_stream.prefix(1_500)
+        engine = GSketch.build(zipf_sample, config, stream_size_hint=len(prefix))
+        engine.process(prefix, batch_size=256)
+        _assert_matches(engine, _per_edge(zipf_sample, config, prefix))
 
 
 class TestSharedMemoryLifecycle:
