@@ -275,7 +275,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     engine = _open_engine(args.snapshot)
     config = ServingConfig(
         max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
         max_pending=args.max_pending,
         allow_ingest=args.allow_ingest,
     )
@@ -556,9 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="TCP port (0 picks a free one)"
     )
     serve.add_argument("--max-batch", type=int, default=512)
-    serve.add_argument(
-        "--max-delay-us", type=int, default=200, help="micro-batching dally"
-    )
     serve.add_argument(
         "--max-pending", type=int, default=4096, help="admission bound (waiting keys)"
     )

@@ -226,9 +226,7 @@ class SketchEngine:
         single routing pass (``confidence_batch_with_partitions``); backends
         without a partitioning fall back to plain ``confidence_batch``.
         """
-        generation = getattr(self._estimator, "ingest_generation", None)
-        if generation is not None:
-            generation = int(generation)
+        generation = self._estimator.ingest_generation
         combined = getattr(self._estimator, "confidence_batch_with_partitions", None)
         if combined is None:
             shared = Provenance(backend=self._backend, generation=generation)

@@ -74,3 +74,8 @@ class Estimator(Protocol):
     def elements_processed(self) -> int:
         """Number of stream elements ingested so far."""
         ...
+
+    @property
+    def ingest_generation(self) -> int:
+        """Monotonic counter of state mutations; tags every served answer."""
+        ...

@@ -32,9 +32,9 @@ class Provenance:
         outlier: whether the outlier sketch served the query; ``None`` when
             the backend has no outlier reservation.
         generation: the engine's ingest generation at answer time (``None``
-            when the backend keeps no generation clock).  The serving tier
-            returns it on every response so sessions can assert monotonic
-            reads across live ingest.
+            on subgraph and window answers, which carry no tag).  The
+            serving tier returns it on every response so sessions can assert
+            monotonic reads across live ingest.
     """
 
     backend: str

@@ -354,6 +354,11 @@ class WindowedGSketch:
         return self._elements_processed
 
     @property
+    def ingest_generation(self) -> int:
+        """Monotonic counter of ingested elements (hot-cache and serving tag)."""
+        return self._generation
+
+    @property
     def num_windows(self) -> int:
         """Number of windows opened so far."""
         return len(self._windows)

@@ -10,13 +10,14 @@ the per-request slices are demultiplexed back to their futures
 size instead of queueing delay.
 
 :class:`CoalescingQueue` is the micro-batcher.  Requests enter through
-:meth:`submit`; a single drain task wakes when work arrives, optionally
-dallies ``max_delay_us`` to let concurrent requests pile on (skipped once
-``max_batch`` keys are waiting — a full batch gains nothing by waiting),
-answers one batch through the ``answer`` callable, and resolves each
-request's future with its slice of the results plus the plan generation that
-answered it.  The answer runs synchronously on the event loop, so no ingest
-can land between the gather and the generation tag it reports.
+:meth:`submit`; a single drain task wakes when work arrives, yields one
+event-loop pass before a non-full batch so that every request already read
+in that pass joins it (a full batch does not yield), answers one batch
+through the ``answer`` callable, and resolves each request's future with its
+slice of the results plus the plan generation that answered it.  No request
+waits on a timer, which would round up to the loop's 1 ms poll tick.  The
+answer runs synchronously on the event loop, so no ingest can land between
+the gather and the generation tag it reports.
 
 Overload is **admission-controlled, not buffered**: when more than
 ``max_pending`` keys are already waiting, :meth:`submit` raises
@@ -36,11 +37,10 @@ from repro.graph.edge import EdgeKey
 from repro.observability import metrics as _obs
 from repro.queries.plan import demux_by_counts
 
-#: Default micro-batching knobs: a 512-key gather amortizes call overhead to
-#: noise, and 200 µs of dallying is invisible next to client RTTs while long
-#: enough for concurrent requests to coalesce.
+#: Default micro-batching bounds: a 512-key gather amortizes call overhead to
+#: noise, and 4096 waiting keys hold eight full batches before admission
+#: sheds load.
 DEFAULT_MAX_BATCH = 512
-DEFAULT_MAX_DELAY_US = 200
 DEFAULT_MAX_PENDING = 4096
 
 #: The answer callable: one compiled-plan gather over the coalesced keys,
@@ -91,8 +91,6 @@ class CoalescingQueue:
             compiled-plan gather); runs on the event loop, so it must be
             fast — which is the whole point of the compiled plan.
         max_batch: largest number of keys drained into one gather.
-        max_delay_us: how long the drain task dallies for more requests
-            before answering a non-full batch; ``0`` answers immediately.
         max_pending: admission-control bound on waiting keys; submissions
             beyond it raise :class:`AdmissionError` instead of queueing.
     """
@@ -102,18 +100,14 @@ class CoalescingQueue:
         answer: AnswerFn,
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_delay_us: int = DEFAULT_MAX_DELAY_US,
         max_pending: int = DEFAULT_MAX_PENDING,
     ) -> None:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be > 0, got {max_batch}")
-        if max_delay_us < 0:
-            raise ValueError(f"max_delay_us must be >= 0, got {max_delay_us}")
         if max_pending <= 0:
             raise ValueError(f"max_pending must be > 0, got {max_pending}")
         self._answer = answer
         self.max_batch = max_batch
-        self.max_delay_seconds = max_delay_us / 1_000_000.0
         self.max_pending = max_pending
         self._pending: List[_Pending] = []
         self._pending_keys = 0
@@ -218,13 +212,10 @@ class CoalescingQueue:
                 if not self._pending:
                     await self._wake.wait()
                 continue
-            if (
-                self.max_delay_seconds
-                and not self._closing
-                and self._pending_keys < self.max_batch
-            ):
-                # Dally for concurrent requests; a full batch never waits.
-                await asyncio.sleep(self.max_delay_seconds)
+            if not self._closing and self._pending_keys < self.max_batch:
+                # One loop pass lets every request already read join the
+                # batch; a full batch gains nothing by yielding.
+                await asyncio.sleep(0)
             self._drain_one(loop.time())
 
     def _take_batch(self, now: float) -> List[_Pending]:

@@ -47,7 +47,6 @@ from repro.queries.subgraph_query import SubgraphQuery
 from repro.serving import wire
 from repro.serving.coalesce import (
     DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_DELAY_US,
     DEFAULT_MAX_PENDING,
     AdmissionError,
     CoalescingQueue,
@@ -86,8 +85,8 @@ class ServingConfig:
     """Knobs of the serving tier (defaults suit a single-host deployment).
 
     Attributes:
-        max_batch: largest coalesced gather, in keys.
-        max_delay_us: micro-batching dally before answering a non-full batch.
+        max_batch: largest coalesced gather, in keys.  A non-full batch is
+            answered after one event-loop pass, never after a timer.
         max_pending: global admission bound on keys waiting to coalesce.
         max_inflight: per-connection admission bound on un-answered requests.
         max_write_queue: per-connection response frames buffered for a slow
@@ -101,7 +100,6 @@ class ServingConfig:
     """
 
     max_batch: int = DEFAULT_MAX_BATCH
-    max_delay_us: int = DEFAULT_MAX_DELAY_US
     max_pending: int = DEFAULT_MAX_PENDING
     max_inflight: int = 256
     max_write_queue: int = 1024
@@ -165,7 +163,6 @@ class SketchServer:
         self._coalescer = CoalescingQueue(
             self._answer_batch,
             max_batch=self.config.max_batch,
-            max_delay_us=self.config.max_delay_us,
             max_pending=self.config.max_pending,
         )
         self._server: Optional[asyncio.AbstractServer] = None
@@ -248,7 +245,6 @@ class SketchServer:
         ``state`` walks starting → serving → draining; readiness probes
         should treat only ``state == "serving"`` as healthy.
         """
-        estimator = self._engine.estimator
         if self._draining:
             state = wire.STATE_DRAINING
         elif self._server is not None:
@@ -257,13 +253,17 @@ class SketchServer:
             state = wire.STATE_STARTING
         return {
             "state": state,
-            "generation": int(getattr(estimator, "ingest_generation", 0)),
+            "generation": self._generation(),
             "connections": len(self._connections),
         }
 
     # ------------------------------------------------------------------ #
     # Backend access (event-loop thread only)
     # ------------------------------------------------------------------ #
+    def _generation(self) -> int:
+        """The engine's ingest generation: the tag on every answer and ack."""
+        return self._engine.estimator.ingest_generation
+
     def _answer_batch(self, keys: List[EdgeKey]) -> Tuple[List[float], int]:
         """One coalesced gather plus its generation tag.
 
@@ -271,18 +271,14 @@ class SketchServer:
         exactly the one that answered (nothing can mutate the engine between
         the gather and the read).
         """
-        estimator = self._engine.estimator
-        values = estimator.query_edges(keys)
-        generation = int(getattr(estimator, "ingest_generation", 0))
-        return list(values), generation
+        return self._engine.estimator.query_edges(keys), self._generation()
 
     def _hello(self) -> dict:
-        estimator = self._engine.estimator
         return {
             "op": wire.OP_HELLO,
             "protocol": wire.PROTOCOL_VERSION,
             "backend": self._engine.backend,
-            "generation": int(getattr(estimator, "ingest_generation", 0)),
+            "generation": self._generation(),
             "max_batch": self.config.max_batch,
             "max_inflight": self.config.max_inflight,
             "allow_ingest": self.config.allow_ingest,
@@ -516,15 +512,12 @@ class SketchServer:
                 estimates = self._engine.query(
                     [EdgeQuery(source, target) for source, target in edges]
                 )
-                generation = int(
-                    getattr(self._engine.estimator, "ingest_generation", 0)
-                )
                 self._respond(
                     connection,
                     request_id,
                     wire.STATUS_OK,
                     began,
-                    generation=generation,
+                    generation=self._generation(),
                     estimates=[estimate.to_dict() for estimate in estimates],
                 )
                 return
@@ -532,10 +525,9 @@ class SketchServer:
             if _faults._PLAN is not None and _faults.should_fire(
                 _faults.SITE_SERVING_DROP_DRAIN
             ):
-                # The requester's connection vanishes after admission but
-                # before demux — the cancel-on-disconnect path must cancel
-                # this very request instead of answering into a closed
-                # write queue.
+                # The requester's connection vanishes after admission — the
+                # cancel-on-disconnect path must cancel this very request
+                # instead of answering into a closed write queue.
                 self._abort_connection(connection)
             values, generation = await future
             payload: dict = {"generation": generation}
@@ -598,7 +590,7 @@ class SketchServer:
                 frequency = float(item[3]) if len(item) > 3 else 1.0
                 edges.append(StreamEdge(source, target, timestamp, frequency))
             ingested = self._engine.ingest_batch(EdgeBatch.from_edges(edges))
-            generation = int(getattr(self._engine.estimator, "ingest_generation", 0))
+            generation = self._generation()
             if _faults._PLAN is not None and _faults.should_fire(
                 _faults.SITE_SERVING_INGEST_CRASH
             ):

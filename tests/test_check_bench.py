@@ -281,12 +281,13 @@ SERVE_BASELINES = {
                 "require_parity": True,
                 "require_overload": True,
                 "floors": [
+                    {"clients": 1, "max_p50_ms": 1.0},
                     {
                         "clients": 64,
                         "baseline_clients": 1,
                         "min_qps_ratio": 2.0,
                         "max_p99_ms": 100.0,
-                    }
+                    },
                 ],
             }
         }
@@ -299,6 +300,7 @@ def _serve_report(
     parity: bool = True,
     row_parity: bool = True,
     overload_ok: bool = True,
+    p50_ms: float = 0.3,
 ) -> dict:
     return {
         "parity_ok": parity,
@@ -306,6 +308,7 @@ def _serve_report(
             {
                 "clients": clients,
                 "qps": qps,
+                "p50_ms": p50_ms,
                 "p99_ms": p99_ms,
                 "parity_ok": row_parity,
             }
@@ -363,6 +366,18 @@ def test_serve_gate_fails_on_p99_ceiling(serve_reports):
     )
     code = check_bench.main(
         ["--profile", "quick", "--serve", laggy, "--baselines", baselines]
+    )
+    assert code == 1
+
+
+def test_serve_gate_fails_on_p50_ceiling(serve_reports):
+    baselines, _, write = serve_reports
+    slow = write(
+        "serve_slow_p50.json",
+        _serve_report([(1, 700.0, 3.0), (64, 6_000.0, 40.0)], p50_ms=1.6),
+    )
+    code = check_bench.main(
+        ["--profile", "quick", "--serve", slow, "--baselines", baselines]
     )
     assert code == 1
 
@@ -518,18 +533,22 @@ def test_committed_baselines_parse_and_cover_both_profiles():
         # floor would let an estimate_keys regression through).
         assert query_floors[("gsketch", 64)] > 1.0
     # The serving acceptance bar: both profiles require wire parity and the
-    # overload drill, and gate the coalescing dividend (concurrent QPS over
-    # 1-client QPS); the full profile additionally bounds p99 at 256 clients
-    # so throughput can't be bought with unbounded queueing.
+    # overload drill, hold a lone client's p50 to 1 ms (a timed wait in the
+    # coalescer rounds up to the loop's 1 ms tick and fails it), and keep
+    # every concurrent row at or above 1-client QPS; the full profile also
+    # bounds p99 at 256 clients so throughput can't be bought with unbounded
+    # queueing.
     for profile in ("quick", "full"):
         serve_rules = data["profiles"][profile]["serve"]
         assert serve_rules["require_parity"] is True
         assert serve_rules["require_overload"] is True
-        for floor in serve_rules["floors"]:
-            assert floor["clients"] > floor.get("baseline_clients", 1)
-            assert floor["min_qps_ratio"] >= 2.0
+        floors = {f["clients"]: f for f in serve_rules["floors"]}
+        assert floors[1]["max_p50_ms"] <= 1.0
+        for clients, floor in floors.items():
+            if clients > 1:
+                assert floor.get("baseline_clients", 1) == 1
+                assert floor["min_qps_ratio"] >= 1.0
     full_serve = {
         f["clients"]: f for f in data["profiles"]["full"]["serve"]["floors"]
     }
-    assert full_serve[256]["min_qps_ratio"] >= 3.0
     assert full_serve[256]["max_p99_ms"] <= 250.0

@@ -166,7 +166,7 @@ class TestCoalescingQueue:
             return _echo_answer(keys)
 
         async def scenario():
-            queue = CoalescingQueue(answer, max_delay_us=2_000)
+            queue = CoalescingQueue(answer)
             queue.start()
             futures = [queue.submit([(i, i + 1)]) for i in range(10)]
             results = await asyncio.gather(*futures)
@@ -181,7 +181,7 @@ class TestCoalescingQueue:
 
     def test_demux_slices_match_multi_key_requests(self):
         async def scenario():
-            queue = CoalescingQueue(_echo_answer, max_delay_us=2_000)
+            queue = CoalescingQueue(_echo_answer)
             queue.start()
             futures = [
                 queue.submit([(1, 2), (3, 4)]),
@@ -199,7 +199,7 @@ class TestCoalescingQueue:
 
     def test_admission_rejects_synchronously_beyond_max_pending(self):
         async def scenario():
-            queue = CoalescingQueue(_echo_answer, max_pending=4, max_delay_us=50_000)
+            queue = CoalescingQueue(_echo_answer, max_pending=4)
             queue.start()
             admitted = [queue.submit([(i, i)]) for i in range(4)]
             with pytest.raises(AdmissionError):
@@ -214,7 +214,7 @@ class TestCoalescingQueue:
 
     def test_expired_deadline_gets_typed_error_not_stale_answer(self):
         async def scenario():
-            queue = CoalescingQueue(_echo_answer, max_delay_us=10_000)
+            queue = CoalescingQueue(_echo_answer)
             queue.start()
             loop = asyncio.get_running_loop()
             dead = queue.submit([(1, 2)], deadline=loop.time() - 0.001)
@@ -230,10 +230,10 @@ class TestCoalescingQueue:
 
     def test_stop_drains_admitted_work_then_rejects(self):
         async def scenario():
-            queue = CoalescingQueue(_echo_answer, max_delay_us=50_000)
+            queue = CoalescingQueue(_echo_answer)
             queue.start()
             admitted = [queue.submit([(i, i)]) for i in range(3)]
-            await queue.stop()  # drains without waiting out the dally
+            await queue.stop()
             results = await asyncio.gather(*admitted)
             assert [values for values, _ in results] == [[0.0], [2.0], [4.0]]
             with pytest.raises(AdmissionError, match="draining"):
@@ -246,7 +246,7 @@ class TestCoalescingQueue:
             raise RuntimeError("arena on fire")
 
         async def scenario():
-            queue = CoalescingQueue(broken, max_delay_us=1_000)
+            queue = CoalescingQueue(broken)
             queue.start()
             futures = [queue.submit([(1, 2)]), queue.submit([(3, 4)])]
             for future in futures:
@@ -255,6 +255,62 @@ class TestCoalescingQueue:
             await queue.stop()
 
         asyncio.run(scenario())
+
+    def test_lone_request_is_answered_without_a_timer(self):
+        """A non-full batch waits one loop pass, never a timer: with the
+        loop's clock frozen no timer can come due, and a lone request is
+        still answered within a few passes."""
+        calls = []
+
+        def answer(keys):
+            calls.append(list(keys))
+            return _echo_answer(keys)
+
+        async def scenario():
+            queue = CoalescingQueue(answer)
+            queue.start()
+            future = queue.submit([(1, 2)])
+            for _ in range(4):
+                if future.done():
+                    break
+                await asyncio.sleep(0)
+            assert future.done(), "a lone request waited on a timer"
+            await queue.stop()
+            return future.result()
+
+        loop = asyncio.new_event_loop()
+        loop.time = lambda: 0.0
+        try:
+            assert loop.run_until_complete(scenario()) == ([3.0], 42)
+        finally:
+            loop.close()
+        assert calls == [[(1, 2)]]
+
+    def test_cancelled_request_still_queued_is_skipped_and_counted(self):
+        """A request whose future was cancelled (its connection dropped)
+        before the drain reached it takes no gather capacity and no answer."""
+        calls = []
+
+        def answer(keys):
+            calls.append(list(keys))
+            return _echo_answer(keys)
+
+        async def scenario():
+            queue = CoalescingQueue(answer)
+            queue.start()
+            dropped = queue.submit([(1, 2)])
+            live = queue.submit([(3, 4)])
+            dropped.cancel()
+            values, _ = await live
+            await queue.stop()
+            return values, queue.stats()
+
+        values, stats = asyncio.run(scenario())
+        assert values == [7.0]
+        assert calls == [[(3, 4)]]
+        assert stats["cancelled"] == 1
+        assert stats["batches"] == 1 and stats["coalesced_keys"] == 1
+        assert stats["depth"] == 0
 
     def test_demux_by_counts_validates_totals(self):
         assert demux_by_counts([1.0, 2.0, 3.0], [2, 1]) == [[1.0, 2.0], [3.0]]
@@ -336,32 +392,41 @@ class TestServerRoundTrip:
 # ---------------------------------------------------------------------- #
 # Cross-client coalescing and interleaved parity
 # ---------------------------------------------------------------------- #
+async def _serve_on_this_loop(engine, config, drive):
+    """Run ``drive(host, port)`` against a server on the caller's own loop.
+
+    Every frame the clients write in one loop pass is readable when the
+    server next polls, with no server thread racing the writes, so requests
+    sent together reach the coalescer together.  Returns the drive's result
+    and the server stats taken before shutdown.
+    """
+    server = SketchServer(engine, config=config)
+    await server.start()
+    try:
+        return await drive(*server.address), server.stats()
+    finally:
+        await server.shutdown()
+
+
 class TestConcurrency:
     def test_concurrent_clients_coalesce_into_shared_batches(self, engine, query_keys):
-        # A long dally makes coalescing deterministic: every query in flight
-        # during one window lands in one gather.
-        config = ServingConfig(max_delay_us=20_000)
-        handle = serve_in_background(engine, config=config)
-        try:
-            host, port = handle.address
-
-            async def fire(n):
-                clients = [await connect(host, port) for _ in range(n)]
-                try:
-                    await asyncio.gather(
-                        *(
-                            client.query_edges([query_keys[i % len(query_keys)]])
-                            for i, client in enumerate(clients)
-                        )
+        async def fire(host, port):
+            clients = [await connect(host, port) for _ in range(12)]
+            try:
+                await asyncio.gather(
+                    *(
+                        client.query_edges([query_keys[i % len(query_keys)]])
+                        for i, client in enumerate(clients)
                     )
-                finally:
-                    for client in clients:
-                        await client.close()
+                )
+            finally:
+                for client in clients:
+                    await client.close()
 
-            asyncio.run(fire(12))
-            stats = handle.stats()["coalescer"]
-        finally:
-            handle.stop()
+        _, stats = asyncio.run(
+            asyncio.wait_for(_serve_on_this_loop(engine, ServingConfig(), fire), 30.0)
+        )
+        stats = stats["coalescer"]
         assert stats["submitted"] == 12
         assert stats["batches"] < stats["submitted"]
         assert stats["mean_batch_size"] > 1.0
@@ -467,6 +532,30 @@ class TestSessions:
             handle.stop()
             engine.close()
 
+    def test_windowed_engine_tags_answers_and_acks_with_its_generation(
+        self, serve_stream, serve_config
+    ):
+        """Read-your-writes needs a generation that moves on every backend,
+        the windowed one included."""
+        engine = SketchEngine.builder().config(serve_config).windowed(2_000.0).build()
+        engine.ingest(serve_stream)
+        key = sorted(serve_stream.distinct_edges())[0]
+        timestamp = float(len(serve_stream))  # in the open window
+        handle = serve_in_background(engine, config=ServingConfig(allow_ingest=True))
+        try:
+            with SyncServingClient(*handle.address) as client:
+                hello = client.hello["generation"]
+                ingested, acked = client.ingest([(key[0], key[1], timestamp, 2.0)])
+                answer = client.query_edges([key])
+                [estimate] = client.query_edges_confidence([key])
+        finally:
+            handle.stop()
+            engine.close()
+        assert ingested == 1
+        assert acked > hello
+        assert answer.generation > hello
+        assert estimate["generation"] == answer.generation
+
     def test_sync_session_seeds_watermark_from_hello(self, engine):
         handle = engine.serve()
         try:
@@ -483,29 +572,23 @@ class TestSessions:
 # ---------------------------------------------------------------------- #
 class TestOverload:
     def test_queue_full_sheds_with_typed_retry_later(self, engine, query_keys):
-        config = ServingConfig(max_pending=8, max_delay_us=50_000)
-        handle = serve_in_background(engine, config=config)
-        try:
-            host, port = handle.address
+        async def flood(host, port):
+            client = await connect(host, port)
+            try:
+                return await asyncio.gather(
+                    *(
+                        client.query_edges([query_keys[i % len(query_keys)]])
+                        for i in range(64)
+                    ),
+                    return_exceptions=True,
+                )
+            finally:
+                await client.close()
 
-            async def flood():
-                client = await connect(host, port)
-                try:
-                    results = await asyncio.gather(
-                        *(
-                            client.query_edges([query_keys[i % len(query_keys)]])
-                            for i in range(64)
-                        ),
-                        return_exceptions=True,
-                    )
-                finally:
-                    await client.close()
-                return results
-
-            results = asyncio.run(asyncio.wait_for(flood(), timeout=30.0))
-            stats = handle.stats()
-        finally:
-            handle.stop()
+        config = ServingConfig(max_pending=8)
+        results, stats = asyncio.run(
+            asyncio.wait_for(_serve_on_this_loop(engine, config, flood), 30.0)
+        )
         rejected = [r for r in results if isinstance(r, RetryLater)]
         answered = [r for r in results if not isinstance(r, Exception)]
         assert len(rejected) + len(answered) == 64, "a request hung or died untyped"
@@ -517,34 +600,31 @@ class TestOverload:
     def test_per_connection_inflight_cap_sheds_greedy_pipeliner(
         self, engine, query_keys
     ):
-        config = ServingConfig(max_inflight=4, max_delay_us=50_000)
-        handle = serve_in_background(engine, config=config)
-        try:
-            host, port = handle.address
+        async def pipeline(host, port):
+            client = await connect(host, port)
+            try:
+                return await asyncio.gather(
+                    *(client.query_edges([query_keys[0]]) for _ in range(16)),
+                    return_exceptions=True,
+                )
+            finally:
+                await client.close()
 
-            async def pipeline():
-                client = await connect(host, port)
-                try:
-                    return await asyncio.gather(
-                        *(client.query_edges([query_keys[0]]) for _ in range(16)),
-                        return_exceptions=True,
-                    )
-                finally:
-                    await client.close()
-
-            results = asyncio.run(asyncio.wait_for(pipeline(), timeout=30.0))
-        finally:
-            handle.stop()
+        config = ServingConfig(max_inflight=4)
+        results, _ = asyncio.run(
+            asyncio.wait_for(_serve_on_this_loop(engine, config, pipeline), 30.0)
+        )
         assert any(isinstance(r, RetryLater) for r in results)
         assert any(not isinstance(r, Exception) for r in results)
 
     def test_expired_deadline_is_typed_over_the_wire(self, engine, query_keys):
-        config = ServingConfig(max_delay_us=200_000)  # park requests in the queue
-        handle = serve_in_background(engine, config=config)
+        # A zero budget expires at the drain by construction: the drain runs
+        # at least one loop pass after the request was admitted.
+        handle = serve_in_background(engine)
         try:
             with SyncServingClient(*handle.address) as client:
                 with pytest.raises(DeadlineExceeded):
-                    client.query_edges(query_keys[:2], deadline_ms=1.0)
+                    client.query_edges(query_keys[:2], deadline_ms=0.0)
         finally:
             handle.stop()
 
@@ -608,15 +688,13 @@ class TestDrain:
         direct = engine.estimator.query_edges(query_keys[:1])
 
         async def scenario():
-            server = SketchServer(
-                engine, config=ServingConfig(max_delay_us=100_000)
-            )
+            server = SketchServer(engine, config=ServingConfig())
             await server.start()
             host, port = server.address
             client = await connect(host, port)
             try:
-                # Admit requests that will still be dallying when the drain
-                # starts, then shut down underneath them.
+                # Admit requests, then shut down underneath them: everything
+                # admitted gets its real answer.
                 in_flight = [
                     asyncio.ensure_future(client.query_edges([query_keys[0]]))
                     for _ in range(4)

@@ -12,9 +12,10 @@ client-visible contract:
 * a **stalled connection** delays only its own responses — a healthy peer
   keeps its latency while the victim waits (and still gets the exact
   answer);
-* a connection **dropped after admission** has its queued request
-  cancelled (the coalescer's ``cancelled`` stat) instead of being answered
-  into a closed write queue;
+* a connection **dropped after admission** fails its client typed and
+  leaves the server answering fresh clients exactly (that a request still
+  queued when its connection drops is skipped and counted is pinned on the
+  coalescing queue itself, in ``tests/test_serving.py``);
 * the **non-idempotent ingest window** is never retried: the engine
   mutated once, the client sees a typed disconnect, nothing double-counts;
 * a :class:`SyncSession`'s generation **watermark survives reconnect** —
@@ -225,14 +226,7 @@ class TestDropAfterAdmission:
                 _arm(faults.FaultSpec(site=faults.SITE_SERVING_DROP_DRAIN))
                 with pytest.raises((ServerClosed, ServingError)):
                     client.query_edges(query_keys[:4])
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                stats = handle.stats()
-                if stats["coalescer"]["cancelled"] >= 1:
-                    break
-                time.sleep(0.05)
-            assert stats["coalescer"]["cancelled"] >= 1
-            assert stats["connections_dropped"] >= 1
+            assert handle.stats()["connections_dropped"] >= 1
             # The server took no damage: a fresh client gets exact answers.
             direct = list(engine.estimator.query_edges(query_keys[:4]))
             with SyncServingClient(*handle.address) as client:
