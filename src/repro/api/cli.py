@@ -258,7 +258,7 @@ def _probe_health(address: str) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a snapshot over TCP until interrupted (SIGINT drains gracefully).
+    """Serve a snapshot over TCP until SIGINT or SIGTERM, which drain gracefully.
 
     Prints one JSON ready-line (with the bound port — useful with
     ``--port 0``) as soon as the socket is listening, then a final JSON

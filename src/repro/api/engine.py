@@ -24,6 +24,8 @@ partitioned, windowed) stays a construction-time choice::
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
 
@@ -185,11 +187,7 @@ class SketchEngine:
             return self._estimate_edge_keys([query.key])[0]
         if isinstance(query, SubgraphQuery):
             value = self._estimator.query_subgraph(query)
-            return Estimate(
-                value=float(value),
-                interval=None,
-                provenance=Provenance(backend=self._backend),
-            )
+            return Estimate(float(value), Provenance(backend=self._backend))
         if isinstance(query, tuple) and len(query) == 2:
             return self._estimate_edge_keys([query])[0]
         raise EngineError(
@@ -199,6 +197,9 @@ class SketchEngine:
 
     def _dispatch_batch(self, queries: Sequence[Union[Query, EdgeKey]]) -> List[Estimate]:
         """Answer a block of queries; plain edge queries share one batched pass."""
+        keys = _lifetime_edge_keys(queries)
+        if keys is not None:
+            return self._estimate_edge_keys(keys)
         estimates: List[Optional[Estimate]] = [None] * len(queries)
         edge_positions: List[int] = []
         edge_keys: List[EdgeKey] = []
@@ -222,32 +223,32 @@ class SketchEngine:
     def _estimate_edge_keys(self, keys: Sequence[EdgeKey]) -> List[Estimate]:
         """Typed estimates for a block of edge keys (lifetime semantics).
 
-        Partitioned backends answer values, intervals *and* provenance from a
-        single routing pass (``confidence_batch_with_partitions``); backends
-        without a partitioning fall back to plain ``confidence_batch``.
+        One ``confidence_columns`` pass answers values, Equation-1 constants
+        and (on partitioned backends) the answering partition as columns;
+        each answering partition gets one :class:`Provenance`, shared by
+        every estimate it served.
         """
         generation = self._estimator.ingest_generation
-        combined = getattr(self._estimator, "confidence_batch_with_partitions", None)
-        if combined is None:
-            shared = Provenance(backend=self._backend, generation=generation)
-            return [
-                Estimate(value=interval.estimate, interval=interval, provenance=shared)
-                for interval in self._estimator.confidence_batch(keys)
-            ]
-        intervals, partitions = combined(keys)
-        return [
-            Estimate(
-                value=interval.estimate,
-                interval=interval,
-                provenance=Provenance(
+        estimates, bounds, failures, partitions = self._estimator.confidence_columns(keys)
+        if partitions is None:
+            provenances: Iterable[Provenance] = repeat(
+                Provenance(backend=self._backend, generation=generation)
+            )
+        else:
+            partition_ids = partitions.tolist()
+            by_partition = {
+                partition: Provenance(
                     backend=self._backend,
                     partition=partition,
                     outlier=partition == OUTLIER_PARTITION,
                     generation=generation,
-                ),
-            )
-            for interval, partition in zip(intervals, partitions)
-        ]
+                )
+                for partition in set(partition_ids)
+            }
+            provenances = map(by_partition.__getitem__, partition_ids)
+        return list(
+            map(Estimate, estimates.tolist(), provenances, bounds.tolist(), failures.tolist())
+        )
 
     def _query_window(self, query: WindowQuery) -> Estimate:
         if self._backend != BACKEND_WINDOWED:
@@ -255,11 +256,7 @@ class SketchEngine:
                 f"window queries need the windowed backend, engine is {self._backend!r}"
             )
         value = self._estimator.query_edge(query.key, query.start, query.end)
-        return Estimate(
-            value=float(value),
-            interval=None,
-            provenance=Provenance(backend=self._backend),
-        )
+        return Estimate(float(value), Provenance(backend=self._backend))
 
     # ------------------------------------------------------------------ #
     # Read optimization
@@ -424,6 +421,27 @@ class SketchEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SketchEngine(backend={self._backend!r}, estimator={self._estimator!r})"
+
+
+_EDGE_KEY = attrgetter("source", "target")
+
+
+def _lifetime_edge_keys(queries: Sequence) -> Optional[Sequence[EdgeKey]]:
+    """The edge keys of a batch that holds only lifetime edge queries.
+
+    Returns ``None`` unless every query is a plain :class:`EdgeQuery` without
+    a window, or every query is a bare ``(source, target)`` tuple; such a
+    batch needs no per-query position bookkeeping.  The query types are
+    checked as one set, not one ``isinstance`` per query.
+    """
+    kinds = set(map(type, queries))
+    if kinds == {EdgeQuery}:
+        if all(query.window is None for query in queries):
+            return list(map(_EDGE_KEY, queries))
+    elif kinds == {tuple}:
+        if all(len(query) == 2 for query in queries):
+            return queries
+    return None
 
 
 def _mirror_tables(

@@ -20,7 +20,9 @@ through :class:`~repro.api.queries.WindowQuery`.
 
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+
+import numpy as np
 
 from repro.core.estimator import ConfidenceInterval
 from repro.graph.edge import EdgeKey
@@ -42,9 +44,9 @@ class Estimator(Protocol):
       or a sequence of :class:`~repro.graph.edge.StreamEdge` and returns the
       number of elements absorbed; repeated calls are equivalent to one pass
       over the concatenated stream.
-    * :meth:`query_edges` / :meth:`confidence_batch` are element-wise
-      positionally aligned with their input and agree with the scalar
-      single-edge paths bit for bit.
+    * :meth:`query_edges` / :meth:`confidence_columns` /
+      :meth:`confidence_batch` are element-wise positionally aligned with
+      their input and agree with the scalar single-edge paths bit for bit.
     * :meth:`state_dict` captures the *complete* estimator state;
       ``type(est).from_state(est.state_dict())`` must answer every query
       identically to the original.
@@ -56,6 +58,15 @@ class Estimator(Protocol):
 
     def query_edges(self, edges: Sequence[EdgeKey]) -> List[float]:
         """Point estimates for a block of edge keys, positionally aligned."""
+        ...
+
+    def confidence_columns(
+        self, edges: Sequence[EdgeKey]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``(estimates, bounds, failures, partitions)`` columns for a block of
+        edge keys: the point estimates, each answering partition's Equation-1
+        additive bound and failure probability, and the partition ids
+        (``None`` when the backend answers without a partitioning)."""
         ...
 
     def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:

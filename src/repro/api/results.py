@@ -43,9 +43,15 @@ class Provenance:
     generation: Optional[int] = None
 
 
-@dataclass(frozen=True)
 class Estimate:
-    """A typed point estimate.
+    """A typed, immutable point estimate.
+
+    Stored as the record ``(value, provenance, additive_bound,
+    failure_probability)`` — the columns one plan pass produces — so a batch
+    of answers costs one small object per key.  The attributes are
+    read-only properties over private slots, and the Equation-1
+    :attr:`interval` is derived from the answering partition's bound on
+    access.  Equality and hashing compare ``(value, interval, provenance)``.
 
     Attributes:
         value: the estimated aggregate frequency.
@@ -54,30 +60,73 @@ class Estimate:
         provenance: which physical structure answered.
     """
 
-    value: float
-    interval: Optional[ConfidenceInterval]
-    provenance: Provenance
+    __slots__ = ("_value", "_provenance", "_additive_bound", "_failure_probability")
+
+    def __init__(
+        self,
+        value: float,
+        provenance: Provenance,
+        additive_bound: Optional[float] = None,
+        failure_probability: Optional[float] = None,
+    ) -> None:
+        self._value = value
+        self._provenance = provenance
+        self._additive_bound = additive_bound
+        self._failure_probability = failure_probability
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+    @property
+    def provenance(self) -> Provenance:
+        return self._provenance
+
+    @property
+    def interval(self) -> Optional[ConfidenceInterval]:
+        if self._additive_bound is None:
+            return None
+        return ConfidenceInterval(self._value, self._additive_bound, self._failure_probability)
+
+    def _key(self) -> tuple:
+        return (self._value, self.interval, self._provenance)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Estimate):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Estimate(value={self._value!r}, interval={self.interval!r}, "
+            f"provenance={self._provenance!r})"
+        )
 
     def __float__(self) -> float:
-        return self.value
+        return self._value
 
     def to_dict(self) -> dict:
         """Plain-JSON form (used by the CLI)."""
+        provenance = self._provenance
         result: dict = {
-            "value": self.value,
-            "backend": self.provenance.backend,
+            "value": self._value,
+            "backend": provenance.backend,
         }
-        if self.provenance.partition is not None:
-            result["partition"] = self.provenance.partition
-        if self.provenance.outlier is not None:
-            result["outlier"] = self.provenance.outlier
-        if self.provenance.generation is not None:
-            result["generation"] = self.provenance.generation
-        if self.interval is not None:
+        if provenance.partition is not None:
+            result["partition"] = provenance.partition
+        if provenance.outlier is not None:
+            result["outlier"] = provenance.outlier
+        if provenance.generation is not None:
+            result["generation"] = provenance.generation
+        interval = self.interval
+        if interval is not None:
             result["interval"] = {
-                "lower": self.interval.lower,
-                "upper": self.interval.upper,
-                "additive_bound": self.interval.additive_bound,
-                "failure_probability": self.interval.failure_probability,
+                "lower": interval.lower,
+                "upper": interval.upper,
+                "additive_bound": interval.additive_bound,
+                "failure_probability": interval.failure_probability,
             }
         return result

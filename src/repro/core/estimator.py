@@ -61,13 +61,9 @@ def intervals_from_arrays(
 
     The compiled query plan answers confidence batches as three aligned
     arrays (one routing pass, constants gathered by partition slot); this is
-    the single place they become :class:`ConfidenceInterval` objects.
+    the single place they become :class:`ConfidenceInterval` objects.  The
+    columns are converted with ``tolist`` once, not per element.
     """
-    return [
-        ConfidenceInterval(
-            estimate=float(estimate),
-            additive_bound=float(bound),
-            failure_probability=float(failure),
-        )
-        for estimate, bound, failure in zip(estimates, bounds, failures)
-    ]
+    return list(
+        map(ConfidenceInterval, estimates.tolist(), bounds.tolist(), failures.tolist())
+    )

@@ -12,11 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Sequence
 
 from repro.core.config import GSketchConfig
-from repro.core.estimator import (
-    ConfidenceInterval,
-    countmin_confidence,
-    intervals_from_arrays,
-)
+from repro.core.estimator import ConfidenceInterval, countmin_confidence
 from repro.core.gsketch import DEFAULT_BATCH_SIZE, iter_edge_batches
 from repro.graph.batch import EdgeBatch, require_valid_frequencies
 from repro.graph.edge import EdgeKey, StreamEdge, edge_key
@@ -37,7 +33,9 @@ class GlobalSketch(PlanServingMixin):
     """A single global Count-Min sketch over the whole edge universe.
 
     Point queries ride the compiled-plan read path (a one-slot arena plus the
-    hot-edge cache); the pre-plan path stays as :meth:`query_edges_direct`.
+    hot-edge cache), and :meth:`confidence_columns` broadcasts the one
+    sketch's Equation-1 constants over a plan gather; the pre-plan path stays
+    as :meth:`query_edges_direct`.
 
     Args:
         config: space budget.  The baseline uses the *entire* budget
@@ -141,19 +139,6 @@ class GlobalSketch(PlanServingMixin):
     def confidence(self, edge: EdgeKey) -> ConfidenceInterval:
         """Equation-1 confidence interval for an edge estimate."""
         return countmin_confidence(self._sketch, self.query_edge(edge))
-
-    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
-        """Equation-1 confidence intervals for many edges at once.
-
-        One plan pass: the keys are hashed once, estimated in one gather, and
-        the constant bound/failure pair (one sketch serves every query) is
-        broadcast from the plan's per-slot constants.  Element-wise identical
-        to :meth:`confidence`.
-        """
-        if len(edges) == 0:
-            return []
-        estimates, bounds, failures, _ = self._planned_confidence(edges)
-        return intervals_from_arrays(estimates, bounds, failures)
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol

@@ -126,8 +126,10 @@ class GSketch(PlanServingMixin):
     :class:`~repro.queries.plan.CompiledQueryPlan` (one arena spanning every
     partition plus the outlier sketch, answers bit-identical to the
     per-partition path) with a generation-tagged hot-edge cache in front of
-    reads; the pre-plan routed path stays available as
-    :meth:`query_edges_direct` / :meth:`confidence_batch_direct`.
+    point reads; :meth:`confidence_columns` answers estimates, Equation-1
+    constants and the answering partition from one plan pass.  The pre-plan
+    routed path stays available as :meth:`query_edges_direct` /
+    :meth:`confidence_batch_direct`.
     """
 
     def __init__(
@@ -362,33 +364,11 @@ class GSketch(PlanServingMixin):
         sketch = self._sketch_for(self.router.partition_of(source))
         return countmin_confidence(sketch, sketch.estimate(tuple(edge)))
 
-    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
-        """Equation-1 confidence intervals for many edges at once.
-
-        Element-wise identical to calling :meth:`confidence` per edge; rides
-        the compiled plan with the per-partition bound/failure constants
-        gathered by partition slot.
-        """
-        return self.confidence_batch_with_partitions(edges)[0]
-
-    def confidence_batch_with_partitions(
-        self, edges: Sequence[EdgeKey]
-    ) -> "tuple[List[ConfidenceInterval], List[int]]":
-        """Intervals plus the partition id that answered each edge.
-
-        One plan pass serves estimates, constants and provenance; the facade
-        uses the partition column without re-routing the keys.  Bit-identical
-        to :meth:`confidence_batch_direct`.
-        """
-        if len(edges) == 0:
-            return [], []
-        estimates, bounds, failures, partitions = self._planned_confidence(edges)
-        return intervals_from_arrays(estimates, bounds, failures), partitions.tolist()
-
     def confidence_batch_direct(
         self, edges: Sequence[EdgeKey]
     ) -> "tuple[List[ConfidenceInterval], List[int]]":
-        """The pre-plan routed confidence path (parity oracle).
+        """The pre-plan routed confidence path: the parity oracle of the
+        plan-served :meth:`confidence_columns` / :meth:`confidence_batch`.
 
         Edges are routed once and estimated per partition via
         ``estimate_batch``; the additive bound and failure probability are

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -257,27 +257,33 @@ class WindowedGSketch:
         """
         return self.confidence_batch([edge])[0]
 
-    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
-        """Lifetime confidence intervals for many edges at once.
+    def confidence_columns(
+        self, edges: Sequence[EdgeKey]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, None]:
+        """Lifetime ``(estimates, bounds, failures, None)`` columns.
 
         Each window contributes its plan-served estimate/bound/failure
-        columns directly (no per-window interval objects), which compose
-        additively exactly as the scalar :meth:`confidence` path does.
+        columns, which compose additively exactly as the scalar
+        :meth:`confidence` path does.  Lifetime answers span windows with
+        different partitionings, so there is no partition column.
         """
-        if len(edges) == 0:
-            return []
         estimates = np.zeros(len(edges), dtype=np.float64)
         bounds = np.zeros(len(edges), dtype=np.float64)
         failures = np.zeros(len(edges), dtype=np.float64)
         for window in sorted(self._windows):
             window_est, window_bounds, window_failures, _ = self._windows[
                 window
-            ].estimator._planned_confidence(edges)
+            ].estimator.confidence_columns(edges)
             estimates += window_est
             bounds += window_bounds
             failures += window_failures
         # The union bound over per-window failure events clamps at 1.
         np.minimum(failures, 1.0, out=failures)
+        return estimates, bounds, failures, None
+
+    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
+        """Lifetime confidence intervals for many edges at once."""
+        estimates, bounds, failures, _ = self.confidence_columns(edges)
         return intervals_from_arrays(estimates, bounds, failures)
 
     def compile_plan(self) -> None:

@@ -31,10 +31,12 @@ def label_column(values: List) -> np.ndarray:
     Only genuine integers are columnarized — floats, bools and strings keep
     their identity in an object array so hashing semantics never change.
     (A bare ``np.asarray`` would promote mixed int/str labels to strings and
-    silently change routing.)
+    silently change routing.)  The rule is checked once per distinct label
+    type, not once per label.
     """
     if values and all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
+        issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+        for kind in set(map(type, values))
     ):
         try:
             return np.asarray(values, dtype=np.int64)

@@ -57,6 +57,7 @@ from repro.sketches.countmin import CountMinSketch
 from repro.sketches.hashing import key_to_uint64
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
+    from repro.core.estimator import ConfidenceInterval
     from repro.core.router import VertexRouter
 
 # Telemetry handles (see README "Observability" for the name catalogue).
@@ -429,8 +430,8 @@ class PlanServingMixin:
     (lazy compile / generation-checked refresh), :meth:`_ingest_routed`
     (batch ingest into the plan's arena, for backends with a ``router``),
     plan-served :meth:`_planned_estimates` with the hot-edge cache in front,
-    and :meth:`_planned_confidence` producing intervals plus partition
-    provenance from the same single routing pass.
+    and :meth:`confidence_columns` producing estimates, Equation-1 constants
+    and partition provenance from the same single routing pass.
 
     The backend's sketch objects must stay the same for its lifetime
     (restores copy counters in place), because the compiled plan holds them
@@ -582,14 +583,16 @@ class PlanServingMixin:
         )
         return cached
 
-    def _planned_confidence(
+    def confidence_columns(
         self, edges: Sequence[EdgeKey]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """``(estimates, bounds, failures, partitions)`` from one routing pass.
 
         ``partitions`` is ``None`` for single-sketch plans.  The constants are
         gathered per element by arena slot, so queries spanning any number of
-        partitions stay loop-free.
+        partitions stay loop-free.  Bit-identical per element to the scalar
+        ``confidence`` path; the hot-edge cache is not consulted.  Timed and
+        counted like :meth:`_planned_estimates` when telemetry is enabled.
         """
         if not _obs._ENABLED:
             return self._planned_confidence_impl(edges)
@@ -599,6 +602,14 @@ class PlanServingMixin:
         _QUERY_BATCHES.inc()
         _QUERY_EDGES.inc(len(edges))
         return result
+
+    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List["ConfidenceInterval"]:
+        """Equation-1 confidence intervals for many edges at once (one plan
+        pass; element-wise identical to the scalar ``confidence`` path)."""
+        from repro.core.estimator import intervals_from_arrays
+
+        estimates, bounds, failures, _ = self.confidence_columns(edges)
+        return intervals_from_arrays(estimates, bounds, failures)
 
     def _planned_confidence_impl(
         self, edges: Sequence[EdgeKey]

@@ -34,6 +34,7 @@ than a stale answer.
 from __future__ import annotations
 
 import asyncio
+import signal
 import threading
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
@@ -168,6 +169,7 @@ class SketchServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
         self._request_tasks: "Set[asyncio.Task]" = set()
+        self._handler_tasks: "Set[asyncio.Task]" = set()
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         # Always-on counters (mirrored into the registry when telemetry is on).
@@ -212,8 +214,10 @@ class SketchServer:
             return
         self._draining = True
         if self._server is not None:
+            # Stops listening at once.  No `wait_closed()`: from Python 3.12.1
+            # it waits for every connection to drop, and the connections are
+            # only closed below.
             self._server.close()
-            await self._server.wait_closed()
         # In-flight request tasks either resolve through the coalescer's own
         # drain or shed with `shutting_down`; bound the wait regardless.
         deadline = self.config.drain_seconds
@@ -224,6 +228,11 @@ class SketchServer:
             await asyncio.wait(tuple(self._request_tasks), timeout=deadline)
         for connection in tuple(self._connections):
             await self._close_connection(connection, flush=True)
+        # Handlers whose client hung up first left `_connections` before
+        # their own close finished; let them finish rather than be
+        # cancelled mid-close when the loop stops.
+        if self._handler_tasks:
+            await asyncio.wait(tuple(self._handler_tasks), timeout=deadline)
         if self._stopped is not None:
             self._stopped.set()
 
@@ -290,6 +299,9 @@ class SketchServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        self._handler_tasks.add(handler)
+        handler.add_done_callback(self._handler_tasks.discard)
         connection = _Connection(writer, self.config.max_write_queue)
         self._connections.add(connection)
         self.connections_accepted += 1
@@ -717,13 +729,24 @@ def run_server(
     """Run a server on the calling thread until interrupted (the CLI path).
 
     ``on_started(server)`` fires after the socket is bound (the CLI prints
-    the ready line there).  ``KeyboardInterrupt``/SIGINT triggers a graceful
-    drain before returning.
+    the ready line there).  SIGINT or SIGTERM triggers a graceful drain
+    before returning.  Both are handled on the event loop, so the drain also
+    runs when the process started with SIGINT ignored, as a non-interactive
+    shell starts background jobs.
     """
 
     async def _main() -> None:
         server = SketchServer(engine, host, port, config)
         await server.start()
+        loop = asyncio.get_running_loop()
+        drains: "List[asyncio.Task]" = []
+
+        def _drain() -> None:
+            if not drains:
+                drains.append(loop.create_task(server.shutdown()))
+
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, _drain)
         if on_started is not None:
             on_started(server)
         try:
@@ -731,7 +754,10 @@ def run_server(
         except asyncio.CancelledError:
             pass
         finally:
-            await server.shutdown()
+            if drains:
+                await drains[0]  # the signal-driven drain; re-raises its failure
+            else:
+                await server.shutdown()
 
     try:
         asyncio.run(_main())

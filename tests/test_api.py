@@ -18,6 +18,7 @@ from repro.api import (
     EdgeQuery,
     EngineError,
     Estimator,
+    Provenance,
     SketchEngine,
     SnapshotError,
     SubgraphQuery,
@@ -215,6 +216,119 @@ def test_estimates_carry_partition_provenance(zipf_stream, zipf_sample, small_co
     assert "interval" in document and document["interval"]["lower"] >= 0.0
 
 
+def _scalar_provenance(engine, key):
+    """The provenance the scalar routing path assigns to ``key``."""
+    estimator = engine.estimator
+    generation = estimator.ingest_generation
+    if engine.backend != "gsketch":
+        return Provenance(backend=engine.backend, generation=generation)
+    partition = estimator.router.partition_of(key[0])
+    return Provenance(
+        backend="gsketch",
+        partition=partition,
+        outlier=partition == OUTLIER_PARTITION,
+        generation=generation,
+    )
+
+
+def _document(interval, provenance):
+    """``Estimate.to_dict()`` of an edge answer, spelled out field by field."""
+    document = {"value": interval.estimate, "backend": provenance.backend}
+    if provenance.partition is not None:
+        document["partition"] = provenance.partition
+    if provenance.outlier is not None:
+        document["outlier"] = provenance.outlier
+    document["generation"] = provenance.generation
+    document["interval"] = {
+        "lower": interval.lower,
+        "upper": interval.upper,
+        "additive_bound": interval.additive_bound,
+        "failure_probability": interval.failure_probability,
+    }
+    return document
+
+
+@pytest.mark.parametrize("backend", sorted(BACKEND_BUILDERS))
+def test_columnar_edge_answers_match_the_scalar_path(
+    backend, zipf_stream, zipf_sample, small_config
+):
+    engine = BACKEND_BUILDERS[backend](zipf_stream, zipf_sample, small_config)
+    engine.ingest(zipf_stream)
+    estimator = engine.estimator
+    keys = query_keys(zipf_stream, count=40)
+    subgraph = SubgraphQuery.from_edges(keys[:5])
+    window = WindowQuery(keys[0][0], keys[0][1], 0.0, 3_000.0)
+    mixed = [EdgeQuery(*keys[0]), keys[1], subgraph, EdgeQuery(*keys[2]), keys[-1]]
+    mixed_keys = [keys[0], keys[1], keys[2], keys[-1]]
+    if backend == "windowed":
+        mixed.insert(3, window)
+
+    batches = {
+        "edge-queries": (engine.query([EdgeQuery(*key) for key in keys]), keys),
+        "bare-keys": (engine.query(list(keys)), keys),
+        "mixed": (
+            [a for a in engine.query(mixed) if a.interval is not None],
+            mixed_keys,
+        ),
+    }
+    for name, (answers, answered_keys) in batches.items():
+        assert len(answers) == len(answered_keys), name
+        for answer, key in zip(answers, answered_keys):
+            interval = estimator.confidence(key)
+            provenance = _scalar_provenance(engine, key)
+            assert answer.value == interval.estimate, (name, key)
+            assert answer.interval == interval, (name, key)
+            assert answer.provenance == provenance, (name, key)
+            assert answer.to_dict() == _document(interval, provenance), (name, key)
+        if backend == "gsketch":
+            direct, partitions = estimator.confidence_batch_direct(answered_keys)
+            assert [a.interval for a in answers] == direct, name
+            assert [a.provenance.partition for a in answers] == partitions, name
+
+    mixed_answers = engine.query(mixed)
+    subgraph_answer = mixed_answers[2]
+    assert subgraph_answer.value == estimator.query_subgraph(subgraph)
+    assert subgraph_answer.interval is None
+    assert subgraph_answer.provenance == Provenance(backend=backend)
+    if backend == "windowed":
+        window_answer = mixed_answers[3]
+        assert window_answer.value == estimator.query_edge(window.key, 0.0, 3_000.0)
+        assert window_answer.interval is None
+        assert window_answer.provenance == Provenance(backend="windowed")
+
+
+def test_estimate_contract(zipf_stream, zipf_sample, small_config):
+    engine = BACKEND_BUILDERS["gsketch"](zipf_stream, zipf_sample, small_config)
+    engine.ingest(zipf_stream)
+    first, second = sorted(zipf_stream.distinct_edges())[:2]
+    estimate = engine.query(EdgeQuery(*first))
+    again = engine.query([first])[0]
+    other = engine.query(EdgeQuery(*second))
+
+    assert estimate == again and hash(estimate) == hash(again)
+    assert estimate != other
+    assert len({estimate, again, other}) == 2
+    assert hash(estimate) == hash((estimate.value, estimate.interval, estimate.provenance))
+    assert float(estimate) == estimate.value
+    assert repr(estimate) == (
+        f"Estimate(value={estimate.value!r}, interval={estimate.interval!r}, "
+        f"provenance={estimate.provenance!r})"
+    )
+    for attribute in ("value", "interval", "provenance", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(estimate, attribute, None)
+    assert estimate == again  # nothing moved
+
+    subgraph = engine.query(SubgraphQuery.from_edges([first, second]))
+    assert subgraph.interval is None
+    assert "interval" not in subgraph.to_dict()
+    assert repr(subgraph) == (
+        f"Estimate(value={subgraph.value!r}, interval=None, "
+        f"provenance={subgraph.provenance!r})"
+    )
+    assert subgraph != estimate
+
+
 def test_window_query_dispatch(zipf_stream, small_config):
     engine = SketchEngine.builder().config(small_config).windowed(2_000.0).build()
     engine.ingest(zipf_stream)
@@ -227,6 +341,11 @@ def test_window_query_dispatch(zipf_stream, small_config):
     # EdgeQuery with an attached window lifts to the same path.
     lifted = engine.query(EdgeQuery(key[0], key[1], window=(0.0, float(len(zipf_stream)))))
     assert lifted.value == whole.value
+    # ... also when a batch holds nothing but windowed EdgeQuerys.
+    part = engine.query(WindowQuery(key[0], key[1], 0.0, 1_000.0))
+    batch = engine.query([EdgeQuery(key[0], key[1], window=(0.0, 1_000.0))] * 2)
+    assert [answer.value for answer in batch] == [part.value] * 2
+    assert [answer.interval for answer in batch] == [None, None]
 
     with pytest.raises(ValueError):
         WindowQuery(key[0], key[1], 5.0, 5.0)
@@ -258,6 +377,9 @@ def test_query_batch_mixed_shapes(zipf_stream, zipf_sample, small_config):
     assert [estimates[0].value, estimates[1].value, estimates[3].value] == [
         engine.query(EdgeQuery(*key)).value for key in (keys[0], keys[1], keys[2])
     ]
+    # Only 2-tuples are edge keys, also in a batch of nothing but tuples.
+    with pytest.raises(EngineError):
+        engine.query([(*keys[0], 1.0), (*keys[1], 1.0)])
 
 
 # ---------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ import pytest
 from repro.api.engine import SketchEngine
 from repro.api.snapshot import load_checkpoint, load_snapshot, save_checkpoint, save_snapshot
 from repro.core.config import GSketchConfig
+from repro.core.estimator import intervals_from_arrays
 from repro.core.gsketch import GSketch
 from repro.core.global_sketch import GlobalSketch
 from repro.core.router import OUTLIER_PARTITION
@@ -95,7 +96,9 @@ def test_plan_matches_direct_with_conservative_updates(
 def test_confidence_batch_rides_the_plan(zipf_stream, zipf_sample, small_config):
     gsketch = _build_backend("gsketch", zipf_stream, zipf_sample, small_config)
     keys = _query_set(zipf_stream, count=150)
-    plan_intervals, plan_partitions = gsketch.confidence_batch_with_partitions(keys)
+    estimates, bounds, failures, partitions = gsketch.confidence_columns(keys)
+    plan_intervals = intervals_from_arrays(estimates, bounds, failures)
+    plan_partitions = partitions.tolist()
     direct_intervals, direct_partitions = gsketch.confidence_batch_direct(keys)
     assert plan_intervals == direct_intervals
     assert plan_partitions == direct_partitions

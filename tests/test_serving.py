@@ -717,6 +717,26 @@ class TestDrain:
 
         assert asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
 
+    def test_shutdown_waits_for_closing_connection_handlers(self, engine, query_keys):
+        async def scenario():
+            server = SketchServer(engine, config=ServingConfig())
+            await server.start()
+            clients = [await connect(*server.address) for _ in range(4)]
+            for client in clients:
+                await client.query_edges([query_keys[0]])
+            for client in clients:
+                await client.close()
+            await server.shutdown()
+            return [
+                task
+                for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__ == "SketchServer._handle_connection"
+            ]
+
+        # A handler still closing its connection after shutdown() returned is
+        # cancelled when the loop closes, mid-close.
+        assert asyncio.run(asyncio.wait_for(scenario(), timeout=30.0)) == []
+
     def test_draining_server_sheds_new_queries_typed(self, engine, query_keys):
         async def scenario():
             server = SketchServer(engine, config=ServingConfig())
@@ -798,6 +818,44 @@ class TestServeCli:
             process.send_signal(signal.SIGINT)
             assert process.wait(timeout=30) == 0
         final = json.loads(process.stdout.read())
+        assert final["serving"] is False
+        assert final["draining"] is True
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
+    def test_serve_drains_on_signal_when_started_with_sigint_ignored(
+        self, signum, tmp_path
+    ):
+        from repro.api.cli import main as cli_main
+
+        snapshot = str(tmp_path / "serve.snap")
+        build = ["build", "--dataset", "zipf", "--edges", "2000", "--cells", "6000"]
+        assert cli_main([*build, "--ingest", "--out", snapshot]) == 0
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # A non-interactive shell starts background jobs this way: the
+        # child inherits SIGINT ignored, so only its own handlers can drain.
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--snapshot", snapshot],
+                env=env,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            ready = json.loads(process.stdout.readline())
+            assert ready["serving"] is True
+            process.send_signal(signum)
+            assert process.wait(timeout=30) == 0
+            final = json.loads(process.stdout.read())
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
         assert final["serving"] is False
         assert final["draining"] is True
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph.batch import EdgeBatch
+from repro.graph.batch import EdgeBatch, label_column
 from repro.graph.edge import StreamEdge
 from repro.graph.stream import GraphStream
 
@@ -70,6 +70,15 @@ class TestIterBatches:
         stream = GraphStream.from_pairs([(1, 2), ("a", 3)])
         batch = stream.to_batch()
         assert not batch.is_integer_labelled
+        # Bools hash as themselves, not as 0/1: one among ints keeps the
+        # whole column as objects.
+        with_bool = label_column([1, True, 3])
+        assert with_bool.dtype == object
+        assert with_bool[1] is True
+        assert label_column([np.int64(4), np.int64(5)]).dtype == np.int64
+        oversized = label_column([1, 2**63])
+        assert oversized.dtype == object
+        assert oversized[1] == 2**63
 
     def test_hashed_keys_match_scalar_canonicalization(self, zipf_stream):
         from repro.sketches.hashing import key_to_uint64
