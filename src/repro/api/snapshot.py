@@ -19,7 +19,10 @@ Each section carries a CRC32 and its exact length, so a torn write
 :func:`load_snapshot` with a :class:`SnapshotError` *naming the bad
 section* — never deserialized into garbage counters.  Every backend writes
 one ``state`` section holding its whole ``state_dict()``.  Version 1 files
-(one pickle, no checksums) still load.
+(one pickle, no checksums) still load.  Files of either version whose
+sketches were hashed by the retired Mersenne-61 family (before vector
+multiply-shift) are refused with a :class:`SnapshotError`: their counters
+cannot be re-placed, so rebuild them from the stream.
 
 :func:`save_checkpoint` / :func:`load_checkpoint` keep the same section as a
 *file in a directory* under an atomically-swapped ``MANIFEST.json``.  Each
@@ -111,17 +114,29 @@ def _state_section(estimator: Estimator) -> bytes:
     return pickle.dumps(estimator.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def _revive_state(cls: Type, backend: str, state, source: str) -> Estimator:
+    """``cls.from_state(state)``; a state it refuses (for one, counters
+    placed by a retired hash family) raises a SnapshotError naming why."""
+    try:
+        return cls.from_state(state)
+    except ValueError as error:
+        raise SnapshotError(
+            f"{source} holds a {backend!r} state this build cannot load: {error}"
+        ) from error
+
+
 def _revive_from_sections(
     backend: str, sections: Mapping[str, bytes], source: str
 ) -> Estimator:
     """Assemble an estimator from verified section payloads."""
     cls: Type = _resolve_backend(backend, source)
     try:
-        return cls.from_state(pickle.loads(sections["state"]))
+        state = pickle.loads(sections["state"])
     except _PICKLE_ERRORS as error:
         raise SnapshotError(
             f"{source} holds an unreadable {backend!r} state: {error}"
         ) from error
+    return _revive_state(cls, backend, state, source)
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -170,8 +185,9 @@ def load_snapshot(path: Union[str, Path]) -> Estimator:
 
     Raises:
         SnapshotError: if the file is not a repro snapshot, has an
-            unsupported version, names an unknown backend, is truncated, or
-            fails a section checksum.
+            unsupported version, names an unknown backend, is truncated,
+            fails a section checksum, or holds a state the backend refuses
+            (such as counters hashed by the retired Mersenne-61 family).
     """
     try:
         with open(path, "rb") as handle:
@@ -188,7 +204,7 @@ def load_snapshot(path: Union[str, Path]) -> Estimator:
         # Legacy envelope: the whole file is one pickle, state in-band.
         backend = header.get("backend")
         cls = _resolve_backend(backend, str(path))
-        return cls.from_state(header["state"])
+        return _revive_state(cls, backend, header["state"], str(path))
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"{path} has snapshot version {version!r}; this build reads versions "
@@ -278,8 +294,9 @@ def load_checkpoint(directory: Union[str, Path]) -> Estimator:
     before any deserialization happens.
 
     Raises:
-        SnapshotError: if the manifest is missing/malformed or any section
-            file is missing, truncated or corrupt (the section is named).
+        SnapshotError: if the manifest is missing/malformed, any section
+            file is missing, truncated or corrupt (the section is named), or
+            the state is one the backend refuses.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory, required=True)

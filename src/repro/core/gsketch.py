@@ -48,15 +48,21 @@ DEFAULT_BATCH_SIZE = 8192
 def make_partition_sketch(config: GSketchConfig, leaf: PartitionLeaf) -> CountMinSketch:
     """The physical sketch of one partition-tree leaf.
 
-    Its width comes from the leaf and its hash seed from the leaf index, so
-    two engines built from one partitioning hold identically hashed sketches
-    partition for partition — which is what lets :meth:`GSketch.merge` add
+    Its width comes from the leaf; its hash seed is ``config.seed``, the seed
+    of every sketch an engine builds, outlier sketch included.  The
+    coefficient draw does not depend on the width, so all of an engine's
+    sketches share one hash family and the compiled plan's arena hashes a
+    batch spanning every partition with one coefficient column per row.
+    Sharing the rows keeps each partition's pairwise independence, because
+    the router sends every edge key to exactly one partition.  Two engines
+    built from one partitioning and seed hold identically hashed sketches
+    partition for partition, which is what lets :meth:`GSketch.merge` add
     their counters exactly.
     """
     return CountMinSketch(
         width=leaf.width,
         depth=config.depth,
-        seed=config.seed + leaf.index + 1,
+        seed=config.seed,
         conservative=config.conservative_updates,
     )
 

@@ -9,8 +9,8 @@ per-row Python loop) *per partition touched*.
 :class:`CompiledQueryPlan` removes all of that.  At compile time the counter
 tables of every partition sketch **plus the outlier sketch** are laid out in
 one contiguous ``(depth, Σwidths)`` arena
-(:class:`~repro.sketches.arena.ArenaLayout`: a stacked per-slot
-hash-coefficient matrix and per-slot column offsets).  A batch of M edges
+(:class:`~repro.sketches.arena.ArenaLayout`: the one hash family every
+slot shares, plus per-slot widths and column offsets).  A batch of M edges
 spanning any number of partitions is then answered by exactly
 
 1. one vectorized key canonicalization
@@ -18,7 +18,7 @@ spanning any number of partitions is then answered by exactly
 2. one vectorized key → partition route
    (:meth:`~repro.core.router.VertexRouter.route_batch`) plus one ``where``
    mapping partitions onto arena slots,
-3. one fused hash pass over all ``depth × M`` (coefficient, key) pairs
+3. one vector multiply-shift pass over all ``depth × M`` (row, key) pairs
    (:meth:`~repro.sketches.arena.ArenaLayout.columns`),
 4. one fancy-index gather from the flat arena and one ``min`` reduce —
 
@@ -41,6 +41,8 @@ generation moved.  Ingest never pays that refresh.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -102,6 +104,30 @@ HOT_CACHE_MAX_BATCH = 8
 
 #: Default number of memoized point estimates per estimator.
 DEFAULT_CACHE_CAPACITY = 65_536
+
+#: Bound on the process-wide memo of scalar edge canonicalizations that the
+#: small-batch path runs before its hot-cache lookup.
+EDGE_KEY_MEMO_SIZE = 8_192
+
+
+@functools.lru_cache(maxsize=EDGE_KEY_MEMO_SIZE, typed=True)
+def _memo_edge_uint64(source, target) -> int:
+    return key_to_uint64((source, target))
+
+
+def edge_uint64(source, target) -> int:
+    """``key_to_uint64((source, target))``, memoized for scalar endpoints.
+
+    Hot point queries repeat a small set of edges, and the recursive scalar
+    canonicalization dominated the memo-served small-batch path.  The memo is
+    typed, so ``1``, ``1.0`` and ``True`` keep separate entries.
+    Tuple-valued endpoints bypass it: their items compare by value, so a
+    nested ``-1`` and ``-1.0`` would share an entry although they
+    canonicalize differently.
+    """
+    if isinstance(source, tuple) or isinstance(target, tuple):
+        return key_to_uint64((source, target))
+    return _memo_edge_uint64(source, target)
 
 
 def demux_by_counts(values: Sequence[float], counts: Sequence[int]) -> List[List[float]]:
@@ -278,8 +304,9 @@ class CompiledQueryPlan:
         self.generation = generation
         rows = np.arange(layout.depth, dtype=np.int64)
         self._row_base = (rows * layout.total_width)[:, None]
+        self._widths = layout.widths.astype(np.float64)
         self._bounds = np.zeros(layout.num_slots, dtype=np.float64)
-        self._failures = np.zeros(layout.num_slots, dtype=np.float64)
+        self._failures = np.full(layout.num_slots, math.exp(-layout.depth))
 
     # ------------------------------------------------------------------ #
     # Compilation / refresh
@@ -320,18 +347,20 @@ class CompiledQueryPlan:
         return plan
 
     def _refresh_constants(self) -> None:
-        """Re-derive the per-slot Equation-1 constants from the live sketches.
+        """Re-derive the per-slot Equation-1 bounds from the live sketches.
 
-        Routed through :func:`~repro.core.estimator.countmin_confidence` — the
-        scalar single source of truth — so plan-served intervals cannot
-        diverge from the live confidence path.
+        One array expression over the slots' totals, with the operations of
+        :func:`~repro.core.estimator.countmin_confidence` (``e * N / w``) in
+        its order, so every slot stays bit-exact with that scalar source of
+        truth; the failure probability ``e^-depth`` is shared by all slots
+        and never moves.  ``tests/test_query_plan.py`` pins both.
         """
-        from repro.core.estimator import countmin_confidence
-
-        for slot, sketch in enumerate(self._sketches):
-            template = countmin_confidence(sketch, 0.0)
-            self._bounds[slot] = template.additive_bound
-            self._failures[slot] = template.failure_probability
+        sketches = self._sketches
+        totals = np.fromiter(
+            (sketch.total_count for sketch in sketches), dtype=np.float64, count=len(sketches)
+        )
+        np.multiply(totals, math.e, out=self._bounds)
+        self._bounds /= self._widths
 
     def refresh(self, generation: int) -> None:
         """Bring the plan up to date with the sketches after a mutation.
@@ -374,7 +403,7 @@ class CompiledQueryPlan:
     def estimate_keys(self, keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Point estimates for pre-canonicalized keys with known arena slots.
 
-        One fused hash pass over all ``depth × M`` pairs, one flat gather,
+        One multiply-shift pass over all ``depth × M`` pairs, one flat gather,
         one ``min`` reduce — bit-identical per element to
         :meth:`~repro.sketches.countmin.CountMinSketch.estimate_batch` on the
         slot's own sketch.
@@ -540,10 +569,10 @@ class PlanServingMixin:
             return np.zeros(0, dtype=np.float64)
         plan = self.compile_plan()
         if len(edges) <= HOT_CACHE_MAX_BATCH:
-            # Scalar canonicalization: bit-identical to the batched pipeline
-            # (pair_keys_to_uint64 == key_to_uint64 of the tuple) and cheaper
-            # than columnarizing a tiny batch.
-            keys = [key_to_uint64((edge[0], edge[1])) for edge in edges]
+            # Memoized scalar canonicalization: bit-identical to the batched
+            # pipeline (pair_keys_to_uint64 == key_to_uint64 of the tuple) and
+            # cheaper than columnarizing a tiny batch.
+            keys = [edge_uint64(edge[0], edge[1]) for edge in edges]
             cached = self._hot_cache.lookup_many(self._plan_generation, keys)
             if cached is not None:
                 return np.asarray(cached, dtype=np.float64)

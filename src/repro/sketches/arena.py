@@ -7,12 +7,15 @@ source vertex routes to (paper Section 5).  Every batched write in the engine
 case — runs through :func:`apply_batch`:
 
 * The tables live side by side in one ``(depth, Σwidths)`` array: slot ``i``
-  owns the columns ``[offsets[i], offsets[i] + widths[i])``.  An
-  :class:`ArenaLayout` stacks every slot's hash coefficients, so
+  owns the columns ``[offsets[i], offsets[i] + widths[i])``.  Every slot
+  shares one hash family (an engine seeds all its sketches alike), so an
+  :class:`ArenaLayout` keeps one ``(depth, 1)`` column per coefficient and
   :meth:`ArenaLayout.columns` hashes a batch spanning any number of slots in
-  one :func:`~repro.sketches.hashing.gathered_hash_columns` pass.  The
-  compiled query plan gathers from the same columns, so reads and writes
-  share one cell computation.
+  one :func:`~repro.sketches.hashing.multiply_shift_columns` pass, gathering
+  only each key's width and offset.  Sharing the rows keeps each table's
+  pairwise independence because no key lives in two slots.  The compiled
+  query plan gathers from the same columns, so reads and writes share one
+  cell computation.
 * The scatter is one ``np.add.at`` per row.  ``np.add.at`` applies updates in
   index order and cells of different slots never alias, so every cell sees
   its updates in arrival order: the tables are bit-identical to per-element
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.sketches.hashing import gathered_hash_columns
+from repro.sketches.hashing import multiply_shift_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
     from repro.sketches.countmin import CountMinSketch
@@ -39,27 +42,30 @@ class ArenaLayout:
     """Hashing and column placement of Count-Min tables sharing one arena.
 
     Args:
-        sketches: the tables in slot order; all must share one depth.
+        sketches: the tables in slot order; all must share one depth and one
+            hash family.
     """
 
-    __slots__ = ("hash_a", "hash_b", "widths", "offsets", "depth", "total_width")
+    __slots__ = ("hash_a0", "hash_a1", "hash_b", "widths", "offsets", "depth", "total_width")
 
     def __init__(self, sketches: Sequence["CountMinSketch"]) -> None:
         if not sketches:
             raise ValueError("an arena needs at least one sketch")
-        depth = sketches[0].depth
+        first = sketches[0]
+        depth = first.depth
         for sketch in sketches:
             if sketch.depth != depth:
                 raise ValueError(f"all sketches must share depth {depth}, got {sketch.depth}")
+            if not sketch.shares_hash_family(first):
+                raise ValueError(
+                    "all sketches of an arena must share one hash family (seed them alike)"
+                )
         self.depth = depth
         self.widths = np.asarray([sketch.width for sketch in sketches], dtype=np.uint64)
         self.offsets = np.zeros(len(sketches), dtype=np.int64)
         np.cumsum(self.widths[:-1].astype(np.int64), out=self.offsets[1:])
         self.total_width = int(self.offsets[-1]) + int(self.widths[-1])
-        self.hash_a = np.empty((depth, len(sketches)), dtype=np.uint64)
-        self.hash_b = np.empty((depth, len(sketches)), dtype=np.uint64)
-        for slot, sketch in enumerate(sketches):
-            self.hash_a[:, slot], self.hash_b[:, slot] = sketch.hash_arrays()
+        self.hash_a0, self.hash_a1, self.hash_b = first.hash_arrays()
 
     @property
     def num_slots(self) -> int:
@@ -69,12 +75,14 @@ class ArenaLayout:
         """Arena column of every ``(row, key)`` pair, shape ``(depth, M)``.
 
         ``slots`` gives each key's table; one-slot layouts ignore it and
-        broadcast their single coefficient column instead of gathering it.
+        broadcast their single width instead of gathering it.
         """
         if self.num_slots == 1:
-            return gathered_hash_columns(self.hash_a, self.hash_b, self.widths, keys)
-        cols = gathered_hash_columns(
-            self.hash_a[:, slots], self.hash_b[:, slots], self.widths[slots], keys
+            return multiply_shift_columns(
+                self.hash_a0, self.hash_a1, self.hash_b, self.widths, keys
+            )
+        cols = multiply_shift_columns(
+            self.hash_a0, self.hash_a1, self.hash_b, self.widths[slots], keys
         )
         cols += self.offsets[slots]
         return cols

@@ -20,6 +20,15 @@ from repro.sketches.hashing import PairwiseHashFamily, key_to_uint64
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require_non_negative, require_positive_int
 
+#: Why a sketch state with single ``hash_a``/``hash_b`` coefficient vectors
+#: cannot be revived: its counters were placed by a hash this build no longer
+#: computes, so no key would find its cells.
+RETIRED_FAMILY_MESSAGE = (
+    "sketch state was hashed by the retired Mersenne-61 family "
+    "((a*x + b) mod 2^61-1, keys 'hash_a'/'hash_b'); this build hashes with vector "
+    "multiply-shift and cannot place those counters: rebuild the sketch from the stream"
+)
+
 
 class CountMinSketch(FrequencySketch):
     """A ``depth x width`` Count-Min sketch over arbitrary hashable keys.
@@ -27,7 +36,8 @@ class CountMinSketch(FrequencySketch):
     Args:
         width: number of counters per row (``w`` in the paper).
         depth: number of rows / independent hash functions (``d``).
-        seed: seed for drawing the hash family.
+        seed: seed for drawing the hash family; sketches seeded alike share
+            one family whatever their widths.
         conservative: if ``True``, use conservative update (only raise the
             cells that currently equal the minimum), a standard variance
             reduction that never breaks the one-sided error guarantee.
@@ -89,14 +99,15 @@ class CountMinSketch(FrequencySketch):
         view.setflags(write=False)
         return view
 
-    def hash_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """The per-row ``(a, b)`` coefficients as uint64 columns.
-
-        :class:`~repro.sketches.arena.ArenaLayout` stacks these (one column
-        per arena slot) into the coefficient matrix its fused hash pass
-        gathers from.
-        """
+    def hash_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The per-row ``(a0, a1, b)`` coefficients as ``(depth, 1)`` uint64
+        columns, the ones :class:`~repro.sketches.arena.ArenaLayout` hashes
+        every slot of its arena with."""
         return self._hashes.coefficient_arrays()
+
+    def shares_hash_family(self, other: "CountMinSketch") -> bool:
+        """Whether ``other`` draws the same hash coefficients (widths aside)."""
+        return self._hashes.shares_coefficients(other._hashes)
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -192,9 +203,8 @@ class CountMinSketch(FrequencySketch):
         depth and hash family (the precondition of :meth:`merge`)."""
         if (self._width, self._depth) != (other._width, other._depth):
             raise ValueError("cannot merge sketches with different dimensions")
-        for (a1, b1), (a2, b2) in zip(self._hashes.coefficients(), other._hashes.coefficients()):
-            if (a1, b1) != (a2, b2):
-                raise ValueError("cannot merge sketches built from different hash families")
+        if not self.shares_hash_family(other):
+            raise ValueError("cannot merge sketches built from different hash families")
 
     def merge(self, other: "CountMinSketch") -> None:
         """Add ``other``'s counters into this sketch (requires identical hashing)."""
@@ -210,12 +220,13 @@ class CountMinSketch(FrequencySketch):
         another process that hashes, estimates and merges identically.  Arrays
         are copied so the snapshot is immune to further updates.
         """
-        a, b = zip(*self._hashes.coefficients())
+        a0, a1, b = zip(*self._hashes.coefficients())
         return {
             "width": self._width,
             "depth": self._depth,
             "conservative": self._conservative,
-            "hash_a": list(a),
+            "hash_a0": list(a0),
+            "hash_a1": list(a1),
             "hash_b": list(b),
             "table": self._table.copy(),
             "total": self._total,
@@ -236,7 +247,7 @@ class CountMinSketch(FrequencySketch):
                 f"state has dimensions {revived._width}x{revived._depth}, "
                 f"expected {self._width}x{self._depth}"
             )
-        if list(revived._hashes.coefficients()) != list(self._hashes.coefficients()):
+        if not revived.shares_hash_family(self):
             raise ValueError("state was hashed by a different hash family")
         self._conservative = revived._conservative
         self._table[...] = revived._table
@@ -250,12 +261,14 @@ class CountMinSketch(FrequencySketch):
         sketch._width = require_positive_int(state["width"], "width")
         sketch._depth = require_positive_int(state["depth"], "depth")
         sketch._conservative = bool(state["conservative"])
-        if len(state["hash_a"]) != sketch._depth:
+        if "hash_a" in state:
+            raise ValueError(RETIRED_FAMILY_MESSAGE)
+        if len(state["hash_a0"]) != sketch._depth:
             raise ValueError(
-                f"state has {len(state['hash_a'])} hash rows, expected {sketch._depth}"
+                f"state has {len(state['hash_a0'])} hash rows, expected {sketch._depth}"
             )
         sketch._hashes = PairwiseHashFamily.from_coefficients(
-            sketch._width, state["hash_a"], state["hash_b"]
+            sketch._width, state["hash_a0"], state["hash_a1"], state["hash_b"]
         )
         table = np.asarray(state["table"], dtype=np.float64)
         if table.shape != (sketch._depth, sketch._width):

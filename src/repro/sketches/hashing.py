@@ -2,18 +2,30 @@
 
 All sketches in this package hash arbitrary stream keys (edges, vertex labels,
 strings) into counter cells.  Keys are first canonicalized to an unsigned
-64-bit integer by :func:`key_to_uint64`, then mapped into ``[0, width)`` by a
-Carter–Wegman family ``h(x) = ((a * x + b) mod p) mod width`` over the
-Mersenne prime ``p = 2^61 - 1``.  Each row of a sketch draws an independent
-``(a, b)`` pair, which yields the pairwise independence required by the
-Count-Min analysis (paper Section 3.2) and by Theorem 1's collision bound.
+64-bit integer by :func:`key_to_uint64`.  Each sketch row then draws three
+uniform 64-bit coefficients ``(a0, a1, b)`` and maps a key ``x`` with 32-bit
+halves ``lo, hi`` onto ``[0, width)`` in two multiply-shift steps::
 
-The vectorized expressions here (:func:`mulmod_mersenne61_batch`,
-:func:`gathered_hash_columns`) are the one hash implementation every read and
-write path runs.  ``tests/test_hashing.py`` pins the batched path to the scalar
-one on the Mersenne-boundary keys ``p-1, p, p+1`` and both 32-bit limb edges,
-and ``tests/test_query_plan.py`` pins the compiled plan's gather to the direct
-per-sketch estimates.
+    h(x)   = ((a0 * lo + a1 * hi + b) mod 2^64) >> 32
+    col(x) = (h(x) * width) >> 32                   (width < 2^32)
+
+The first step is vector multiply-shift, strongly universal into 32 bits
+with wrapping 64-bit arithmetic only (Dietzfelbinger 1996; Thorup, "High
+Speed Hashing for Integers and Strings", arXiv:1504.06804).  The second is
+Lemire's range reduction (arXiv:1805.10941); it splits the 2^32 hash values
+into ``width`` runs of at most ``2^32/width + 1``, so two distinct keys share
+a row's cell with probability at most ``1/w + 2^-32``.  That is the pairwise
+collision bound behind the Count-Min analysis (paper Section 3.2): the
+additive bound ``e·N/w`` of Equation 1 holds per row with failure
+probability at most ``(1 + w/2^32)/e``, and the ``d`` independently drawn
+rows fail together with probability at most ``e^-d · (1 + w/2^32)^d``, so
+``δ`` is inflated by that factor and nothing else.
+
+:func:`multiply_shift_columns` is the one vectorized hash every read and
+write path runs.  ``tests/test_hashing.py`` pins it to the scalar path
+(:meth:`PairwiseHashFamily.indices_for_uint64`) on both 32-bit limb edges
+and measures its collision rate, and ``tests/test_query_plan.py`` pins the
+compiled plan's gather to the direct per-sketch estimates.
 """
 
 from __future__ import annotations
@@ -26,15 +38,15 @@ import numpy as np
 from repro.utils.rng import SeedLike, resolve_rng
 from repro.utils.validation import require_positive_int
 
-#: Mersenne prime 2^61 - 1, large enough to treat 64-bit key mixes as field
-#: elements with negligible wrap-around bias.
-MERSENNE_PRIME_61 = (1 << 61) - 1
+#: Widths must stay below 2^32 so that ``h * width`` fits in 64 bits.
+MAX_WIDTH = (1 << 32) - 1
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
-_M61 = _U64(MERSENNE_PRIME_61)
+_SHIFT32 = _U64(32)
 
 
 def _splitmix64(value: int) -> int:
@@ -71,68 +83,27 @@ def pair_keys_to_uint64(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return splitmix64_batch(acc ^ ht)
 
 
-def mulmod_mersenne61_batch(a: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``(a * values) mod (2^61 - 1)``, elementwise, for ``a < 2^61`` coefficients.
-
-    ``a`` may be a scalar (one hash coefficient applied to every value — the
-    :meth:`PairwiseHashFamily.indices_batch` case) or an array aligned with
-    ``values`` (a *different* coefficient per element — the arena's fused
-    hash pass, which hashes one batch spanning many partition sketches in a
-    single pass; see :mod:`repro.sketches.arena`).  Both shapes run the identical
-    sequence of uint64 numpy kernels, so results are bit-identical to the
-    scalar path per element.
-
-    The 128-bit product is assembled from 32-bit limbs (every partial product
-    fits in a uint64 because ``a < 2^61`` implies ``a_hi < 2^29``), then folded
-    modulo the Mersenne prime using ``2^64 ≡ 8`` and ``2^61 ≡ 1``.
-    """
-    a_lo = a & _MASK32
-    a_hi = a >> _U64(32)
-    x_lo = values & _MASK32
-    x_hi = values >> _U64(32)
-
-    ll = a_lo * x_lo
-    t = a_hi * x_lo + (ll >> _U64(32))
-    mid2 = a_lo * x_hi
-    s = t + mid2
-    carry = (s < t).astype(np.uint64)
-    hi = a_hi * x_hi + (s >> _U64(32)) + (carry << _U64(32))
-    lo = (s << _U64(32)) | (ll & _MASK32)
-
-    # product = hi * 2^64 + lo; fold into [0, 2^62) then reduce.
-    top = (hi << _U64(3)) | (lo >> _U64(61))
-    r = top + (lo & _M61)
-    r = r + (r < top).astype(np.uint64) * _U64(8)  # 2^64 ≡ 8 (mod p)
-    r = (r & _M61) + (r >> _U64(61))
-    r = (r & _M61) + (r >> _U64(61))
-    return np.where(r >= _M61, r - _M61, r)
-
-
-def _mulmod_mersenne61(a: int, values: np.ndarray) -> np.ndarray:
-    """Scalar-coefficient convenience wrapper over :func:`mulmod_mersenne61_batch`."""
-    return mulmod_mersenne61_batch(_U64(a), values)
-
-
-def gathered_hash_columns(
-    a: np.ndarray, b: np.ndarray, widths: np.ndarray, keys: np.ndarray
+def multiply_shift_columns(
+    a0: np.ndarray, a1: np.ndarray, b: np.ndarray, widths, keys: np.ndarray
 ) -> np.ndarray:
-    """Hash ``keys`` with per-element ``(a, b, width)`` coefficient columns.
+    """Cell of every ``(row, key)`` pair, shape ``(depth, M)``, as int64.
 
-    One vectorized pass computes ``((a*key + b) mod p) mod width`` for a batch
-    in which *each element may belong to a different hash function* — the
-    coefficients having been gathered (fancy-indexed) from per-sketch tables.
-    Bit-identical per element to
-    :meth:`PairwiseHashFamily.indices_batch` with that element's own family:
-    the arithmetic is the same uint64 kernel sequence, merely batched across
-    families.  This is what lets the one apply kernel
-    (:func:`~repro.sketches.arena.apply_batch`) and the compiled query plan
-    handle a whole batch spanning many partition sketches in one kernel pass
-    instead of one :meth:`indices_batch` call per partition group.
+    ``a0``, ``a1`` and ``b`` are one family's ``(depth, 1)`` coefficient
+    columns and broadcast over the keys.  ``widths`` is a uint64 array of
+    one width (every key in one table) or of one width per key (a batch
+    spanning the tables of an arena that share this family; see
+    :mod:`repro.sketches.arena`).  Bit-identical per element to
+    :meth:`PairwiseHashFamily.indices_for_uint64`: uint64 products wrap
+    modulo 2^64 exactly like its explicit mask, and ``h * width`` stays
+    below 2^64.
     """
-    mixed = mulmod_mersenne61_batch(a, keys)
-    mixed = mixed + b
-    mixed = np.where(mixed >= _M61, mixed - _M61, mixed)
-    return (mixed % widths).astype(np.int64)
+    mixed = a0 * (keys & _MASK32)
+    mixed += a1 * (keys >> _SHIFT32)
+    mixed += b
+    mixed >>= _SHIFT32
+    mixed *= widths
+    mixed >>= _SHIFT32
+    return mixed.view(np.int64)
 
 
 def key_to_uint64(key: Hashable) -> int:
@@ -171,46 +142,59 @@ def key_to_uint64(key: Hashable) -> int:
     )
 
 
+def _require_width(width: int) -> int:
+    width = require_positive_int(width, "width")
+    if width > MAX_WIDTH:
+        raise ValueError(f"width must be below 2^32, got {width}")
+    return width
+
+
 class PairwiseHashFamily:
     """A family of ``depth`` pairwise-independent hash functions onto ``[0, width)``.
 
+    Each row is one vector multiply-shift function with its own uniform
+    ``(a0, a1, b)`` draw.  The draw depends only on ``seed`` and ``depth``,
+    never on ``width``: sketches of different widths seeded alike share their
+    coefficients, which is what lets an arena hash a batch spanning all of
+    them with one coefficient column per row.
+
     Args:
         depth: number of independent hash functions (sketch rows).
-        width: range of each hash function (sketch columns).
-        seed: seed, generator, or ``None`` used to draw the ``(a, b)``
-            coefficients.
+        width: range of each hash function (sketch columns), below 2^32.
+        seed: seed, generator, or ``None`` used to draw the coefficients.
     """
 
     def __init__(self, depth: int, width: int, seed: SeedLike = None) -> None:
-        self.depth = require_positive_int(depth, "depth")
-        self.width = require_positive_int(width, "width")
-        rng = resolve_rng(seed)
-        # a must be non-zero in the field; b may be anything in [0, p).
-        self._a = rng.integers(1, MERSENNE_PRIME_61, size=self.depth, dtype=np.uint64)
-        self._b = rng.integers(0, MERSENNE_PRIME_61, size=self.depth, dtype=np.uint64)
+        depth = require_positive_int(depth, "depth")
+        self._adopt(width, resolve_rng(seed).integers(0, 1 << 64, (3, depth), dtype=np.uint64))
+
+    def _adopt(self, width: int, coefficients: np.ndarray) -> None:
+        """Take the ``(3, depth)`` uint64 rows ``a0``, ``a1`` and ``b``."""
+        self.width = _require_width(width)
+        self.depth = coefficients.shape[1]
+        columns = coefficients.reshape(3, -1, 1)
+        columns.setflags(write=False)
+        self._columns = tuple(columns)
+        self._rows = tuple(zip(*coefficients.tolist()))
+        self._width_u64 = _U64(self.width)
 
     @classmethod
     def from_coefficients(
-        cls, width: int, a: Sequence[int], b: Sequence[int]
+        cls, width: int, a0: Sequence[int], a1: Sequence[int], b: Sequence[int]
     ) -> "PairwiseHashFamily":
-        """Reconstruct a family from explicit ``(a, b)`` coefficient vectors.
+        """Reconstruct a family from explicit ``(a0, a1, b)`` coefficient vectors.
 
         Used when deserializing sketch state: a sketch populated in one
         process must hash identically after being revived in another.
         """
-        if len(a) != len(b) or not a:
+        if not (len(a0) == len(a1) == len(b)) or not len(a0):
             raise ValueError("coefficient vectors must be non-empty and equal length")
+        rows = [[int(coeff) for coeff in vector] for vector in (a0, a1, b)]
+        for coeff in (*rows[0], *rows[1], *rows[2]):
+            if not 0 <= coeff <= _MASK64:
+                raise ValueError(f"coefficient {coeff} outside [0, 2^64)")
         family = cls.__new__(cls)
-        family.depth = len(a)
-        family.width = require_positive_int(width, "width")
-        family._a = np.asarray(a, dtype=np.uint64)
-        family._b = np.asarray(b, dtype=np.uint64)
-        for coeff in family._a.tolist():
-            if not 1 <= coeff < MERSENNE_PRIME_61:
-                raise ValueError(f"coefficient a={coeff} outside [1, 2^61-1)")
-        for coeff in family._b.tolist():
-            if not 0 <= coeff < MERSENNE_PRIME_61:
-                raise ValueError(f"coefficient b={coeff} outside [0, 2^61-1)")
+        family._adopt(width, np.array(rows, dtype=np.uint64))
         return family
 
     def indices(self, key: Hashable) -> np.ndarray:
@@ -218,52 +202,40 @@ class PairwiseHashFamily:
         return self.indices_for_uint64(key_to_uint64(key))
 
     def indices_for_uint64(self, value: int) -> np.ndarray:
-        """Return cell indices for a pre-canonicalized 64-bit key."""
-        a = self._a.astype(object)
-        b = self._b.astype(object)
-        out = np.empty(self.depth, dtype=np.int64)
-        for row in range(self.depth):
-            out[row] = ((int(a[row]) * value + int(b[row])) % MERSENNE_PRIME_61) % self.width
-        return out
+        """Return cell indices for a pre-canonicalized 64-bit key (exact
+        Python-integer arithmetic, the reference for the vectorized path)."""
+        value = int(value)
+        lo = value & 0xFFFFFFFF
+        hi = value >> 32
+        cells = []
+        for a0, a1, b in self._rows:
+            mixed = ((a0 * lo + a1 * hi + b) & _MASK64) >> 32
+            cells.append((mixed * self.width) >> 32)
+        return np.array(cells, dtype=np.int64)
 
     def indices_batch(self, values: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorized cell indices for many pre-canonicalized keys.
-
-        The modular arithmetic runs entirely in uint64 numpy kernels (see
-        :func:`_mulmod_mersenne61`), producing bit-identical indices to
-        :meth:`indices_for_uint64` at a fraction of the per-key cost.
 
         Args:
             values: 1-D sequence of unsigned 64-bit key integers.
 
         Returns:
-            Array of shape ``(depth, len(values))`` with column indices.
+            Array of shape ``(depth, len(values))`` with column indices,
+            bit-identical to :meth:`indices_for_uint64` per key.
         """
         vals = np.ascontiguousarray(values, dtype=np.uint64)
-        width = _U64(self.width)
-        out = np.empty((self.depth, vals.size), dtype=np.int64)
-        for row in range(self.depth):
-            mixed = _mulmod_mersenne61(int(self._a[row]), vals)
-            mixed = mixed + _U64(int(self._b[row]))
-            mixed = np.where(mixed >= _M61, mixed - _M61, mixed)
-            out[row, :] = (mixed % width).astype(np.int64)
-        return out
+        return multiply_shift_columns(*self._columns, self._width_u64, vals)
 
-    def coefficients(self) -> Iterable[tuple[int, int]]:
-        """Yield the ``(a, b)`` coefficient pairs (mainly for testing)."""
-        for a, b in zip(self._a.tolist(), self._b.tolist()):
-            yield int(a), int(b)
+    def coefficients(self) -> Iterable[tuple[int, int, int]]:
+        """Yield the per-row ``(a0, a1, b)`` coefficients (mainly for testing)."""
+        return iter(self._rows)
 
-    def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The per-row ``(a, b)`` coefficients as read-only uint64 columns.
+    def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(a0, a1, b)`` coefficients as read-only ``(depth, 1)`` uint64
+        columns, the shape :func:`multiply_shift_columns` broadcasts."""
+        return self._columns
 
-        The compiled query plan stacks these across many sketches into one
-        per-slot coefficient matrix; returning array views avoids a
-        tuple-of-ints round trip per sketch.
-        """
-        a = self._a.view()
-        b = self._b.view()
-        a.setflags(write=False)
-        b.setflags(write=False)
-        return a, b
-
+    def shares_coefficients(self, other: "PairwiseHashFamily") -> bool:
+        """Whether ``other`` hashes every key to the same 32-bit row values
+        (widths aside)."""
+        return self._rows == other._rows

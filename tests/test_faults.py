@@ -29,6 +29,7 @@ from repro.api.snapshot import (
 from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
 from repro.graph.sampling import reservoir_sample
+from repro.sketches.countmin import CountMinSketch
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,38 @@ class TestDurability:
         path.write_bytes(pickle.dumps(legacy))
         revived = load_snapshot(path)
         _assert_states_bit_exact(ingested.state_dict(), revived.state_dict())
+
+    def test_mersenne61_states_are_refused_by_name(self, ingested, tmp_path, monkeypatch):
+        """Counters placed by the retired ``(a*x + b) mod 2^61-1`` family
+        cannot be re-placed, so every load path refuses them, typed."""
+        legacy = ingested.state_dict()
+        for sketch_state in (*legacy["partitions"], legacy["outlier"]):
+            depth = sketch_state["depth"]
+            for key in ("hash_a0", "hash_a1", "hash_b"):
+                del sketch_state[key]
+            sketch_state["hash_a"] = list(range(1, depth + 1))
+            sketch_state["hash_b"] = [(1 << 61) - 2] * depth
+        with pytest.raises(ValueError, match="retired Mersenne-61"):
+            CountMinSketch.from_state(legacy["outlier"])
+        v1 = tmp_path / "v1.snap"
+        v1.write_bytes(
+            pickle.dumps(
+                {"format": snapshot.SNAPSHOT_FORMAT, "version": 1, "backend": "gsketch",
+                 "state": legacy}
+            )
+        )
+        monkeypatch.setattr(ingested, "state_dict", lambda: legacy)
+        v2 = save_snapshot(ingested, tmp_path / "v2.snap")
+        checkpoint = save_checkpoint(ingested, tmp_path / "ckpt")
+        for load, target in (
+            (load_snapshot, v1),
+            (load_snapshot, v2),
+            (load_checkpoint, checkpoint),
+            (SketchEngine.load, v2),
+            (SketchEngine.restore, checkpoint),
+        ):
+            with pytest.raises(SnapshotError, match="retired Mersenne-61.*rebuild"):
+                load(target)
 
     def test_snapshot_round_trip_is_bit_exact(self, ingested, tmp_path):
         path = save_snapshot(ingested, tmp_path / "s.snap")

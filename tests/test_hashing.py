@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.sketches.hashing import (
-    MERSENNE_PRIME_61,
     PairwiseHashFamily,
     key_to_uint64,
     pair_keys_to_uint64,
@@ -14,8 +15,8 @@ from repro.sketches.hashing import (
 )
 
 EDGE_CASE_KEYS = np.array(
-    [0, 1, 2, MERSENNE_PRIME_61 - 1, MERSENNE_PRIME_61, MERSENNE_PRIME_61 + 1,
-     2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1],
+    [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**61 - 1, 2**63 - 1, 2**63,
+     2**64 - 2**32, 2**64 - 1],
     dtype=np.uint64,
 )
 
@@ -60,16 +61,61 @@ def test_pair_keys_match_tuple_canonicalization():
 
 def test_from_coefficients_round_trip():
     family = PairwiseHashFamily(depth=4, width=333, seed=9)
-    a, b = zip(*family.coefficients())
-    clone = PairwiseHashFamily.from_coefficients(333, list(a), list(b))
+    a0, a1, b = zip(*family.coefficients())
+    clone = PairwiseHashFamily.from_coefficients(333, list(a0), list(a1), list(b))
     values = EDGE_CASE_KEYS
     assert np.array_equal(clone.indices_batch(values), family.indices_batch(values))
+    assert clone.shares_coefficients(family)
 
 
 def test_from_coefficients_validates():
     with pytest.raises(ValueError):
-        PairwiseHashFamily.from_coefficients(8, [0], [0])  # a must be non-zero
+        PairwiseHashFamily.from_coefficients(8, [-1], [0], [0])  # below uint64
     with pytest.raises(ValueError):
-        PairwiseHashFamily.from_coefficients(8, [1], [MERSENNE_PRIME_61])
+        PairwiseHashFamily.from_coefficients(8, [1], [2**64], [0])  # above uint64
     with pytest.raises(ValueError):
-        PairwiseHashFamily.from_coefficients(8, [], [])
+        PairwiseHashFamily.from_coefficients(8, [1, 2], [1, 2], [0])  # unequal length
+    with pytest.raises(ValueError):
+        PairwiseHashFamily.from_coefficients(8, [], [], [])
+    with pytest.raises(ValueError, match="2\\^32"):
+        PairwiseHashFamily.from_coefficients(2**32, [1], [1], [1])
+    with pytest.raises(ValueError, match="2\\^32"):
+        PairwiseHashFamily(depth=2, width=2**32, seed=0)
+    # Both ends of the coefficient range and the widest width are legal, and
+    # the vectorized path still matches the exact scalar one there.
+    family = PairwiseHashFamily.from_coefficients(
+        2**32 - 1, [0, 2**64 - 1], [2**64 - 1, 1], [2**64 - 1, 0]
+    )
+    batch = family.indices_batch(EDGE_CASE_KEYS)
+    for column, value in enumerate(EDGE_CASE_KEYS.tolist()):
+        assert np.array_equal(family.indices_for_uint64(value), batch[:, column])
+
+
+def test_coefficient_draw_ignores_width():
+    """Sketches seeded alike share one family whatever their widths (the
+    arena hashes all of an engine's tables with one coefficient column)."""
+    narrow = PairwiseHashFamily(depth=4, width=7, seed=5)
+    wide = PairwiseHashFamily(depth=4, width=70_000, seed=5)
+    assert narrow.shares_coefficients(wide)
+    assert not narrow.shares_coefficients(PairwiseHashFamily(depth=4, width=7, seed=6))
+
+
+def test_row_collision_rate_within_pairwise_bound():
+    """Two distinct keys share a row's cell with probability <= 1/w + 2^-32.
+
+    Over n distinct keys the colliding-pair fraction estimates that
+    probability; pair indicators of a random hash are pairwise uncorrelated,
+    so its spread is binomial over the n(n-1)/2 pairs.
+    """
+    width, count = 1_000, 100_000
+    keys = splitmix64_batch(np.arange(count, dtype=np.uint64))
+    assert np.unique(keys).size == count
+    family = PairwiseHashFamily(depth=4, width=width, seed=2024)
+    pairs = count * (count - 1) // 2
+    bound = 1.0 / width + 2.0**-32
+    slack = 3.0 * math.sqrt(bound * (1.0 - bound) / pairs)
+    for row in family.indices_batch(keys):
+        occupancy = np.bincount(row, minlength=width).astype(np.int64)
+        assert occupancy.size == width
+        colliding = int((occupancy * (occupancy - 1) // 2).sum())
+        assert colliding / pairs <= bound + slack

@@ -15,7 +15,7 @@ import pytest
 from repro.api.engine import SketchEngine
 from repro.api.snapshot import load_checkpoint, load_snapshot, save_checkpoint, save_snapshot
 from repro.core.config import GSketchConfig
-from repro.core.estimator import intervals_from_arrays
+from repro.core.estimator import countmin_confidence, intervals_from_arrays
 from repro.core.gsketch import GSketch
 from repro.core.global_sketch import GlobalSketch
 from repro.core.router import OUTLIER_PARTITION
@@ -27,6 +27,7 @@ from repro.queries.plan import (
     HotEdgeCache,
 )
 from repro.sketches.countmin import CountMinSketch
+from repro.sketches.hashing import key_to_uint64
 
 
 def _query_set(stream, count=300):
@@ -218,9 +219,8 @@ def test_outlier_sentinel_mirrors_router():
 
 
 def test_compiled_plan_matches_estimate_batch():
-    sketches = [
-        CountMinSketch(width=97 + 13 * index, depth=4, seed=index) for index in range(3)
-    ]
+    # One seed: an arena hashes every slot with one shared family.
+    sketches = [CountMinSketch(width=97 + 13 * index, depth=4, seed=5) for index in range(3)]
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 2**63, size=500, dtype=np.int64).astype(np.uint64)
     for index, sketch in enumerate(sketches):
@@ -242,6 +242,34 @@ def test_compiled_plan_rejects_mixed_depths():
         CompiledQueryPlan.compile(sketches, router=None)
 
 
+def test_compiled_plan_rejects_mixed_hash_families():
+    sketches = [
+        CountMinSketch(width=50, depth=4, seed=0),
+        CountMinSketch(width=60, depth=4, seed=1),
+    ]
+    live = sketches[1].table
+    with pytest.raises(ValueError, match="hash family"):
+        CompiledQueryPlan.compile(sketches, router=None)
+    # Refused before any table moved into an arena.
+    assert np.shares_memory(sketches[1].table, live)
+
+
+def test_refreshed_constants_are_countmin_confidence_per_slot(weighted_stream, small_config):
+    hint = len(weighted_stream)
+    gsketch = GSketch.build(weighted_stream, small_config, stream_size_hint=hint)
+    sketches = [*gsketch.partitions, gsketch.outlier_sketch]
+    slots = np.arange(len(sketches))
+    half = len(weighted_stream) // 2
+    for part in (weighted_stream.prefix(half), weighted_stream.suffix(half)):
+        gsketch.process(part, batch_size=333)
+        gsketch.update(10**9, 1, 0.3)  # fractional mass into the outlier slot
+        bounds, failures = gsketch.compile_plan().confidence_constants(slots)
+        for slot, sketch in enumerate(sketches):
+            template = countmin_confidence(sketch, 0.0)
+            assert bounds[slot] == template.additive_bound, f"slot {slot}"
+            assert failures[slot] == template.failure_probability, f"slot {slot}"
+
+
 def test_attached_plan_sees_ingest_without_refresh(zipf_sample, small_config):
     gsketch = GSketch.build(zipf_sample, small_config)
     plan = gsketch.compile_plan()
@@ -249,6 +277,20 @@ def test_attached_plan_sees_ingest_without_refresh(zipf_sample, small_config):
     gsketch.update(edge[0], edge[1], 3.0)
     # The arena is the live table: no refresh needed for raw estimates.
     assert float(plan.query_edges([edge])[0]) == gsketch.query_edges_direct([edge])[0]
+
+
+def test_edge_key_memo_keeps_equal_but_distinct_labels_apart(small_config):
+    # Each pair compares equal to its neighbour but canonicalizes differently;
+    # a memo that let them share an entry would answer for the wrong edge.
+    edges = [(-1, 2), (-1.0, 2), ((-1,), 2), ((-1.0,), 2), (2, (-1,)), (2, (-1.0,))]
+    global_sketch = GlobalSketch(small_config)
+    for weight, (source, target) in enumerate(edges, start=1):
+        global_sketch.update(source, target, float(weight))
+    for _ in range(2):  # the second pass is served from the memo
+        for edge in edges:
+            assert plan_module.edge_uint64(*edge) == key_to_uint64(edge)
+            direct = global_sketch.query_edges_direct([edge])
+            assert global_sketch.query_edges([edge]) == direct
 
 
 def test_hot_cache_generation_and_capacity():
