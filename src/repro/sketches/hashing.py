@@ -39,7 +39,7 @@ from repro.utils.rng import SeedLike, resolve_rng
 from repro.utils.validation import require_positive_int
 
 #: Widths must stay below 2^32 so that ``h * width`` fits in 64 bits.
-MAX_WIDTH = (1 << 32) - 1
+_MAX_WIDTH = (1 << 32) - 1
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -84,13 +84,13 @@ def pair_keys_to_uint64(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def multiply_shift_columns(
-    a0: np.ndarray, a1: np.ndarray, b: np.ndarray, widths, keys: np.ndarray
+    a0: np.ndarray, a1: np.ndarray, b: np.ndarray, widths: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
     """Cell of every ``(row, key)`` pair, shape ``(depth, M)``, as int64.
 
     ``a0``, ``a1`` and ``b`` are one family's ``(depth, 1)`` coefficient
-    columns and broadcast over the keys.  ``widths`` is a uint64 array of
-    one width (every key in one table) or of one width per key (a batch
+    columns and broadcast over the keys.  ``widths`` is one uint64 width
+    (every key in one table) or a uint64 array of one width per key (a batch
     spanning the tables of an arena that share this family; see
     :mod:`repro.sketches.arena`).  Bit-identical per element to
     :meth:`PairwiseHashFamily.indices_for_uint64`: uint64 products wrap
@@ -144,7 +144,7 @@ def key_to_uint64(key: Hashable) -> int:
 
 def _require_width(width: int) -> int:
     width = require_positive_int(width, "width")
-    if width > MAX_WIDTH:
+    if width > _MAX_WIDTH:
         raise ValueError(f"width must be below 2^32, got {width}")
     return width
 
@@ -176,7 +176,6 @@ class PairwiseHashFamily:
         columns.setflags(write=False)
         self._columns = tuple(columns)
         self._rows = tuple(zip(*coefficients.tolist()))
-        self._width_u64 = _U64(self.width)
 
     @classmethod
     def from_coefficients(
@@ -224,7 +223,7 @@ class PairwiseHashFamily:
             bit-identical to :meth:`indices_for_uint64` per key.
         """
         vals = np.ascontiguousarray(values, dtype=np.uint64)
-        return multiply_shift_columns(*self._columns, self._width_u64, vals)
+        return multiply_shift_columns(*self._columns, _U64(self.width), vals)
 
     def coefficients(self) -> Iterable[tuple[int, int, int]]:
         """Yield the per-row ``(a0, a1, b)`` coefficients (mainly for testing)."""
