@@ -23,7 +23,7 @@ from repro.utils.validation import require_non_negative, require_positive_int
 #: Why a sketch state with single ``hash_a``/``hash_b`` coefficient vectors
 #: cannot be revived: its counters were placed by a hash this build no longer
 #: computes, so no key would find its cells.
-RETIRED_FAMILY_MESSAGE = (
+_RETIRED_FAMILY_MESSAGE = (
     "sketch state was hashed by the retired Mersenne-61 family "
     "((a*x + b) mod 2^61-1, keys 'hash_a'/'hash_b'); this build hashes with vector "
     "multiply-shift and cannot place those counters: rebuild the sketch from the stream"
@@ -262,7 +262,7 @@ class CountMinSketch(FrequencySketch):
         sketch._depth = require_positive_int(state["depth"], "depth")
         sketch._conservative = bool(state["conservative"])
         if "hash_a" in state:
-            raise ValueError(RETIRED_FAMILY_MESSAGE)
+            raise ValueError(_RETIRED_FAMILY_MESSAGE)
         if len(state["hash_a0"]) != sketch._depth:
             raise ValueError(
                 f"state has {len(state['hash_a0'])} hash rows, expected {sketch._depth}"
