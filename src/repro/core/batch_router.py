@@ -5,8 +5,9 @@ The single-edge path resolves one dictionary lookup and one hash per element.
 and produces, in one vectorized pass:
 
 1. the destination partition of every element
-   (:meth:`~repro.core.router.VertexRouter.route_batch`, one ``searchsorted``
-   for integer label spaces);
+   (:meth:`~repro.core.router.VertexRouter.route_batch`: one direct-address
+   ``take`` for dense integer label spaces, one ``searchsorted`` for sparse
+   ones);
 2. the canonical uint64 sketch key of every element
    (:meth:`~repro.graph.batch.EdgeBatch.hashed_keys`, vectorized splitmix64);
 3. per-partition contiguous groups, obtained from a single stable argsort of

@@ -438,8 +438,8 @@ def _allocate_rebalanced(
     ``sum_i w_i = partitioned_width``, i.e. ``w_i ∝ sqrt(F_i * G_i)``.  The
     recursive halving plus the Section 4.1 shrink-and-redistribute rule is a
     coarse approximation of this optimum; applying the closed form directly
-    keeps lightly-loaded partitions from hoarding cells at reproduction scale
-    (see DESIGN.md).  Leaves whose sampled edge population already fits their
+    keeps lightly-loaded partitions from hoarding cells at reproduction
+    scale.  Leaves whose sampled edge population already fits their
     optimal width (Theorem 1) are capped at ``sum_m d̃(m)`` exactly as in the
     paper, and any resulting surplus is re-offered to the remaining leaves.
 

@@ -6,7 +6,8 @@ are not redistributable, and 10^9-edge R-MAT streams are out of scope for a
 pure-Python session, so this package generates scaled synthetic equivalents
 that preserve the properties the paper's experiments depend on: heavy-tailed
 edge frequencies (global heterogeneity) and correlated per-vertex frequencies
-(local similarity).  See DESIGN.md §3 for the substitution rationale.
+(local similarity).  The ``dblp``, ``ipattack`` and ``gtgraph`` module
+docstrings each say what the generator stands in for and how.
 """
 
 from repro.datasets.base import DatasetBundle, DatasetConfig

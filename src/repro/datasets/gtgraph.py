@@ -17,8 +17,6 @@ therefore builds the stream in two steps:
    (uniformly across the source's out-edges).  This reproduces the reported
    frequency skew and the local-similarity property (edges of the same source
    have similar frequencies) at the reduced scale.
-
-See DESIGN.md §3 for the substitution note.
 """
 
 from __future__ import annotations

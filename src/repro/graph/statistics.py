@@ -29,11 +29,11 @@ import numpy as np
 from repro.graph.stream import GraphStream
 
 
-def _intern_labels(labels: Sequence[Hashable]) -> Optional[np.ndarray]:
+def int_label_array(labels: Sequence[Hashable]) -> Optional[np.ndarray]:
     """``int64`` array for a genuinely integer label space, else ``None``.
 
-    Mirrors the router's fast-path rule: booleans and mixed label spaces fall
-    back to dictionary lookups.
+    The router's vectorized-lookup rule: booleans, labels outside ``int64``
+    and mixed label spaces fall back to dictionary lookups.
     """
     for label in labels:
         if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
@@ -103,7 +103,7 @@ class VertexStatistics:
         self._freq = frequencies
         self._deg = degrees
         self.total_frequency = total_frequency
-        self._int_ids = _intern_labels(ids)
+        self._int_ids = int_label_array(ids)
         self._int_sorter: Optional[np.ndarray] = None
         self._index: Optional[Dict[Hashable, int]] = None
         self._freq_map: Optional[Dict[Hashable, float]] = None
@@ -143,7 +143,7 @@ class VertexStatistics:
         """Derived-copy constructor that reuses the already-known interning.
 
         ``scaled``/``extrapolated``/``restricted_to`` preserve (a subset of)
-        the id column, so re-running the per-label ``_intern_labels`` walk
+        the id column, so re-running the per-label ``int_label_array`` walk
         would be a wasted O(n) Python pass on the build hot path.
         """
         stats = self.__class__.__new__(self.__class__)

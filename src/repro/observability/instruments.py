@@ -18,9 +18,11 @@ __all__ = [
     "INGEST_STAGE",
 ]
 
-#: Per-stage ingest latency: ``route`` (key hashing on the one-sketch
-#: baseline) and ``apply`` (route + hash + counter scatter through the one
-#: apply kernel).
+#: Per-stage ingest latency.  ``route``: vertex routing plus the splitmix64
+#: key canonicalization on the partitioned backends, the canonicalization
+#: alone on the one-sketch baseline.  ``apply``: the per-row multiply-shift
+#: hash and the counter scatter (the one apply kernel, or the baseline's
+#: ``update_batch``).
 INGEST_STAGE = {
     stage: REGISTRY.histogram(
         "repro_ingest_stage_seconds",

@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from itertools import repeat
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -239,19 +240,16 @@ class HotEdgeCache:
         entries = self._sync_generation(generation)
         if not entries:
             return None, None
-        values = np.zeros(len(keys), dtype=np.float64)
-        miss = np.zeros(len(keys), dtype=bool)
-        hits = 0
-        get = entries.get
-        for index, key in enumerate(keys):
-            value = get(key)
-            if value is None:
-                miss[index] = True
-            else:
-                values[index] = value
-                hits += 1
-        self.hits += hits
-        self.misses += len(keys) - hits
+        # NaN marks a miss.  No estimate is NaN (ingest rejects non-finite
+        # counts), and one that were would only be gathered again.
+        values = np.fromiter(
+            map(entries.get, keys, repeat(math.nan)), dtype=np.float64, count=len(keys)
+        )
+        miss = np.isnan(values)
+        values[miss] = 0.0
+        misses = int(np.count_nonzero(miss))
+        self.hits += len(keys) - misses
+        self.misses += misses
         return values, miss
 
     def store_many(

@@ -12,13 +12,14 @@ checkpoint restore and further ingest.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.api.snapshot import load_checkpoint, save_checkpoint
 from repro.core.gsketch import GSketch
-from repro.core.router import OUTLIER_PARTITION, VertexRouter
+from repro.core.router import DIRECT_SLOTS_PER_VERTEX, OUTLIER_PARTITION, VertexRouter
 from repro.graph.edge import StreamEdge
 from repro.graph.sampling import reservoir_sample
 
@@ -60,6 +61,32 @@ def _assert_matches(engine: GSketch, reference: GSketch, edges) -> None:
         assert left.update_count == right.update_count
 
 
+INT64_MIN = int(np.iinfo(np.int64).min)
+INT64_MAX = int(np.iinfo(np.int64).max)
+_DENSE_SPAN = 40 * DIRECT_SLOTS_PER_VERTEX
+
+#: ``(labels, lookup the router picks)`` for the route contract test.
+ROUTE_CONTRACT_LABELS = [
+    (list(range(0, 120, 2)), "direct"),
+    (list(range(-60, 60, 3)), "direct"),
+    ([int(v) for v in np.random.default_rng(3).choice(10**9, 50, replace=False)], "sorted"),
+    ([7], "direct"),
+    # The density limit: a span of exactly DIRECT_SLOTS_PER_VERTEX slots per
+    # vertex is direct, one more slot is sorted.
+    ([0, *range(_DENSE_SPAN - 39, _DENSE_SPAN)], "direct"),
+    ([0, *range(_DENSE_SPAN - 38, _DENSE_SPAN + 1)], "sorted"),
+    # Labels near ±2^62: direct inside the limit, sorted past it.
+    (list(range(2**62 - 3, 2**62 + 1)), "direct"),
+    (list(range(-(2**62), -(2**62) + 4)), "direct"),
+    ([2**62 + 1, 2**62 + 2], "sorted"),
+    ([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX], "sorted"),
+]
+ROUTE_CONTRACT_IDS = [
+    "dense", "dense-negative", "sparse", "one-vertex", "span-at-limit",
+    "span-past-limit", "near-2^62", "near-minus-2^62", "past-2^62", "int64-ends",
+]
+
+
 class TestVertexRouterBatch:
     def test_route_batch_matches_partition_of(self, reference, zipf_stream):
         batch = next(zipf_stream.iter_batches(1_000))
@@ -75,6 +102,72 @@ class TestVertexRouterBatch:
         router = VertexRouter({"a": 0, "b": 1}, num_partitions=2)
         routed = router.route_batch(["a", "b", "zz"])
         assert routed.tolist() == [0, 1, OUTLIER_PARTITION]
+        assert router.lookup == "dict"
+
+    def test_route_batch_keeps_mixed_and_tuple_labels_apart(self):
+        router = VertexRouter({"a": 0, 3: 1, (4, 5): 2}, num_partitions=3)
+        probes = ["a", 3, "3", (4, 5), 4]
+        assert router.route_batch(probes).tolist() == [0, 1, -1, 2, -1]
+        assert router.route_batch(probes).tolist() == [router.partition_of(p) for p in probes]
+
+    @pytest.mark.parametrize("constructor", ["mapping", "columns"])
+    @pytest.mark.parametrize("labels, lookup", ROUTE_CONTRACT_LABELS, ids=ROUTE_CONTRACT_IDS)
+    def test_route_batch_contract(self, labels, lookup, constructor):
+        """Every table agrees with ``partition_of`` on every probe dtype."""
+        partitions = np.arange(len(labels), dtype=np.int64) % 3
+        if constructor == "mapping":
+            router = VertexRouter(dict(zip(labels, partitions.tolist())), num_partitions=3)
+        else:
+            router = VertexRouter.from_arrays(
+                labels, np.array(labels, dtype=np.int64), partitions, num_partitions=3
+            )
+        assert router.lookup == lookup
+        lo, hi = min(labels), max(labels)
+        extra = {lo - 1, hi + 1, 0, -1, 10**12, INT64_MIN, INT64_MAX}
+        probes = sorted(p for p in set(labels) | extra if INT64_MIN <= p <= INT64_MAX)
+        for dtype in (np.int64, np.int32, np.uint32, np.uint64):
+            info = np.iinfo(dtype)
+            block = np.array([p for p in probes if info.min <= p <= info.max], dtype=dtype)
+            self._assert_agrees(router, block, block.tolist())
+        self._assert_agrees(router, np.array(probes, dtype=object), probes)
+        self._assert_agrees(router, np.zeros(0, dtype=np.int64), [])
+        self._assert_agrees(router, [], [])
+
+    @staticmethod
+    def _assert_agrees(router, block, probes):
+        routed = router.route_batch(block)
+        assert routed.dtype == np.int64
+        assert routed.tolist() == [router.partition_of(p) for p in probes]
+
+    def test_pickled_router_carries_no_table(self):
+        router = VertexRouter({v: v % 3 for v in range(1, 50)}, num_partitions=3)
+        assert set(router.__getstate__()) == {"_assignments", "_num_partitions"}
+        restored = pickle.loads(pickle.dumps(router))
+        assert restored.lookup == "direct"
+        probes = np.arange(-2, 53)
+        assert restored.route_batch(probes).tolist() == router.route_batch(probes).tolist()
+
+    def test_state_with_searchsorted_table_still_routes(self):
+        """A router pickled with the sorted ``(keys, partitions)`` lookup in
+        ``_int_lookup`` (snapshots and checkpoints written before the
+        direct-address table) rebuilds its table on load."""
+        assignments = {9: 2, 2: 0, 5: 1}
+        state = {
+            "_assignments": assignments,
+            "_num_partitions": 3,
+            "_int_lookup": (np.array([2, 5, 9]), np.array([0, 1, 2])),
+        }
+
+        class SearchsortedLayout:
+            def __reduce__(self):
+                return object.__new__, (VertexRouter,), state
+
+        restored = pickle.loads(pickle.dumps(SearchsortedLayout()))
+        assert not hasattr(restored, "_int_lookup")
+        probes = list(range(-1, 12))
+        routed = restored.route_batch(np.array(probes, dtype=np.int64))
+        assert routed.tolist() == [restored.partition_of(p) for p in probes]
+        assert routed.tolist()[3:11] == [0, -1, -1, 1, -1, -1, -1, 2]
 
 
 def test_checkpoint_round_trip(
