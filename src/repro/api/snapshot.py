@@ -5,11 +5,11 @@ Every backend implements the ``state_dict()`` / ``from_state()`` half of the
 states in a self-describing envelope so a snapshot file can be handed to
 ``load_snapshot`` without knowing which backend produced it.
 
-Version 2 envelope (written by this build)::
+Version 3 envelope (written by this build)::
 
     <pickled header dict> <raw section payload bytes>
 
-    header = {"format": "repro.sketch-snapshot", "version": 2,
+    header = {"format": "repro.sketch-snapshot", "version": 3,
               "backend": <name>, "payload_length": <total bytes>,
               "sections": [{"name", "length", "crc32"}, ...]}
 
@@ -18,18 +18,25 @@ Each section carries a CRC32 and its exact length, so a torn write
 (truncation) or silent corruption (bit flip) is rejected by
 :func:`load_snapshot` with a :class:`SnapshotError` *naming the bad
 section* — never deserialized into garbage counters.  Every backend writes
-one ``state`` section holding its whole ``state_dict()``.  Version 1 files
-(one pickle, no checksums) still load.  Files of either version whose
-sketches were hashed by the retired Mersenne-61 family (before vector
-multiply-shift) are refused with a :class:`SnapshotError`: their counters
-cannot be re-placed, so rebuild them from the stream.
+one ``state`` section holding its whole ``state_dict()``.
+
+Every sketch state records the edge-key rule that placed its counters
+(:data:`~repro.sketches.hashing.KEY_RULE`).  A state placed by the retired
+four-pass splitmix64 rule (every version 1 and 2 file) or hashed by the
+retired Mersenne-61 family is refused with a :class:`SnapshotError` naming
+it: its counters cannot be re-placed, so rebuild them from the stream.
+Version 2 files (the same layout) and version 1 files (one pickle, no
+checksums) are still read so that their states reach that check.  Builds
+that read only versions 1 and 2 refuse this build's files at load.
 
 :func:`save_checkpoint` / :func:`load_checkpoint` keep the same section as a
 *file in a directory* under an atomically-swapped ``MANIFEST.json``.  Each
 checkpoint writes a new ``state-{n}.bin`` (``n`` one past the live
-manifest's generation), never a file the live manifest names, and every file
-is written temp-file → flush → fsync → ``os.replace``, so a crash
-mid-checkpoint leaves the previous checkpoint fully intact.
+manifest's generation, whatever that manifest's version), never a file the
+live manifest names, and every file is written temp-file → flush → fsync →
+``os.replace``, so a crash mid-checkpoint leaves the previous checkpoint
+fully intact.  Manifest version 2 (written by this build) has the layout of
+version 1, which is still read; builds that read only version 1 refuse it.
 
 Payloads are pickled (counter tables are numpy arrays and the partitioning
 tree/router carry arbitrary hashable vertex labels), so snapshots are a
@@ -57,10 +64,13 @@ from repro.core.gsketch import GSketch
 from repro.core.windowed import WindowedGSketch
 
 SNAPSHOT_FORMAT = "repro.sketch-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
+#: Envelope versions with header-plus-sections layout (version 1 is one pickle).
+_SECTIONED_VERSIONS = (2, SNAPSHOT_VERSION)
 
 CHECKPOINT_FORMAT = "repro.sketch-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSIONS = (1, CHECKPOINT_VERSION)
 MANIFEST_NAME = "MANIFEST.json"
 
 #: backend name → estimator class, the single source of truth for dispatch.
@@ -181,13 +191,13 @@ def save_snapshot(estimator: Estimator, path: Union[str, Path]) -> Path:
 
 
 def load_snapshot(path: Union[str, Path]) -> Estimator:
-    """Revive the estimator stored at ``path`` (version 2 or legacy 1).
+    """Revive the estimator stored at ``path`` (version 3, 2 or legacy 1).
 
     Raises:
         SnapshotError: if the file is not a repro snapshot, has an
             unsupported version, names an unknown backend, is truncated,
             fails a section checksum, or holds a state the backend refuses
-            (such as counters hashed by the retired Mersenne-61 family).
+            (counters placed by a retired key rule or hash family).
     """
     try:
         with open(path, "rb") as handle:
@@ -205,10 +215,10 @@ def load_snapshot(path: Union[str, Path]) -> Estimator:
         backend = header.get("backend")
         cls = _resolve_backend(backend, str(path))
         return _revive_state(cls, backend, header["state"], str(path))
-    if version != SNAPSHOT_VERSION:
+    if version not in _SECTIONED_VERSIONS:
         raise SnapshotError(
             f"{path} has snapshot version {version!r}; this build reads versions "
-            f"1 and {SNAPSHOT_VERSION}"
+            f"1 to {SNAPSHOT_VERSION}"
         )
     _resolve_backend(header.get("backend"), str(path))  # fail fast on unknown
     sections = _verify_sections(header["sections"], body, str(path))
@@ -218,7 +228,8 @@ def load_snapshot(path: Union[str, Path]) -> Estimator:
 def _verify_sections(
     listed: List[dict], body: bytes, source: str
 ) -> Dict[str, bytes]:
-    """Slice + validate the concatenated section payloads of a v2 snapshot."""
+    """Slice + validate the concatenated section payloads of a sectioned
+    (version 2 or 3) snapshot."""
     sections: Dict[str, bytes] = {}
     offset = 0
     for entry in listed:
@@ -247,9 +258,10 @@ def save_checkpoint(estimator: Estimator, directory: Union[str, Path]) -> Path:
 
     Layout: one ``state-{generation}.bin`` file holding the estimator's whole
     state plus an atomically-swapped ``MANIFEST.json`` naming it with its
-    length and CRC32.  The generation is one past the live manifest's, so a
-    checkpoint never writes to a file the live manifest names; the superseded
-    file is removed only after the new manifest is in place.  A crash at any
+    length and CRC32.  The generation is one past every generation the live
+    manifest names, whatever its version, so a checkpoint never writes to a
+    file the live manifest names; the superseded file is removed only after
+    the new manifest is in place.  A crash at any
     point leaves the directory loading as either the old or the new
     checkpoint, never a mix.
     """
@@ -326,7 +338,12 @@ def load_checkpoint(directory: Union[str, Path]) -> Estimator:
 
 def _read_manifest(directory: Path, required: bool) -> Optional[dict]:
     """Read + validate ``MANIFEST.json``; ``None`` when absent/invalid and
-    not required (an interrupted first checkpoint simply rewrites fully)."""
+    not required (an interrupted first checkpoint simply rewrites fully).
+
+    The version is checked only when ``required``: a checkpoint over a
+    directory holding another version's manifest must still skip past the
+    generations it names.
+    """
     path = directory / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text("utf-8"))
@@ -349,11 +366,9 @@ def _read_manifest(directory: Path, required: bool) -> Optional[dict]:
             raise SnapshotError(f"{directory} is not a {CHECKPOINT_FORMAT} directory")
         return None
     version = manifest.get("version")
-    if version != CHECKPOINT_VERSION:
-        if required:
-            raise SnapshotError(
-                f"{directory} has checkpoint version {version!r}; this build "
-                f"reads version {CHECKPOINT_VERSION}"
-            )
-        return None
+    if required and version not in _CHECKPOINT_VERSIONS:
+        raise SnapshotError(
+            f"{directory} has checkpoint version {version!r}; this build "
+            f"reads versions 1 and {CHECKPOINT_VERSION}"
+        )
     return manifest

@@ -9,7 +9,8 @@ and produces, in one vectorized pass:
    ``take`` for dense integer label spaces, one ``searchsorted`` for sparse
    ones);
 2. the canonical uint64 sketch key of every element
-   (:meth:`~repro.graph.batch.EdgeBatch.hashed_keys`, vectorized splitmix64);
+   (:meth:`~repro.graph.batch.EdgeBatch.hashed_keys`: the endpoints folded
+   into one word, then one vectorized splitmix64 pass);
 3. per-partition contiguous groups, obtained from a single stable argsort of
    the partition vector, so each group can be handed to one partition
    sketch whole.

@@ -4,7 +4,8 @@ Per-element ingestion pays Python interpreter overhead for every edge: a
 router dictionary lookup, a tuple hash, and a per-row modular hash.  The
 batched hot path instead moves blocks of edges through the pipeline as
 parallel numpy columns — sources, targets and frequencies — so that key
-canonicalization (:func:`~repro.sketches.hashing.pair_keys_to_uint64`),
+canonicalization (:func:`~repro.sketches.hashing.pair_keys_to_uint64`: the
+two label columns folded into one word per edge, then one splitmix64 pass),
 routing (:meth:`~repro.core.router.VertexRouter.route_batch`) and counter
 updates (:func:`~repro.sketches.arena.apply_batch`) each run as a handful of
 array kernels per batch.
@@ -155,8 +156,10 @@ class EdgeBatch:
     def hashed_keys(self) -> np.ndarray:
         """Canonical uint64 edge keys, bit-identical to per-edge hashing.
 
-        Integer labels use the vectorized splitmix64 pipeline; other labels
-        fall back to :func:`~repro.sketches.hashing.key_to_uint64` per edge.
+        Integer labels take the vectorized fold and one splitmix64 pass
+        (:func:`~repro.sketches.hashing.pair_keys_to_uint64`), which reads
+        the label columns without writing them; other labels fall back to
+        :func:`~repro.sketches.hashing.key_to_uint64` per edge.
         """
         if self.is_integer_labelled:
             return pair_keys_to_uint64(self.sources, self.targets)

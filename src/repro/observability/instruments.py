@@ -18,9 +18,10 @@ __all__ = [
     "INGEST_STAGE",
 ]
 
-#: Per-stage ingest latency.  ``route``: vertex routing plus the splitmix64
-#: key canonicalization on the partitioned backends, the canonicalization
-#: alone on the one-sketch baseline.  ``apply``: the per-row multiply-shift
+#: Per-stage ingest latency.  ``route``: vertex routing plus the edge-key
+#: canonicalization (an endpoint fold and one splitmix64 pass) on the
+#: partitioned backends, the canonicalization alone on the one-sketch
+#: baseline.  ``apply``: the per-row multiply-shift
 #: hash and the counter scatter (the one apply kernel, or the baseline's
 #: ``update_batch``).
 INGEST_STAGE = {

@@ -119,8 +119,11 @@ def apply_batch(
         return
     mass = np.bincount(slots, weights=counts, minlength=layout.num_slots)
     updates = np.bincount(slots, minlength=layout.num_slots)
-    for slot in np.flatnonzero(updates).tolist():
-        sketches[slot]._credit(float(mass[slot]), int(updates[slot]))
+    touched = np.flatnonzero(updates)
+    for slot, slot_mass, slot_updates in zip(
+        touched.tolist(), mass[touched].tolist(), updates[touched].tolist()
+    ):
+        sketches[slot]._credit(slot_mass, slot_updates)
 
 
 def _apply_conservative(

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.sketches import arena as _arena
 from repro.sketches.base import FrequencySketch
-from repro.sketches.hashing import PairwiseHashFamily, key_to_uint64
+from repro.sketches.hashing import KEY_RULE, PairwiseHashFamily, key_to_uint64
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require_non_negative, require_positive_int
 
@@ -27,6 +27,15 @@ _RETIRED_FAMILY_MESSAGE = (
     "sketch state was hashed by the retired Mersenne-61 family "
     "((a*x + b) mod 2^61-1, keys 'hash_a'/'hash_b'); this build hashes with vector "
     "multiply-shift and cannot place those counters: rebuild the sketch from the stream"
+)
+
+#: Why a sketch state without a ``key_rule`` tag cannot be revived: its edge
+#: counters were placed by the retired four-pass splitmix64 key chain, so no
+#: edge key of this build would find its cells.
+_RETIRED_KEY_RULE_MESSAGE = (
+    "sketch state was placed by the retired four-pass splitmix64 edge-key rule "
+    f"(no 'key_rule' tag); this build places keys by {KEY_RULE!r} and cannot "
+    "place those counters: rebuild the sketch from the stream"
 )
 
 
@@ -228,6 +237,7 @@ class CountMinSketch(FrequencySketch):
             "hash_a0": list(a0),
             "hash_a1": list(a1),
             "hash_b": list(b),
+            "key_rule": KEY_RULE,
             "table": self._table.copy(),
             "total": self._total,
             "update_count": self._update_count,
@@ -263,6 +273,13 @@ class CountMinSketch(FrequencySketch):
         sketch._conservative = bool(state["conservative"])
         if "hash_a" in state:
             raise ValueError(_RETIRED_FAMILY_MESSAGE)
+        if "key_rule" not in state:
+            raise ValueError(_RETIRED_KEY_RULE_MESSAGE)
+        if state["key_rule"] != KEY_RULE:
+            raise ValueError(
+                f"sketch state was placed by key rule {state['key_rule']!r}; this "
+                f"build places keys by {KEY_RULE!r}: rebuild the sketch from the stream"
+            )
         if len(state["hash_a0"]) != sketch._depth:
             raise ValueError(
                 f"state has {len(state['hash_a0'])} hash rows, expected {sketch._depth}"

@@ -2,7 +2,35 @@
 
 All sketches in this package hash arbitrary stream keys (edges, vertex labels,
 strings) into counter cells.  Keys are first canonicalized to an unsigned
-64-bit integer by :func:`key_to_uint64`.  Each sketch row then draws three
+64-bit integer by :func:`key_to_uint64` (:data:`KEY_RULE`).  A scalar key is
+one splitmix64 pass over its own 64-bit word (BLAKE2b for strings and
+bytes).  A tuple, such as a ``(source, target)`` edge, is folded word by
+word and then mixed once::
+
+    acc = G
+    for part in key:  acc = ((acc ^ word(part)) * G) mod 2^64
+    key = splitmix64(acc)
+
+``G`` is the odd golden-gamma constant, so each fold step is a bijection of
+``acc`` for a fixed part and distinct keys stay distinct in practice.
+``word`` is a part's two's-complement word for ints and bools,
+``hash(part) mod 2^64`` for floats (so ``1``, ``True`` and ``1.0`` agree, as
+they compare equal) and :func:`key_to_uint64` for strings, bytes and nested
+tuples.
+
+One mix, and not zero: the row hash below is pairwise independent for any
+two distinct keys, but its rows only behave like random functions on keys
+that carry no structure.  On a label grid (``s, t = divmod(i, 317)``, 100k
+edges, width 1,000), the colliding-pair fraction of a row read 14σ, 2,373σ
+and 58σ above its random-key value on the worst row of seeds 2024, 2 and 3
+for the packed key ``(s << 32) | t``; for the fold without its mix it read
+8–19σ below that value on 11 of those 12 rows (too regular, which is
+structure too) and 5.5σ above on the twelfth.  With the
+mix, 244 rows over seeds 0–60 read a mean of 0.02σ, a spread of 1.03σ and
+a maximum of 3.1σ, as random keys do.  :func:`pair_keys_to_uint64` runs the
+same fold and one vectorized mix over two integer label columns.
+
+Each sketch row then draws three
 uniform 64-bit coefficients ``(a0, a1, b)`` and maps a key ``x`` with 32-bit
 halves ``lo, hi`` onto ``[0, width)`` in two multiply-shift steps::
 
@@ -24,8 +52,9 @@ rows fail together with probability at most ``e^-d · (1 + w/2^32)^d``, so
 :func:`multiply_shift_columns` is the one vectorized hash every read and
 write path runs.  ``tests/test_hashing.py`` pins it to the scalar path
 (:meth:`PairwiseHashFamily.indices_for_uint64`) on both 32-bit limb edges
-and measures its collision rate, and ``tests/test_query_plan.py`` pins the
-compiled plan's gather to the direct per-sketch estimates.
+and measures its collision rate on random and on grid-structured edge keys, and
+``tests/test_query_plan.py`` pins the compiled plan's gather to the direct
+per-sketch estimates.
 """
 
 from __future__ import annotations
@@ -44,7 +73,12 @@ _MAX_WIDTH = (1 << 32) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
+#: The edge-key rule sketch states are tagged with: a counter table is only
+#: meaningful to a build that places keys by the same rule.
+KEY_RULE = "fold-splitmix64"
+
 _U64 = np.uint64
+_U64_GAMMA = _U64(_GOLDEN_GAMMA)
 _MASK32 = _U64(0xFFFFFFFF)
 _SHIFT32 = _U64(32)
 
@@ -61,26 +95,46 @@ def splitmix64_batch(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`_splitmix64` over an array of uint64 values.
 
     Bit-identical to the scalar path: numpy uint64 arithmetic wraps modulo
-    2^64 exactly like the explicit masking above.
+    2^64 exactly like the explicit masking above.  ``values`` is not
+    modified.
     """
-    v = np.asarray(values, dtype=np.uint64) + _U64(_GOLDEN_GAMMA)
-    v = (v ^ (v >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    v = (v ^ (v >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return v ^ (v >> _U64(31))
+    return _splitmix64_in_place(np.array(values, dtype=np.uint64))
+
+
+def _splitmix64_in_place(v: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64_batch` overwriting its own uint64 array ``v``."""
+    v += _U64_GAMMA
+    v ^= v >> _U64(30)
+    v *= _U64(0xBF58476D1CE4E5B9)
+    v ^= v >> _U64(27)
+    v *= _U64(0x94D049BB133111EB)
+    v ^= v >> _U64(31)
+    return v
+
+
+def _label_words(labels: np.ndarray) -> np.ndarray:
+    """Two's-complement uint64 words of an integer label column (a view of
+    an int64 or uint64 block, never to be written through)."""
+    labels = np.asarray(labels)
+    if labels.dtype == np.int64:
+        return labels.view(np.uint64)
+    return labels.astype(np.uint64, copy=False)
 
 
 def pair_keys_to_uint64(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Canonicalize integer ``(source, target)`` edge keys, vectorized.
 
-    Bit-identical to ``key_to_uint64((int(s), int(t)))`` per element: each
-    endpoint is mixed through splitmix64, then combined with the polynomial
-    rolling mix used for tuples.  Signed inputs wrap to their two's-complement
-    uint64 representation, matching the scalar path's ``& 0xFFFF...``.
+    Bit-identical to ``key_to_uint64((int(s), int(t)))`` per element: the
+    two label columns are folded into one word per edge, then mixed by one
+    splitmix64 pass.  Signed labels fold as their two's-complement words,
+    matching the scalar path's ``& 0xFFFF...``.  The caller's columns are
+    read, never written.
     """
-    hs = splitmix64_batch(np.asarray(sources).astype(np.uint64, copy=False))
-    ht = splitmix64_batch(np.asarray(targets).astype(np.uint64, copy=False))
-    acc = splitmix64_batch(_U64(_GOLDEN_GAMMA) ^ hs)
-    return splitmix64_batch(acc ^ ht)
+    acc = np.bitwise_xor(_label_words(sources), _U64_GAMMA)
+    acc *= _U64_GAMMA
+    acc ^= _label_words(targets)
+    acc *= _U64_GAMMA
+    return _splitmix64_in_place(acc)
 
 
 def multiply_shift_columns(
@@ -117,8 +171,15 @@ def key_to_uint64(key: Hashable) -> int:
 
     * integers (mixed through splitmix64),
     * strings and bytes (BLAKE2b digest),
-    * tuples of supported keys (combined with a polynomial rolling mix).
+    * floats (splitmix64 of ``hash(key)``),
+    * tuples of supported keys (folded word by word, then mixed once; see
+      the module docstring).
     """
+    if isinstance(key, tuple):
+        acc = _GOLDEN_GAMMA
+        for part in key:
+            acc = ((acc ^ _part_word(part)) * _GOLDEN_GAMMA) & _MASK64
+        return _splitmix64(acc)
     if isinstance(key, bool):
         return _splitmix64(int(key))
     if isinstance(key, (int, np.integer)):
@@ -129,17 +190,21 @@ def key_to_uint64(key: Hashable) -> int:
     if isinstance(key, str):
         digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "little")
-    if isinstance(key, tuple):
-        acc = 0x9E3779B97F4A7C15
-        for part in key:
-            acc = _splitmix64(acc ^ key_to_uint64(part))
-        return acc
     if isinstance(key, float):
         return _splitmix64(hash(key) & 0xFFFFFFFFFFFFFFFF)
     raise TypeError(
         "sketch keys must be int, str, bytes, float or tuples thereof; "
         f"got {type(key).__name__}"
     )
+
+
+def _part_word(part: Hashable) -> int:
+    """The 64-bit word a tuple folds for one of its parts."""
+    if isinstance(part, (int, np.integer)):
+        return int(part) & _MASK64
+    if isinstance(part, float):
+        return hash(part) & _MASK64
+    return key_to_uint64(part)
 
 
 def _require_width(width: int) -> int:

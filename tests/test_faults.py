@@ -9,6 +9,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.core.config import GSketchConfig
 from repro.core.gsketch import GSketch
 from repro.graph.sampling import reservoir_sample
 from repro.sketches.countmin import CountMinSketch
+from repro.sketches.hashing import KEY_RULE
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,82 @@ class TestDurability:
         ):
             with pytest.raises(SnapshotError, match="retired Mersenne-61.*rebuild"):
                 load(target)
+
+    def test_four_pass_key_rule_states_are_refused_by_name(
+        self, ingested, tmp_path, monkeypatch
+    ):
+        """Counters placed by the retired four-pass splitmix64 edge-key rule
+        (states without a ``key_rule`` tag) cannot be re-placed either, so
+        every load path refuses them, typed, whatever the envelope version."""
+        legacy = ingested.state_dict()
+        assert legacy["outlier"]["key_rule"] == KEY_RULE
+        for sketch_state in (*legacy["partitions"], legacy["outlier"]):
+            del sketch_state["key_rule"]
+        outlier = legacy["outlier"]
+        with pytest.raises(ValueError, match="retired four-pass splitmix64"):
+            CountMinSketch.from_state(outlier)
+        # A Mersenne-61 state carries no tag either and keeps its own message.
+        with pytest.raises(ValueError, match="retired Mersenne-61"):
+            CountMinSketch.from_state(dict(outlier, hash_a=[1] * outlier["depth"]))
+        with pytest.raises(ValueError, match="key rule 'other'.*rebuild"):
+            CountMinSketch.from_state(dict(outlier, key_rule="other"))
+
+        v1 = tmp_path / "v1.snap"
+        v1.write_bytes(
+            pickle.dumps(
+                {"format": snapshot.SNAPSHOT_FORMAT, "version": 1, "backend": "gsketch",
+                 "state": legacy}
+            )
+        )
+        monkeypatch.setattr(ingested, "state_dict", lambda: legacy)
+        v3 = save_snapshot(ingested, tmp_path / "v3.snap")
+        with open(v3, "rb") as handle:
+            header = pickle.load(handle)
+            body = handle.read()
+        assert header["version"] == 3
+        v2 = tmp_path / "v2.snap"
+        v2.write_bytes(pickle.dumps(dict(header, version=2)) + body)
+        checkpoint = save_checkpoint(ingested, tmp_path / "ckpt")
+        v1_checkpoint = save_checkpoint(ingested, tmp_path / "ckpt-v1")
+        manifest = json.loads((v1_checkpoint / MANIFEST_NAME).read_text())
+        assert manifest["version"] == 2
+        (v1_checkpoint / MANIFEST_NAME).write_text(json.dumps(dict(manifest, version=1)))
+        for load, target in (
+            (load_snapshot, v1),
+            (load_snapshot, v2),
+            (load_snapshot, v3),
+            (load_checkpoint, checkpoint),
+            (load_checkpoint, v1_checkpoint),
+            (SketchEngine.load, v2),
+            (SketchEngine.restore, checkpoint),
+        ):
+            with pytest.raises(SnapshotError, match="retired four-pass splitmix64.*rebuild"):
+                load(target)
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_checkpoint_skips_generations_of_another_versions_manifest(
+        self, version, ingested, tmp_path, monkeypatch
+    ):
+        """A manifest of another version still names a live file: the next
+        checkpoint must not overwrite it."""
+        directory = save_checkpoint(ingested, tmp_path / "ckpt")
+        manifest_path = directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["sections"][0]["file"] == "state-0.bin"
+        manifest_path.write_text(json.dumps(dict(manifest, version=version)))
+
+        written = []
+        write_atomic = snapshot._write_atomic
+
+        def record(path, data):
+            written.append(path.name)
+            write_atomic(path, data)
+
+        monkeypatch.setattr(snapshot, "_write_atomic", record)
+        save_checkpoint(ingested, directory)
+        assert written == ["state-1.bin", MANIFEST_NAME]
+        assert [path.name for path in directory.glob("*.bin")] == ["state-1.bin"]
+        _assert_states_bit_exact(ingested.state_dict(), load_checkpoint(directory).state_dict())
 
     def test_snapshot_round_trip_is_bit_exact(self, ingested, tmp_path):
         path = save_snapshot(ingested, tmp_path / "s.snap")
