@@ -6,8 +6,8 @@ and drives 16 closed-loop clients, each with its own seeded
 :class:`~repro.serving.client.RetryPolicy`, while a seeded fault schedule
 runs against the server:
 
-* **torn frames** — ``serving_torn_frame`` faults cut response frames
-  mid-payload and drop the connection; clients must see a typed disconnect
+* **torn frames** — ``serving_torn_frame`` faults cut a response write
+  mid-way and drop the connection; clients must see a typed disconnect
   and their retry policy must reconnect and resubmit;
 * **stalled connections** — ``serving_stall_connection`` faults delay
   response writes (slow-loris-adjacent), bounding tail latency rather than
@@ -103,9 +103,10 @@ OUTCOMES = (
 def _build_schedule(seed: int, quick: bool) -> faults.FaultPlan:
     """The seeded fault schedule: three torn frames and three stalls.
 
-    Hit thresholds count response frames, and are drawn low enough that a
-    quick run's offered load reaches them; ``faults_injected`` in the
-    report confirms it.
+    Hit thresholds count response writes (one per writer wake, each holding
+    every response then queued on that connection), and are drawn low
+    enough that a quick run's offered load reaches them;
+    ``faults_injected`` in the report confirms it.
     """
     rng = np.random.default_rng(seed)
     high = 400 if quick else 1_500

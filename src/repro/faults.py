@@ -15,8 +15,9 @@ Injection sites
   mid-write (simulating a crash between write and fsync).
 * ``corrupt_snapshot`` — one byte of a written snapshot / checkpoint
   section is flipped (simulating silent media corruption).
-* ``serving_torn_frame`` — the server closes a connection after writing
-  only half of a response frame (a torn wire write).
+* ``serving_torn_frame`` — the server closes a connection after sending
+  only about half of one response write (a torn wire write).  A write may
+  hold several frames, so the client can read whole frames before the cut.
 * ``serving_stall_connection`` — the server delays one response by
   ``delay_seconds`` (a stalled / slow-loris-adjacent connection).
 * ``serving_drop_drain`` — the server drops a connection during drain,
@@ -175,12 +176,15 @@ def maybe_stall(site: str) -> float:
 
 
 def tear_frame(data: bytes) -> Tuple[bytes, bool]:
-    """Apply a serving torn-frame fault to an encoded wire frame.
+    """Apply a serving torn-frame fault to one response write.
 
-    Returns ``(possibly-truncated bytes, fired)``.  A torn frame keeps the
-    length prefix plus roughly half the payload, so the reader on the other
-    end sees a short read mid-payload — exactly what a server crash between
-    two ``send(2)`` calls produces.
+    ``data`` is one write: one or more encoded wire frames, joined.  Returns
+    ``(possibly-truncated bytes, fired)``.  A torn write keeps the first
+    length prefix plus roughly half the remaining bytes, so the reader on
+    the other end reads the whole frames before the cut, then a short read
+    mid-frame — exactly what a server crash between two ``send(2)`` calls
+    produces.  (When the cut falls exactly between two frames, the reader
+    sees a close after the last whole frame instead.)
     """
     if _PLAN is None or len(data) < 6:
         return data, False

@@ -174,8 +174,9 @@ class ServingClient:
         Only the retry loop calls this; it tears down the dead transport,
         dials the same address, and redoes the hello handshake.  Raises
         whatever :func:`asyncio.open_connection` raises (``OSError``
-        family) when the server is unreachable — the retry loop treats that
-        as one more transient failure.
+        family) when the server is unreachable, and :class:`ServerClosed`
+        when the new connection's hello is torn or refused — the retry loop
+        treats both as one more transient failure.
         """
         if self._address is None or self._user_closed:
             raise ServerClosed("client is closed")
@@ -192,7 +193,14 @@ class ServingClient:
             pass
         host, port = self._address
         self._reader, self._writer = await asyncio.open_connection(host, port)
-        await self._start()
+        try:
+            await self._start()
+        except (wire.WireError, ServingError) as exc:
+            # A hello torn or refused on the new connection is one more
+            # transient disconnect: surface it as the type the retry loop
+            # retries, and let its next attempt dial again.
+            self._writer.close()
+            raise ServerClosed(f"reconnect failed: {exc}") from exc
         self._closed = False
         self.reconnects += 1
 

@@ -31,7 +31,7 @@ a request whose deadline passed while queued gets
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.graph.edge import EdgeKey
 from repro.observability import metrics as _obs
@@ -169,8 +169,8 @@ class CoalescingQueue:
     # ------------------------------------------------------------------ #
     def submit(
         self, keys: Sequence[EdgeKey], deadline: Optional[float] = None
-    ) -> Awaitable[Tuple[List[float], int]]:
-        """Queue one request; returns an awaitable of ``(values, generation)``.
+    ) -> "asyncio.Future[Tuple[List[float], int]]":
+        """Queue one request; returns a future of ``(values, generation)``.
 
         Raises :class:`AdmissionError` *synchronously* when the queue is
         full or the server is draining — shed load never occupies memory.

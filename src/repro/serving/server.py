@@ -19,16 +19,22 @@ Overload behaviour, by layer:
   requests per connection; a client pipelining past that is shed the same
   way, so one greedy client cannot monopolize the global queue.
 * **slow clients** — each connection's responses go through a bounded write
-  queue drained by a dedicated writer task; only that task ever awaits the
-  socket, so a client that stops reading stalls *its own* writer, never the
-  batch demux.  If its queue fills, the connection is dropped.
+  queue drained by a dedicated writer task.  Each time it wakes, the writer
+  takes every response already queued and sends them in one write and one
+  ``drain()``.  Only that task ever awaits the socket, so a client that
+  stops reading stalls *its own* writer, never the batch demux.  If its
+  queue fills, the connection is dropped.
 * **graceful drain** — :meth:`SketchServer.shutdown` stops accepting, sheds
   new requests with ``shutting_down``, answers everything already admitted,
   flushes write queues, then closes.
 
-Per-request ``deadline_ms`` is honoured at drain time: a request whose
-deadline passed while queued gets a ``deadline_exceeded`` response rather
-than a stale answer.
+Admission is synchronous: the connection's read loop validates each frame,
+answers pings, health probes, confidence queries and ingest inline, and
+hands point and subgraph queries to the coalescer.  The coalescer's future
+carries a done-callback that queues the response, so no task is created per
+request.  Per-request ``deadline_ms`` is honoured at drain time: a request
+whose deadline passed while queued gets a ``deadline_exceeded`` response
+rather than a stale answer.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import asyncio
 import signal
 import threading
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro import faults as _faults
@@ -118,13 +125,18 @@ class ServingConfig:
 
 
 class _Connection:
-    """Per-connection state: the bounded write queue and its writer task."""
+    """Per-connection state: the write queue, its writer task, admitted work.
+
+    ``futures`` holds the coalescer futures of this connection's admitted
+    queries; each one's done-callback queues its response and releases its
+    ``inflight`` slot.  Closing the connection cancels them.
+    """
 
     __slots__ = (
         "writer",
         "out_queue",
         "writer_task",
-        "tasks",
+        "futures",
         "inflight",
         "closed",
         "peer",
@@ -134,7 +146,7 @@ class _Connection:
         self.writer = writer
         self.out_queue: "asyncio.Queue[Optional[dict]]" = asyncio.Queue(max_write_queue)
         self.writer_task: Optional["asyncio.Task[None]"] = None
-        self.tasks: "Set[asyncio.Task]" = set()
+        self.futures: "Set[asyncio.Future]" = set()
         self.inflight = 0
         self.closed = False
         peername = writer.get_extra_info("peername")
@@ -168,7 +180,7 @@ class SketchServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
-        self._request_tasks: "Set[asyncio.Task]" = set()
+        self._request_futures: "Set[asyncio.Future]" = set()
         self._handler_tasks: "Set[asyncio.Task]" = set()
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
@@ -218,14 +230,16 @@ class SketchServer:
             # it waits for every connection to drop, and the connections are
             # only closed below.
             self._server.close()
-        # In-flight request tasks either resolve through the coalescer's own
-        # drain or shed with `shutting_down`; bound the wait regardless.
+        # Admitted queries resolve through the coalescer's own drain; their
+        # done-callbacks queue the answers before the write queues are
+        # flushed below.  New queries already shed with `shutting_down`.
+        # Bound the wait regardless.
         deadline = self.config.drain_seconds
-        if self._request_tasks:
-            await asyncio.wait(tuple(self._request_tasks), timeout=deadline)
+        if self._request_futures:
+            await asyncio.wait(tuple(self._request_futures), timeout=deadline)
         await self._coalescer.stop()
-        if self._request_tasks:
-            await asyncio.wait(tuple(self._request_tasks), timeout=deadline)
+        if self._request_futures:
+            await asyncio.wait(tuple(self._request_futures), timeout=deadline)
         for connection in tuple(self._connections):
             await self._close_connection(connection, flush=True)
         # Handlers whose client hung up first left `_connections` before
@@ -336,11 +350,11 @@ class SketchServer:
             _CONNECTIONS.set(float(len(self._connections)))
         connection.closed = True
         # The connection is gone: answering its in-flight requests would
-        # push frames into a closed write queue.  Cancelling the tasks
-        # cancels their coalescer futures, which the queue counts into its
-        # ``cancelled`` stat (at drain or demux time) instead of answering.
-        for task in tuple(connection.tasks):
-            task.cancel()
+        # push frames into a closed write queue.  A cancelled coalescer
+        # future is counted into the queue's ``cancelled`` stat (at drain or
+        # demux time) instead of answered, and its callback sends nothing.
+        for future in tuple(connection.futures):
+            future.cancel()
         if connection.writer_task is not None:
             if flush:
                 try:
@@ -363,17 +377,31 @@ class SketchServer:
             pass
 
     async def _write_loop(self, connection: _Connection) -> None:
-        """Drain one connection's write queue; only this task awaits its socket."""
+        """Drain one connection's write queue; only this task awaits its socket.
+
+        Each wake sends the response it woke for plus every one already
+        queued behind it as one write, so a burst of answers costs one
+        ``send(2)``.  A ``None`` sentinel stops the task once everything
+        queued before it is written.
+        """
+        queue = connection.out_queue
         while True:
-            payload = await connection.out_queue.get()
+            payload = await queue.get()
             if payload is None:
                 return
+            frames = [wire.encode_frame(payload)]
+            while not queue.empty():
+                payload = queue.get_nowait()
+                if payload is None:
+                    break
+                frames.append(wire.encode_frame(payload))
+            data = b"".join(frames)
             try:
-                data = wire.encode_frame(payload)
                 if _faults._PLAN is not None:
-                    # Injected wire faults: a stalled response (client-side
-                    # deadline/retry territory) or a frame torn mid-payload
-                    # followed by an abort (client sees a short read).
+                    # Injected wire faults, once per write: a stalled write
+                    # (client-side deadline/retry territory) or a write torn
+                    # mid-way followed by a close (see `faults.tear_frame`
+                    # for what the client reads).
                     delay = _faults.maybe_stall(
                         _faults.SITE_SERVING_STALL_CONNECTION
                     )
@@ -392,6 +420,8 @@ class SketchServer:
             except (ConnectionError, OSError):
                 connection.closed = True
                 return
+            if payload is None:
+                return
 
     def _drop_slow(self, connection: _Connection) -> None:
         """A full write queue means the client stopped reading: drop it."""
@@ -408,8 +438,8 @@ class SketchServer:
         """Sever a connection's transport abruptly (fault-injection paths).
 
         Mimics the peer vanishing mid-flight: the read loop wakes with a
-        reset, :meth:`_close_connection` cancels the connection's in-flight
-        request tasks, and the coalescer counts their futures as cancelled.
+        reset, :meth:`_close_connection` cancels the connection's admitted
+        futures, and the coalescer counts them as cancelled.
         """
         connection.closed = True
         self.connections_dropped += 1
@@ -467,27 +497,10 @@ class SketchServer:
             )
             return
         if op in (wire.OP_QUERY_EDGES, wire.OP_QUERY_SUBGRAPH):
-            if self._draining:
-                self._respond(connection, request_id, wire.STATUS_SHUTTING_DOWN, began)
-                return
-            if connection.inflight >= self.config.max_inflight:
-                self._coalescer.rejected += 1
-                self._respond(
-                    connection,
-                    request_id,
-                    wire.STATUS_RETRY_LATER,
-                    began,
-                    error=f"connection has {connection.inflight} requests in flight",
-                )
-                return
-            connection.inflight += 1
-            task = asyncio.get_running_loop().create_task(
-                self._serve_query(connection, request_id, op, frame, began)
-            )
-            self._request_tasks.add(task)
-            task.add_done_callback(self._request_tasks.discard)
-            connection.tasks.add(task)
-            task.add_done_callback(connection.tasks.discard)
+            try:
+                self._admit_query(connection, request_id, op, frame, began)
+            except Exception as exc:  # noqa: BLE001 - every failure is answered typed
+                self._fail(connection, request_id, began, exc)
             return
         if op == wire.OP_INGEST:
             self._serve_ingest(connection, request_id, frame, began)
@@ -500,7 +513,7 @@ class SketchServer:
             error=f"unknown op {op!r}",
         )
 
-    async def _serve_query(
+    def _admit_query(
         self,
         connection: _Connection,
         request_id: object,
@@ -508,63 +521,100 @@ class SketchServer:
         frame: dict,
         began: float,
     ) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            edges = wire.edges_from_wire(frame.get("edges"))
-            deadline_ms = frame.get("deadline_ms")
-            deadline = None
-            if deadline_ms is not None:
-                deadline = began + float(deadline_ms) / 1_000.0
-            if frame.get("confidence") and op == wire.OP_QUERY_EDGES:
-                # Confidence queries carry intervals and provenance; they are
-                # answered inline (one vectorized pass, no coalescing) so the
-                # value lane's demux stays a flat float slice.
-                if deadline is not None and loop.time() > deadline:
-                    raise DeadlineExceededError("deadline passed before serving")
-                estimates = self._engine.query(
-                    [EdgeQuery(source, target) for source, target in edges]
-                )
-                self._respond(
-                    connection,
-                    request_id,
-                    wire.STATUS_OK,
-                    began,
-                    generation=self._generation(),
-                    estimates=[estimate.to_dict() for estimate in estimates],
-                )
-                return
-            future = self._coalescer.submit(edges, deadline)
-            if _faults._PLAN is not None and _faults.should_fire(
-                _faults.SITE_SERVING_DROP_DRAIN
-            ):
-                # The requester's connection vanishes after admission — the
-                # cancel-on-disconnect path must cancel this very request
-                # instead of answering into a closed write queue.
-                self._abort_connection(connection)
-            values, generation = await future
-            payload: dict = {"generation": generation}
-            if op == wire.OP_QUERY_SUBGRAPH:
-                query = SubgraphQuery.from_edges(
-                    edges, aggregate=str(frame.get("aggregate", "sum"))
-                )
-                payload["value"] = float(query.combine(values))
-            else:
-                payload["values"] = values
-            self._respond(connection, request_id, wire.STATUS_OK, began, **payload)
-        except AdmissionError as exc:
+        """Validate one query, then answer it inline or hand it to the coalescer.
+
+        Raises on a reject or a malformed frame; :meth:`_dispatch` answers
+        that through :meth:`_fail`.  A coalesced query holds one of its
+        connection's ``inflight`` slots until its future's done-callback
+        (:meth:`_answer`) runs.
+        """
+        if self._draining:
+            raise AdmissionError("server is draining")
+        if connection.inflight >= self.config.max_inflight:
+            self._coalescer.rejected += 1
+            raise AdmissionError(f"connection has {connection.inflight} requests in flight")
+        edges = wire.edges_from_wire(frame.get("edges"))
+        deadline_ms = frame.get("deadline_ms")
+        deadline = None
+        if deadline_ms is not None:
+            deadline = began + float(deadline_ms) / 1_000.0
+        if frame.get("confidence") and op == wire.OP_QUERY_EDGES:
+            # Confidence queries carry intervals and provenance; they are
+            # answered inline (one vectorized pass, no coalescing) so the
+            # value lane's demux stays a flat float slice.
+            if deadline is not None and asyncio.get_running_loop().time() > deadline:
+                raise DeadlineExceededError("deadline passed before serving")
+            estimates = self._engine.query(
+                [EdgeQuery(source, target) for source, target in edges]
+            )
             self._respond(
                 connection,
                 request_id,
-                wire.STATUS_SHUTTING_DOWN if self._draining else wire.STATUS_RETRY_LATER,
+                wire.STATUS_OK,
                 began,
-                error=str(exc),
+                generation=self._generation(),
+                estimates=[estimate.to_dict() for estimate in estimates],
             )
-        except DeadlineExceededError as exc:
-            self._respond(connection, request_id, wire.STATUS_DEADLINE, began, error=str(exc))
-        except (wire.WireError, ValueError, KeyError, RuntimeError) as exc:
-            self._respond(connection, request_id, wire.STATUS_ERROR, began, error=str(exc))
-        finally:
-            connection.inflight -= 1
+            return
+        subgraph = None
+        if op == wire.OP_QUERY_SUBGRAPH:
+            subgraph = SubgraphQuery.from_edges(
+                edges, aggregate=str(frame.get("aggregate", "sum"))
+            )
+        future = self._coalescer.submit(edges, deadline)
+        connection.inflight += 1
+        connection.futures.add(future)
+        self._request_futures.add(future)
+        future.add_done_callback(
+            partial(self._answer, connection, request_id, subgraph, began)
+        )
+        if _faults._PLAN is not None and _faults.should_fire(
+            _faults.SITE_SERVING_DROP_DRAIN
+        ):
+            # The requester's connection vanishes after admission — the
+            # cancel-on-disconnect path must cancel this very request
+            # instead of answering into a closed write queue.
+            self._abort_connection(connection)
+
+    def _answer(
+        self,
+        connection: _Connection,
+        request_id: object,
+        subgraph: Optional[SubgraphQuery],
+        began: float,
+        future: "asyncio.Future[Tuple[List[float], int]]",
+    ) -> None:
+        """Done-callback of one coalesced query: queue its typed response."""
+        connection.inflight -= 1
+        connection.futures.discard(future)
+        self._request_futures.discard(future)
+        if future.cancelled():
+            return  # its connection is gone
+        try:
+            values, generation = future.result()
+            payload: dict = {"generation": generation}
+            if subgraph is None:
+                payload["values"] = values
+            else:
+                payload["value"] = float(subgraph.combine(values))
+        except Exception as exc:  # noqa: BLE001 - every failure is answered typed
+            self._fail(connection, request_id, began, exc)
+            return
+        self._respond(connection, request_id, wire.STATUS_OK, began, **payload)
+
+    def _fail(
+        self, connection: _Connection, request_id: object, began: float, exc: BaseException
+    ) -> None:
+        """Answer a failed request: ``retry_later`` for an admission reject
+        (``shutting_down`` while draining), ``deadline_exceeded`` for an
+        expired deadline, ``error`` for anything else."""
+        if isinstance(exc, AdmissionError):
+            status = wire.STATUS_SHUTTING_DOWN if self._draining else wire.STATUS_RETRY_LATER
+        elif isinstance(exc, DeadlineExceededError):
+            status = wire.STATUS_DEADLINE
+        else:
+            status = wire.STATUS_ERROR
+        self._respond(connection, request_id, status, began, error=str(exc))
 
     def _serve_ingest(
         self, connection: _Connection, request_id: object, frame: dict, began: float
@@ -621,7 +671,7 @@ class SketchServer:
                 generation=generation,
             )
         except (wire.WireError, ValueError, TypeError) as exc:
-            self._respond(connection, request_id, wire.STATUS_ERROR, began, error=str(exc))
+            self._fail(connection, request_id, began, exc)
 
 
 # ---------------------------------------------------------------------- #

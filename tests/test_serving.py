@@ -12,6 +12,9 @@ The acceptance bars under test:
 * **overload** — beyond the admission bound requests are shed with *typed*
   ``retry_later`` rejects, queue depth stays bounded, nothing hangs, and a
   slow client is dropped without stalling healthy peers;
+* **admission** — a pipelined burst of every request kind gets exactly one
+  typed answer per id with no task created per request, and a gather that
+  raises any exception is answered with a typed ``error``;
 * **drain** — shutdown answers everything already admitted before closing.
 """
 
@@ -677,6 +680,179 @@ class TestOverload:
             finally:
                 slow.close()
         finally:
+            handle.stop()
+
+
+# ---------------------------------------------------------------------- #
+# Admission callbacks: one raw connection, frames written by hand
+# ---------------------------------------------------------------------- #
+def _recv_exactly(sock, size):
+    data = b""
+    while len(data) < size:
+        chunk = sock.recv(size - len(data))
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        data += chunk
+    return data
+
+
+def _recv_frame(sock):
+    (length,) = struct.unpack(">I", _recv_exactly(sock, 4))
+    return wire.decode_body(_recv_exactly(sock, length))
+
+
+class TestAdmissionCallbacks:
+    def test_pipelined_mixed_burst_is_answered_once_each_without_a_task_each(
+        self, engine, query_keys
+    ):
+        """Every request of a pipelined burst gets exactly one typed answer,
+        the coalesced answers are bit-exact, every path releases its
+        ``inflight`` slot, and no task is created per request."""
+        max_inflight = 16
+        point_keys = [[key] for key in query_keys[:8]] + [query_keys[24:30]]
+        subgraph_keys = [query_keys[start : start + 4] for start in (8, 12, 16, 20)]
+        confidence_keys = query_keys[30:33]
+        burst = [
+            {"op": wire.OP_QUERY_EDGES, "edges": wire.edges_to_wire(keys)}
+            for keys in point_keys
+        ]
+        burst += [
+            {
+                "op": wire.OP_QUERY_SUBGRAPH,
+                "edges": wire.edges_to_wire(keys),
+                "aggregate": "sum",
+            }
+            for keys in subgraph_keys
+        ]
+        burst += [
+            {
+                "op": wire.OP_QUERY_EDGES,
+                "edges": wire.edges_to_wire(confidence_keys),
+                "confidence": True,
+            },
+            {"op": wire.OP_PING},
+            {"op": wire.OP_QUERY_EDGES, "edges": [[1, 2, 3]]},
+            {
+                "op": wire.OP_QUERY_EDGES,
+                "edges": wire.edges_to_wire(point_keys[0]),
+                "deadline_ms": 0,
+            },
+        ]
+        for request_id, request in enumerate(burst):
+            request["id"] = request_id
+        second = [
+            {
+                "op": wire.OP_QUERY_EDGES,
+                "id": len(burst) + offset,
+                "edges": wire.edges_to_wire([query_keys[offset]]),
+            }
+            for offset in range(max_inflight)
+        ]
+
+        async def drive(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            assert (await wire.read_frame(reader))["op"] == wire.OP_HELLO
+            peak = [0]
+            sampling = [True]
+
+            async def sample_tasks():
+                while sampling[0]:
+                    peak[0] = max(peak[0], len(asyncio.all_tasks()))
+                    await asyncio.sleep(0)
+
+            sampler = asyncio.ensure_future(sample_tasks())
+            await asyncio.sleep(0)
+            idle = len(asyncio.all_tasks())
+            answers = {}
+
+            async def exchange(requests):
+                writer.write(b"".join(wire.encode_frame(request) for request in requests))
+                await writer.drain()
+                wanted = {request["id"] for request in requests}
+                while not wanted <= answers.keys():
+                    frame = await wire.read_frame(reader)
+                    answers.setdefault(frame["id"], []).append(frame)
+
+            await exchange(burst)
+            sampling[0] = False
+            await sampler
+            await exchange(second)
+            # Half-close: the server flushes what it still holds, then closes,
+            # so a duplicate answer would be read here.
+            writer.write_eof()
+            while True:
+                frame = await wire.read_frame(reader)
+                if frame is None:
+                    break
+                answers.setdefault(frame["id"], []).append(frame)
+            writer.close()
+            return answers, peak[0] - idle
+
+        config = ServingConfig(max_inflight=max_inflight)
+        (answers, extra_tasks), stats = asyncio.run(
+            asyncio.wait_for(_serve_on_this_loop(engine, config, drive), 30.0)
+        )
+        assert sorted(answers) == list(range(len(burst) + len(second)))
+        assert all(len(frames) == 1 for frames in answers.values()), "answered twice"
+        status = {request_id: frames[0]["status"] for request_id, frames in answers.items()}
+        for request_id, keys in enumerate(point_keys):
+            assert status[request_id] == wire.STATUS_OK
+            direct = list(engine.estimator.query_edges(keys))
+            assert answers[request_id][0]["values"] == direct
+        for offset, keys in enumerate(subgraph_keys):
+            request_id = len(point_keys) + offset
+            assert status[request_id] == wire.STATUS_OK
+            assert answers[request_id][0]["value"] == sum(engine.estimator.query_edges(keys))
+        confidence_id, ping_id, malformed_id, deadline_id = range(
+            len(point_keys) + len(subgraph_keys), len(burst)
+        )
+        expected = [estimate.to_dict() for estimate in engine.query(confidence_keys)]
+        assert answers[confidence_id][0]["estimates"] == expected
+        assert answers[ping_id][0]["pong"] is True
+        assert status[malformed_id] == wire.STATUS_ERROR
+        assert status[deadline_id] == wire.STATUS_DEADLINE
+        # The second burst fills `max_inflight` exactly: a slot leaked on any
+        # path of the first burst would shed one of these.
+        for request in second:
+            assert status[request["id"]] == wire.STATUS_OK
+            key = query_keys[request["id"] - len(burst)]
+            assert answers[request["id"]][0]["values"] == engine.estimator.query_edges([key])
+        assert stats["requests"][wire.STATUS_RETRY_LATER] == 0
+        # A task per admitted request would add one per in-flight query.
+        assert extra_tasks <= 2, f"{extra_tasks} tasks above idle during the burst"
+
+    def test_gather_raising_an_unlisted_exception_is_answered_typed(
+        self, engine, query_keys, monkeypatch
+    ):
+        def broken_gather(keys):
+            raise TypeError("gather cannot read these keys")
+
+        direct = list(engine.estimator.query_edges(query_keys[:4]))
+        handle = serve_in_background(engine)
+        try:
+            host, port = handle.address
+            monkeypatch.setattr(engine.estimator, "query_edges", broken_gather)
+            with socket.create_connection((host, port), timeout=10.0) as raw:
+                raw.settimeout(5.0)
+                assert _recv_frame(raw)["op"] == wire.OP_HELLO
+                raw.sendall(
+                    wire.encode_frame(
+                        {
+                            "op": wire.OP_QUERY_EDGES,
+                            "id": 7,
+                            "edges": wire.edges_to_wire(query_keys[:2]),
+                        }
+                    )
+                )
+                frame = _recv_frame(raw)
+            monkeypatch.undo()
+            assert frame["id"] == 7
+            assert frame["status"] == wire.STATUS_ERROR
+            assert "gather cannot read these keys" in frame["error"]
+            with SyncServingClient(host, port) as client:
+                assert list(client.query_edges(query_keys[:4]).values) == direct
+        finally:
+            monkeypatch.undo()
             handle.stop()
 
 

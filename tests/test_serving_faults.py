@@ -6,7 +6,8 @@ client-visible contract:
 
 * a frame **torn mid-payload** surfaces as a typed ``ServerClosed`` on a
   bare client, and is absorbed — bit-exactly — by a client carrying a
-  :class:`RetryPolicy` (transparent reconnect + resubmit);
+  :class:`RetryPolicy` (transparent reconnect + resubmit), also when the
+  reconnect's hello is torn too;
 * an **oversize frame** sent mid-stream gets that connection dropped
   without wounding the server or its other clients;
 * a **stalled connection** delays only its own responses — a healthy peer
@@ -110,6 +111,25 @@ class TestTornFrame:
                 result = client.query_edges(query_keys[:8])
                 assert list(result.values) == direct
                 assert client.retries >= 1
+                assert client.reconnects >= 1
+        finally:
+            faults.clear()
+            handle.stop()
+
+    def test_retry_policy_absorbs_torn_hello_on_reconnect(self, engine, query_keys):
+        """The response is torn, then so is the reconnect's hello: the retry
+        loop must see a typed disconnect and dial again."""
+        direct = list(engine.estimator.query_edges(query_keys[:8]))
+        handle = serve_in_background(engine)
+        try:
+            with SyncServingClient(*handle.address, retry=RETRY) as client:
+                client.query_edges(query_keys[:8])
+                _arm(
+                    faults.FaultSpec(site=faults.SITE_SERVING_TORN_FRAME, at_hit=1),
+                    faults.FaultSpec(site=faults.SITE_SERVING_TORN_FRAME, at_hit=2),
+                )
+                result = client.query_edges(query_keys[:8])
+                assert list(result.values) == direct
                 assert client.reconnects >= 1
         finally:
             faults.clear()
