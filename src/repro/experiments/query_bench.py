@@ -14,8 +14,10 @@ at several batch sizes across every estimator backend, on a Zipf-skewed query
 workload (repeated hot edges — the paper's query model, and the regime where
 per-call overhead dominates), with a slice of outlier queries mixed in so the
 outlier slot is exercised.  Bit-exact parity between the two paths is
-verified per backend, including the memoized small-batch path.  Results land
-in ``BENCH_query.json``.
+verified per backend, including the memoized small-batch path.  Each row
+also counts the hot-edge memo's lookups and hits during its ``plan`` passes
+(``memo_lookups`` / ``memo_hits``), so memo-served rows read apart from
+arena-gathered ones.  Results land in ``BENCH_query.json``.
 
 Run it from the repo root::
 
@@ -71,6 +73,12 @@ class QueryBenchResult:
     plan_qps: float
     speedup: float
     parity_ok: bool
+    #: Hot-edge memo lookups and hits during the plan path's passes (warm-up
+    #: included).  The memo counts one lookup per batch of at most
+    #: ``HOT_CACHE_MAX_BATCH`` keys; larger batches never consult it, so a
+    #: row with ``memo_lookups == 0`` timed the arena gather alone.
+    memo_lookups: int
+    memo_hits: int
 
 
 def build_query_workload(
@@ -174,6 +182,8 @@ def measure_query_paths(
         direct_seconds = _time_path(
             estimator.query_edges_direct, batches, rounds, repeats
         )
+        memo = estimator._hot_cache
+        hits, lookups = memo.hits, memo.hits + memo.misses
         plan_seconds = _time_path(estimator.query_edges, batches, rounds, repeats)
         direct_qps = total_queries / direct_seconds
         plan_qps = total_queries / plan_seconds
@@ -186,6 +196,8 @@ def measure_query_paths(
                 plan_qps=plan_qps,
                 speedup=plan_qps / direct_qps,
                 parity_ok=parity,
+                memo_lookups=memo.hits + memo.misses - lookups,
+                memo_hits=memo.hits - hits,
             )
         )
     return results

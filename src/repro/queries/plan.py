@@ -95,12 +95,15 @@ _PLAN_REFRESHES = _obs.REGISTRY.counter(
 #: equality is pinned by ``tests/test_query_plan.py``.
 OUTLIER_PARTITION = -1
 
-#: Batches up to this size take the scalar all-or-nothing memo path (cheaper
-#: than columnarizing a tiny batch).  Larger batches — the shape coalesced
-#: server traffic arrives in — consult the memo per key instead
-#: (:meth:`HotEdgeCache.lookup_partial`): cached keys are served from the
-#: memo and only the misses are gathered from the arena, so hot-edge traffic
-#: from many clients never bypasses the cache just because it was coalesced.
+#: Batches up to this size take the scalar all-or-nothing memo path: a hit
+#: answers the whole batch without columnarizing it.  Larger batches — 16-edge
+#: subgraph queries and coalesced server traffic — are gathered whole from
+#: the arena and never touch the memo.  A gather costs about the same whatever
+#: share of a batch's keys it covers, so the memo pays only when it skips the
+#: gather entirely, which only small batches do often.  On perfbench's
+#: embedded-bulk workload a per-key memo served 5.6% of the keys of its
+#: 16-edge subgraph queries at 0.38 µs per key, and such a query took 51–54 µs
+#: with it against 36–37 µs gathered whole (in process, 2-vCPU host).
 HOT_CACHE_MAX_BATCH = 8
 
 #: Default number of memoized point estimates per estimator.
@@ -159,7 +162,9 @@ class HotEdgeCache:
     small set of edges over and over.  The cache maps the canonical uint64
     edge key to its most recent estimate and is invalidated wholesale whenever
     the owning estimator's ingest generation moves, so a hit is always
-    bit-identical to recomputing through the plan.
+    bit-identical to recomputing through the plan.  Only batches of at most
+    :data:`HOT_CACHE_MAX_BATCH` keys read or fill it, all or nothing
+    (:meth:`lookup_many` / :meth:`store_many`); larger batches bypass it.
     """
 
     __slots__ = (
@@ -225,17 +230,18 @@ class HotEdgeCache:
     def lookup_partial(
         self, generation: int, keys: Sequence[int]
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Per-key lookup for large (coalesced) batches: hits served, misses marked.
+        """Per-key lookup: hits served, misses marked.
+
+        No program path calls this any more: batches above
+        :data:`HOT_CACHE_MAX_BATCH` keys are gathered whole from the arena.
+        It stays only because perfbench's tracer (``perfbench/spans.py``)
+        wraps it by name.
 
         Returns ``(values, miss_mask)`` where ``values[i]`` holds the memoized
         estimate for every hit and ``miss_mask[i]`` is ``True`` where the key
-        must still be gathered from the arena.  Returns ``(None, None)`` when
-        the memo is empty for ``generation`` — the caller's untouched
-        vectorized path costs nothing extra then.  Unlike
-        :meth:`lookup_many`'s all-or-nothing batch contract, hits and misses
-        are tallied *per key* here: a coalesced server batch routinely mixes
-        hot and cold edges, and serving the hot ones from the memo while
-        gathering only the misses is the whole point.
+        is absent.  Returns ``(None, None)`` when the memo is empty for
+        ``generation``.  Unlike :meth:`lookup_many`'s all-or-nothing batch
+        contract, hits and misses are tallied *per key*.
         """
         entries = self._sync_generation(generation)
         if not entries:
@@ -578,37 +584,17 @@ class PlanServingMixin:
             estimates = plan.estimate_keys(np.asarray(keys, dtype=np.uint64), slots)
             self._hot_cache.store_many(self._plan_generation, keys, estimates.tolist())
             return estimates
-        # Large (coalesced) batches: serve per-key memo hits, gather only the
-        # misses.  Cached values were produced by this same plan at this same
-        # generation, and the miss-subset gather runs the identical per-element
-        # kernel sequence, so the merged answer stays bit-exact.
+        # Larger batches gather every key from the arena; see
+        # HOT_CACHE_MAX_BATCH for why they skip the memo.
         clock = _stage_clock("query", _QUERY_STAGE_HISTOGRAMS)
         batch = EdgeBatch.from_edge_keys(edges)
         keys_array = batch.hashed_keys()
         clock.lap("hash")
-        key_list = keys_array.tolist()
-        cached, miss = self._hot_cache.lookup_partial(self._plan_generation, key_list)
-        if cached is None:
-            slots, _ = plan.route_sources(batch.sources)
-            clock.lap("route")
-            estimates = plan.estimate_keys(keys_array, slots)
-            clock.lap("gather")
-            self._hot_cache.store_many(self._plan_generation, key_list, estimates.tolist())
-            return estimates
-        if not miss.any():
-            return cached
-        miss_indices = np.nonzero(miss)[0]
-        slots, _ = plan.route_sources(batch.sources[miss_indices])
+        slots, _ = plan.route_sources(batch.sources)
         clock.lap("route")
-        gathered = plan.estimate_keys(keys_array[miss_indices], slots)
+        estimates = plan.estimate_keys(keys_array, slots)
         clock.lap("gather")
-        cached[miss_indices] = gathered
-        self._hot_cache.store_many(
-            self._plan_generation,
-            [key_list[index] for index in miss_indices],
-            gathered.tolist(),
-        )
-        return cached
+        return estimates
 
     def confidence_columns(
         self, edges: Sequence[EdgeKey]

@@ -623,7 +623,10 @@ class SketchServer:
 
         Runs between coalesced gathers, so every query is answered either
         entirely before or entirely after the ingest — the generation tag
-        clients observe moves monotonically.
+        clients observe moves monotonically.  Any failure is answered through
+        :meth:`_fail` and keeps the connection open.  Clients never retry
+        ``ingest``, so an ``error`` answer risks no double count that a
+        dropped connection would not.
         """
         if not self.config.allow_ingest:
             self._respond(
@@ -670,7 +673,7 @@ class SketchServer:
                 ingested=ingested,
                 generation=generation,
             )
-        except (wire.WireError, ValueError, TypeError) as exc:
+        except Exception as exc:  # noqa: BLE001 - every failure is answered typed
             self._fail(connection, request_id, began, exc)
 
 

@@ -425,12 +425,11 @@ def test_non_integer_labels_served_through_plan(small_config):
 
 
 # ---------------------------------------------------------------------- #
-# Per-key partial hits on large (coalesced) batches
+# HotEdgeCache.lookup_partial (no program path calls it; perfbench wraps it)
 # ---------------------------------------------------------------------- #
 def test_hot_cache_lookup_partial_serves_hits_and_marks_misses():
     cache = HotEdgeCache(capacity=8)
-    # Empty memo: signal "use the untouched vectorized path" — and that
-    # probe costs no counter churn.
+    # Empty memo: no values, and the probe costs no counter churn.
     assert cache.lookup_partial(1, [1, 2]) == (None, None)
     assert cache.hits == 0 and cache.misses == 0
     cache.store_many(1, [1, 3], [10.0, 30.0])
@@ -450,43 +449,61 @@ def test_hot_cache_lookup_partial_generation_move_clears():
     assert cache.invalidations == 1
 
 
-def test_large_batch_partial_hits_stay_bit_exact(zipf_stream, zipf_sample, small_config):
-    """A coalesced batch overlapping a warm memo merges cached and gathered
-    values bit-identically to the direct routed path."""
+# ---------------------------------------------------------------------- #
+# Large (coalesced) batches: one arena gather, no memo
+# ---------------------------------------------------------------------- #
+def _large_batch(stream):
+    """3 × ``HOT_CACHE_MAX_BATCH`` keys: stream edges, one unseen-source
+    (outlier) key and three repeats."""
+    keys = sorted(stream.distinct_edges())[: 3 * HOT_CACHE_MAX_BATCH - 4]
+    keys += [(10**9, 3)] + keys[:3]
+    assert len(keys) == 3 * HOT_CACHE_MAX_BATCH
+    return keys
+
+
+def _memo_state(cache):
+    return cache.hits, cache.misses, len(cache)
+
+
+def test_large_batch_is_gathered_from_the_arena_on_a_cold_memo(
+    zipf_stream, zipf_sample, small_config
+):
+    """A batch above ``HOT_CACHE_MAX_BATCH`` keys answers bit-exact from one
+    arena gather and neither reads nor fills the memo."""
     gsketch = GSketch.build(zipf_sample, small_config, stream_size_hint=len(zipf_stream))
     gsketch.process(zipf_stream)
-    keys = _query_set(zipf_stream, count=3 * HOT_CACHE_MAX_BATCH)
-    assert len(keys) > HOT_CACHE_MAX_BATCH
-    half = len(keys) // 2
+    keys = _large_batch(zipf_stream)
     cache = gsketch._hot_cache
-
-    # Warm the memo with the first half (a large batch itself), then query
-    # an overlapping large batch: the first half must come from the memo,
-    # only the second half from the arena.
-    warm = gsketch.query_edges(keys[:half])
-    hits_before = cache.hits
-    merged = gsketch.query_edges(keys)
-    assert cache.hits == hits_before + half
     direct = gsketch.query_edges_direct(keys)
-    assert list(merged) == list(direct)
-    assert list(warm) == list(direct[:half])
+    assert _memo_state(cache) == (0, 0, 0)
+    assert list(gsketch.query_edges(keys)) == list(direct)
+    assert _memo_state(cache) == (0, 0, 0)
 
-    # A fully warm repeat is served without touching the arena path.
-    hits_before = cache.hits
-    repeat = gsketch.query_edges(keys)
-    assert cache.hits == hits_before + len(keys)
-    assert list(repeat) == list(direct)
+    # A small batch of the same keys afterwards still misses once, then hits.
+    small = keys[-HOT_CACHE_MAX_BATCH:]
+    assert list(gsketch.query_edges(small)) == list(direct[-HOT_CACHE_MAX_BATCH:])
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert list(gsketch.query_edges(small)) == list(direct[-HOT_CACHE_MAX_BATCH:])
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
-def test_large_batch_cold_path_populates_memo(zipf_stream, zipf_sample, small_config):
+def test_large_batch_ignores_keys_small_batches_memoized(
+    zipf_stream, zipf_sample, small_config
+):
     gsketch = GSketch.build(zipf_sample, small_config, stream_size_hint=len(zipf_stream))
     gsketch.process(zipf_stream)
-    keys = _query_set(zipf_stream, count=2 * HOT_CACHE_MAX_BATCH)
+    keys = _large_batch(zipf_stream)
     cache = gsketch._hot_cache
-    assert cache.hits == 0
-    gsketch.query_edges(keys)  # cold: one vectorized gather, memo filled
-    assert len(cache) == len(set(keys))
-    assert cache.hits == 0
+    direct = gsketch.query_edges_direct(keys)
+    # Memoize the first two thirds through small batches (the outlier key
+    # and the repeats stay out of the memo).
+    for start in range(0, 2 * HOT_CACHE_MAX_BATCH, HOT_CACHE_MAX_BATCH):
+        gsketch.query_edges(keys[start : start + HOT_CACHE_MAX_BATCH])
+    warm = _memo_state(cache)
+    assert warm == (0, 2, 2 * HOT_CACHE_MAX_BATCH)
+    for _ in range(2):
+        assert list(gsketch.query_edges(keys)) == list(direct)
+        assert _memo_state(cache) == warm
 
 
 def test_large_batch_partial_hits_survive_duplicate_keys(

@@ -13,8 +13,8 @@ The acceptance bars under test:
   ``retry_later`` rejects, queue depth stays bounded, nothing hangs, and a
   slow client is dropped without stalling healthy peers;
 * **admission** — a pipelined burst of every request kind gets exactly one
-  typed answer per id with no task created per request, and a gather that
-  raises any exception is answered with a typed ``error``;
+  typed answer per id with no task created per request, and a gather or an
+  ingest that raises any exception is answered with a typed ``error``;
 * **drain** — shutdown answers everything already admitted before closing.
 """
 
@@ -854,6 +854,52 @@ class TestAdmissionCallbacks:
         finally:
             monkeypatch.undo()
             handle.stop()
+
+    def test_failing_ingest_frame_is_answered_typed_and_keeps_the_connection(
+        self, engine, query_keys, monkeypatch
+    ):
+        """An unexpected exception from ``ingest_batch`` gets a typed
+        ``error``; the queries pipelined around it are still answered and
+        the connection stays open."""
+
+        def broken_ingest(batch):
+            raise RuntimeError("ingest backend failed")
+
+        queries = {1: query_keys[:1], 3: query_keys[1:4]}
+        direct = {
+            request_id: list(engine.estimator.query_edges(keys))
+            for request_id, keys in queries.items()
+        }
+        requests = [
+            {"op": wire.OP_QUERY_EDGES, "id": 1, "edges": wire.edges_to_wire(queries[1])},
+            {"op": wire.OP_INGEST, "id": 2, "edges": [[1, 2, 0.0, 1.0]]},
+            {"op": wire.OP_QUERY_EDGES, "id": 3, "edges": wire.edges_to_wire(queries[3])},
+            {"op": wire.OP_PING, "id": 4},
+        ]
+        handle = serve_in_background(engine, config=ServingConfig(allow_ingest=True))
+        try:
+            host, port = handle.address
+            monkeypatch.setattr(engine, "ingest_batch", broken_ingest)
+            with socket.create_connection((host, port), timeout=10.0) as raw:
+                raw.settimeout(5.0)
+                assert _recv_frame(raw)["op"] == wire.OP_HELLO
+                raw.sendall(b"".join(wire.encode_frame(request) for request in requests))
+                answers = {}
+                while len(answers) < len(requests):
+                    frame = _recv_frame(raw)
+                    answers[frame["id"]] = frame
+                raw.sendall(wire.encode_frame({"op": wire.OP_PING, "id": 5}))
+                later = _recv_frame(raw)
+        finally:
+            monkeypatch.undo()
+            handle.stop()
+        assert answers[2]["status"] == wire.STATUS_ERROR
+        assert "ingest backend failed" in answers[2]["error"]
+        for request_id, values in direct.items():
+            assert answers[request_id]["status"] == wire.STATUS_OK
+            assert answers[request_id]["values"] == values
+        assert answers[4]["pong"] is True
+        assert later["id"] == 5 and later["pong"] is True
 
 
 # ---------------------------------------------------------------------- #

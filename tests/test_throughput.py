@@ -8,6 +8,7 @@ from repro.experiments.build_bench import main as build_bench_main
 from repro.experiments.build_bench import run_build_bench
 from repro.experiments.query_bench import run_query_bench
 from repro.experiments.throughput import main, run_throughput
+from repro.queries.plan import HOT_CACHE_MAX_BATCH
 
 
 def test_run_throughput_reports_all_modes():
@@ -84,6 +85,14 @@ def test_run_query_bench_reports_all_backends():
         assert row["direct_qps"] > 0
         assert row["plan_qps"] > 0
         assert row["speedup"] == row["plan_qps"] / row["direct_qps"]
+        assert 0 <= row["memo_hits"] <= row["memo_lookups"]
+        # Batches above the memo's limit are gathered from the arena.
+        if row["batch_size"] > HOT_CACHE_MAX_BATCH:
+            assert row["memo_lookups"] == 0
+    batch_one = {
+        row["backend"]: row for row in report["results"] if row["batch_size"] == 1
+    }
+    assert batch_one["gsketch"]["memo_hits"] > 0
     telemetry = report["telemetry"]
     assert any(
         entry["name"] == "repro_query_plan_seconds" and entry["count"] > 0
