@@ -103,9 +103,9 @@ OUTCOMES = (
 def _build_schedule(seed: int, quick: bool) -> faults.FaultPlan:
     """The seeded fault schedule: three torn frames and three stalls.
 
-    Hit thresholds count response writes (one per writer wake, each holding
-    every response then queued on that connection), and are drawn low
-    enough that a quick run's offered load reaches them;
+    Hit thresholds count response writes (one per connection flush, each
+    holding every response that connection queued in one event-loop pass),
+    and are drawn low enough that a quick run's offered load reaches them;
     ``faults_injected`` in the report confirms it.
     """
     rng = np.random.default_rng(seed)

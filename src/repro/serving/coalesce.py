@@ -31,7 +31,8 @@ a request whose deadline passed while queued gets
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.graph.edge import EdgeKey
 from repro.observability import metrics as _obs
@@ -109,7 +110,7 @@ class CoalescingQueue:
         self._answer = answer
         self.max_batch = max_batch
         self.max_pending = max_pending
-        self._pending: List[_Pending] = []
+        self._pending: Deque[_Pending] = deque()
         self._pending_keys = 0
         self._wake = asyncio.Event()
         self._task: Optional["asyncio.Task[None]"] = None
@@ -234,12 +235,12 @@ class CoalescingQueue:
         while self._pending:
             entry = self._pending[0]
             if entry.future.done():
-                self._pending.pop(0)
+                self._pending.popleft()
                 self._pending_keys -= len(entry.keys)
                 self.cancelled += 1
                 continue
             if entry.deadline is not None and entry.deadline < now:
-                self._pending.pop(0)
+                self._pending.popleft()
                 self._pending_keys -= len(entry.keys)
                 self.expired += 1
                 if not entry.future.done():
@@ -249,7 +250,7 @@ class CoalescingQueue:
                 continue
             if batch and taken + len(entry.keys) > self.max_batch:
                 break
-            self._pending.pop(0)
+            self._pending.popleft()
             self._pending_keys -= len(entry.keys)
             batch.append(entry)
             taken += len(entry.keys)

@@ -18,33 +18,36 @@ Overload behaviour, by layer:
 * **per-connection admission** — at most ``max_inflight`` un-answered
   requests per connection; a client pipelining past that is shed the same
   way, so one greedy client cannot monopolize the global queue.
-* **slow clients** — each connection's responses go through a bounded write
-  queue drained by a dedicated writer task.  Each time it wakes, the writer
-  takes every response already queued and sends them in one write and one
-  ``drain()``.  Only that task ever awaits the socket, so a client that
-  stops reading stalls *its own* writer, never the batch demux.  If its
-  queue fills, the connection is dropped.
+* **slow clients** — each connection's responses collect in an outbox that
+  one flush per event-loop pass encodes and hands to the transport in one
+  write.  Responses wait in the outbox while the transport has paused
+  writing (the client stopped reading and the socket buffer filled) or an
+  injected stall holds a write; more than ``max_write_queue`` of them
+  waiting drops the connection.  Nothing awaits a socket, so a slow client
+  holds up only its own outbox, never the batch demux.
 * **graceful drain** — :meth:`SketchServer.shutdown` stops accepting, sheds
   new requests with ``shutting_down``, answers everything already admitted,
-  flushes write queues, then closes.
+  flushes every outbox, then closes.
 
-Admission is synchronous: the connection's read loop validates each frame,
-answers pings, health probes, confidence queries and ingest inline, and
-hands point and subgraph queries to the coalescer.  The coalescer's future
-carries a done-callback that queues the response, so no task is created per
-request.  Per-request ``deadline_ms`` is honoured at drain time: a request
-whose deadline passed while queued gets a ``deadline_exceeded`` response
-rather than a stale answer.
+Each connection is one :class:`asyncio.Protocol` and no task: every read
+appends to the connection's buffer, and each complete frame in it is
+admitted synchronously.  Admission validates the frame, answers pings,
+health probes, confidence queries and ingest inline, and hands point and
+subgraph queries to the coalescer, whose future carries a done-callback
+that queues the response.  Per-request ``deadline_ms`` is honoured at drain
+time: a request whose deadline passed while queued gets a
+``deadline_exceeded`` response rather than a stale answer.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import signal
 import threading
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, cast
 
 from repro import faults as _faults
 from repro.graph.batch import EdgeBatch
@@ -81,11 +84,22 @@ _REQUESTS = {
         wire.STATUS_ERROR,
     )
 }
+_INTERNAL_ERRORS = _obs.REGISTRY.counter(
+    "repro_serve_internal_errors_total",
+    "Requests answered 'error' because the server itself failed, not the request",
+)
 _REQUEST_SECONDS = _obs.REGISTRY.histogram(
     "repro_serve_request_seconds",
     "Server-side request latency (admission to response enqueued); "
     "p50/p99 via Histogram.quantile or the Prometheus exposition",
 )
+
+#: What request validation raises (edges, deadline, aggregate, labels,
+#: frequencies): answered ``error`` as the client's fault.  Any other
+#: exception is a server fault, logged with its traceback and counted apart.
+_BAD_REQUEST = (wire.WireError, ValueError, TypeError, KeyError)
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -97,11 +111,12 @@ class ServingConfig:
             answered after one event-loop pass, never after a timer.
         max_pending: global admission bound on keys waiting to coalesce.
         max_inflight: per-connection admission bound on un-answered requests.
-        max_write_queue: per-connection response frames buffered for a slow
-            reader before the connection is dropped.
+        max_write_queue: response frames one connection may hold unwritten
+            (queued in one loop pass, held while its transport has paused
+            writing or a stall holds them) before it is dropped.
         max_frame_bytes: request/response frame size cap.
         drain_seconds: how long :meth:`SketchServer.shutdown` waits for
-            in-flight work and write-queue flushes.
+            in-flight work, and then for closing connections to go.
         allow_ingest: accept ``ingest`` frames (live updates while serving;
             they run serialized on the loop between gathers, bumping the
             plan generation clients observe).
@@ -124,33 +139,189 @@ class ServingConfig:
                 raise ValueError(f"{field.name} must be > 0, got {value}")
 
 
-class _Connection:
-    """Per-connection state: the write queue, its writer task, admitted work.
+class _Connection(asyncio.Protocol):
+    """One client connection: frame reassembly, admitted work, the outbox.
 
-    ``futures`` holds the coalescer futures of this connection's admitted
-    queries; each one's done-callback queues its response and releases its
-    ``inflight`` slot.  Closing the connection cancels them.
+    Each read dispatches every complete frame buffered so far through
+    :meth:`SketchServer._dispatch`.  Responses collect in ``outbox``; one
+    ``call_soon`` flush per loop pass encodes them and writes them to the
+    transport at once.  ``futures`` holds the coalescer futures of this
+    connection's admitted queries; each one's done-callback queues its
+    response and releases its ``inflight`` slot.  Closing the connection
+    cancels them.  ``lost`` resolves once the transport is gone.
     """
 
     __slots__ = (
-        "writer",
-        "out_queue",
-        "writer_task",
+        "server",
+        "transport",
+        "buffer",
+        "outbox",
+        "flushing",
+        "paused",
+        "held",
         "futures",
         "inflight",
         "closed",
-        "peer",
+        "lost",
     )
 
-    def __init__(self, writer: asyncio.StreamWriter, max_write_queue: int) -> None:
-        self.writer = writer
-        self.out_queue: "asyncio.Queue[Optional[dict]]" = asyncio.Queue(max_write_queue)
-        self.writer_task: Optional["asyncio.Task[None]"] = None
+    def __init__(self, server: "SketchServer") -> None:
+        self.server = server
+        self.transport: asyncio.Transport  # set by connection_made
+        self.buffer = bytearray()
+        self.outbox: List[dict] = []
+        self.flushing = False  # a flush is scheduled for the next loop pass
+        self.paused = False  # the transport's buffer is full
+        self.held = 0  # outbox frames an injected stall holds back
         self.futures: "Set[asyncio.Future]" = set()
         self.inflight = 0
         self.closed = False
-        peername = writer.get_extra_info("peername")
-        self.peer = f"{peername[0]}:{peername[1]}" if peername else "?"
+        self.lost: "asyncio.Future[None]" = server._loop.create_future()
+
+    # -- transport callbacks --------------------------------------------- #
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        server = self.server
+        server._connections.add(self)
+        server.connections_accepted += 1
+        if _obs._ENABLED:
+            _CONNECTIONS.set(float(len(server._connections)))
+        self.send(server._hello())
+
+    def data_received(self, data: bytes) -> None:
+        if self.closed:
+            return
+        buffer = self.buffer
+        buffer += data
+        max_frame_bytes = self.server.config.max_frame_bytes
+        offset = 0
+        size = len(buffer)
+        while size - offset >= wire.HEADER_BYTES:
+            try:
+                begin = offset + wire.HEADER_BYTES
+                end = begin + wire.body_length(buffer, offset, max_frame_bytes)
+                if end > size:
+                    break
+                frame = wire.decode_body(buffer[begin:end])
+            except wire.WireError as exc:
+                self._refuse(exc)
+                return
+            offset = end
+            self.server._dispatch(self, frame)
+            if self.closed:
+                return
+        del buffer[:offset]
+
+    def eof_received(self) -> bool:
+        if self.buffer:
+            self._refuse(wire.truncated(len(self.buffer)))
+        else:
+            self.close(flush=True)
+        return False
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._schedule_flush()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.close()
+        server = self.server
+        server._connections.discard(self)
+        if _obs._ENABLED:
+            _CONNECTIONS.set(float(len(server._connections)))
+        self.lost.set_result(None)
+
+    # -- responses ------------------------------------------------------- #
+    def send(self, payload: dict) -> None:
+        """Queue one response for this loop pass's flush.
+
+        More than ``max_write_queue`` frames waiting unwritten means the
+        client asks faster than it reads: the connection is dropped.
+        """
+        if self.closed:
+            return
+        self.outbox.append(payload)
+        if len(self.outbox) > self.server.config.max_write_queue:
+            self.server.connections_dropped += 1
+            self.close(abort=True)
+        else:
+            self._schedule_flush()
+
+    def _schedule_flush(self) -> None:
+        if not self.flushing:
+            self.flushing = True
+            self.server._loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        self.flushing = False
+        if self.closed or self.paused or self.held or not self.outbox:
+            return
+        if _faults._PLAN is not None:
+            # An injected stall holds this write's frames for its delay
+            # (client-side deadline/retry territory); they still count
+            # against ``max_write_queue``.
+            delay = _faults.maybe_stall(_faults.SITE_SERVING_STALL_CONNECTION)
+            if delay > 0.0:
+                self.held = len(self.outbox)
+                self.server._loop.call_later(delay, self._release)
+                return
+        self._write(len(self.outbox))
+
+    def _release(self) -> None:
+        """End an injected stall: write the frames it held."""
+        held, self.held = self.held, 0
+        if not self.closed:
+            self._write(held)
+            if self.outbox:
+                self._schedule_flush()
+
+    def _write(self, count: int) -> None:
+        """Encode the first ``count`` queued responses; write them at once."""
+        encode = wire.encode_frame
+        data = b"".join([encode(payload) for payload in self.outbox[:count]])
+        del self.outbox[:count]
+        if _faults._PLAN is not None:
+            # An injected torn write, then a close: the client reads the
+            # frames before the cut, then a short read (`faults.tear_frame`).
+            data, torn = _faults.tear_frame(data)
+            if torn:
+                self.transport.write(data)
+                self.server.connections_dropped += 1
+                self.close()
+                return
+        self.transport.write(data)
+
+    def _refuse(self, error: wire.WireError) -> None:
+        """Answer a protocol violation with a typed ``error``, then close."""
+        self.server._respond(self, None, wire.STATUS_ERROR, 0.0, error=str(error))
+        self.close(flush=True)
+
+    def close(self, flush: bool = False, abort: bool = False) -> None:
+        """Stop answering and close the transport (idempotent).
+
+        ``flush`` first writes every queued response; ``abort`` severs the
+        transport at once instead of letting it send what it buffered.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        # Answering this connection's in-flight requests would write into a
+        # closed transport.  A cancelled coalescer future is counted into the
+        # queue's ``cancelled`` stat (at drain or demux time) instead of
+        # answered, and its callback sends nothing.
+        for future in tuple(self.futures):
+            future.cancel()
+        if flush and self.outbox:
+            self._write(len(self.outbox))
+        self.outbox.clear()
+        self.buffer.clear()
+        if abort:
+            self.transport.abort()
+        else:
+            self.transport.close()
 
 
 class SketchServer:
@@ -179,15 +350,17 @@ class SketchServer:
             max_pending=self.config.max_pending,
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: asyncio.AbstractEventLoop  # set by start()
+        # Every connection from `connection_made` until `connection_lost`.
         self._connections: Set[_Connection] = set()
         self._request_futures: "Set[asyncio.Future]" = set()
-        self._handler_tasks: "Set[asyncio.Task]" = set()
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         # Always-on counters (mirrored into the registry when telemetry is on).
         self.requests_by_status: Dict[str, int] = {status: 0 for status in _REQUESTS}
         self.connections_accepted = 0
         self.connections_dropped = 0
+        self.internal_errors = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -197,11 +370,12 @@ class SketchServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._stopped = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         # Warm the compiled plan so the first client request pays no compile.
         self._engine.frozen()
         self._coalescer.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+        self._server = await self._loop.create_server(
+            partial(_Connection, self), self._host, self._port
         )
         self._port = self._server.sockets[0].getsockname()[1]
 
@@ -231,9 +405,9 @@ class SketchServer:
             # only closed below.
             self._server.close()
         # Admitted queries resolve through the coalescer's own drain; their
-        # done-callbacks queue the answers before the write queues are
-        # flushed below.  New queries already shed with `shutting_down`.
-        # Bound the wait regardless.
+        # done-callbacks queue the answers before the outboxes are flushed
+        # below.  New queries already shed with `shutting_down`.  Bound the
+        # wait regardless.
         deadline = self.config.drain_seconds
         if self._request_futures:
             await asyncio.wait(tuple(self._request_futures), timeout=deadline)
@@ -241,12 +415,16 @@ class SketchServer:
         if self._request_futures:
             await asyncio.wait(tuple(self._request_futures), timeout=deadline)
         for connection in tuple(self._connections):
-            await self._close_connection(connection, flush=True)
-        # Handlers whose client hung up first left `_connections` before
-        # their own close finished; let them finish rather than be
-        # cancelled mid-close when the loop stops.
-        if self._handler_tasks:
-            await asyncio.wait(tuple(self._handler_tasks), timeout=deadline)
+            connection.close(flush=True)
+        # A closed transport still sends what it buffered before it goes;
+        # one whose client stopped reading is aborted after `drain_seconds`.
+        if self._connections:
+            lost = [connection.lost for connection in self._connections]
+            await asyncio.wait(lost, timeout=deadline)
+        for connection in tuple(self._connections):
+            connection.transport.abort()
+        if self._connections:
+            await asyncio.wait([connection.lost for connection in self._connections])
         if self._stopped is not None:
             self._stopped.set()
 
@@ -258,6 +436,7 @@ class SketchServer:
             "connections_accepted": self.connections_accepted,
             "connections_dropped": self.connections_dropped,
             "requests": dict(self.requests_by_status),
+            "internal_errors": self.internal_errors,
             "coalescer": self._coalescer.stats(),
             "draining": self._draining,
         }
@@ -308,158 +487,8 @@ class SketchServer:
         }
 
     # ------------------------------------------------------------------ #
-    # Connection handling
+    # Responses
     # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        handler = asyncio.current_task()
-        self._handler_tasks.add(handler)
-        handler.add_done_callback(self._handler_tasks.discard)
-        connection = _Connection(writer, self.config.max_write_queue)
-        self._connections.add(connection)
-        self.connections_accepted += 1
-        if _obs._ENABLED:
-            _CONNECTIONS.set(float(len(self._connections)))
-        connection.writer_task = asyncio.get_running_loop().create_task(
-            self._write_loop(connection)
-        )
-        self._enqueue(connection, self._hello())
-        try:
-            while True:
-                try:
-                    frame = await wire.read_frame(reader, self.config.max_frame_bytes)
-                except wire.WireError as exc:
-                    self._respond(
-                        connection, None, wire.STATUS_ERROR, 0.0, error=str(exc)
-                    )
-                    break
-                if frame is None:
-                    break
-                self._dispatch(connection, frame)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            await self._close_connection(connection, flush=not self._draining)
-
-    async def _close_connection(self, connection: _Connection, flush: bool) -> None:
-        if connection not in self._connections:
-            return
-        self._connections.discard(connection)
-        if _obs._ENABLED:
-            _CONNECTIONS.set(float(len(self._connections)))
-        connection.closed = True
-        # The connection is gone: answering its in-flight requests would
-        # push frames into a closed write queue.  A cancelled coalescer
-        # future is counted into the queue's ``cancelled`` stat (at drain or
-        # demux time) instead of answered, and its callback sends nothing.
-        for future in tuple(connection.futures):
-            future.cancel()
-        if connection.writer_task is not None:
-            if flush:
-                try:
-                    connection.out_queue.put_nowait(None)  # writer-stop sentinel
-                    await asyncio.wait_for(
-                        connection.writer_task, self.config.drain_seconds
-                    )
-                except (asyncio.QueueFull, asyncio.TimeoutError):
-                    connection.writer_task.cancel()
-            else:
-                connection.writer_task.cancel()
-            try:
-                await connection.writer_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        try:
-            connection.writer.close()
-            await connection.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def _write_loop(self, connection: _Connection) -> None:
-        """Drain one connection's write queue; only this task awaits its socket.
-
-        Each wake sends the response it woke for plus every one already
-        queued behind it as one write, so a burst of answers costs one
-        ``send(2)``.  A ``None`` sentinel stops the task once everything
-        queued before it is written.
-        """
-        queue = connection.out_queue
-        while True:
-            payload = await queue.get()
-            if payload is None:
-                return
-            frames = [wire.encode_frame(payload)]
-            while not queue.empty():
-                payload = queue.get_nowait()
-                if payload is None:
-                    break
-                frames.append(wire.encode_frame(payload))
-            data = b"".join(frames)
-            try:
-                if _faults._PLAN is not None:
-                    # Injected wire faults, once per write: a stalled write
-                    # (client-side deadline/retry territory) or a write torn
-                    # mid-way followed by a close (see `faults.tear_frame`
-                    # for what the client reads).
-                    delay = _faults.maybe_stall(
-                        _faults.SITE_SERVING_STALL_CONNECTION
-                    )
-                    if delay > 0.0:
-                        await asyncio.sleep(delay)
-                    data, torn = _faults.tear_frame(data)
-                    if torn:
-                        connection.writer.write(data)
-                        await connection.writer.drain()
-                        connection.closed = True
-                        self.connections_dropped += 1
-                        connection.writer.close()
-                        return
-                connection.writer.write(data)
-                await connection.writer.drain()
-            except (ConnectionError, OSError):
-                connection.closed = True
-                return
-            if payload is None:
-                return
-
-    def _drop_slow(self, connection: _Connection) -> None:
-        """A full write queue means the client stopped reading: drop it."""
-        connection.closed = True
-        self.connections_dropped += 1
-        if connection.writer_task is not None:
-            connection.writer_task.cancel()
-        try:
-            connection.writer.close()
-        except (ConnectionError, OSError):
-            pass
-
-    def _abort_connection(self, connection: _Connection) -> None:
-        """Sever a connection's transport abruptly (fault-injection paths).
-
-        Mimics the peer vanishing mid-flight: the read loop wakes with a
-        reset, :meth:`_close_connection` cancels the connection's admitted
-        futures, and the coalescer counts them as cancelled.
-        """
-        connection.closed = True
-        self.connections_dropped += 1
-        transport = getattr(connection.writer, "transport", None)
-        try:
-            if transport is not None:
-                transport.abort()
-            else:  # pragma: no cover - transport always set on TCP
-                connection.writer.close()
-        except (ConnectionError, OSError):  # pragma: no cover - defensive
-            pass
-
-    def _enqueue(self, connection: _Connection, payload: dict) -> None:
-        if connection.closed:
-            return
-        try:
-            connection.out_queue.put_nowait(payload)
-        except asyncio.QueueFull:
-            self._drop_slow(connection)
-
     def _respond(
         self,
         connection: _Connection,
@@ -474,10 +503,10 @@ class SketchServer:
             if counter is not None:
                 counter.inc()
             if began:
-                _REQUEST_SECONDS._observe(asyncio.get_running_loop().time() - began)
+                _REQUEST_SECONDS._observe(self._loop.time() - began)
         payload = {"id": request_id, "status": status}
         payload.update(extra)
-        self._enqueue(connection, payload)
+        connection.send(payload)
 
     # ------------------------------------------------------------------ #
     # Request dispatch
@@ -485,7 +514,7 @@ class SketchServer:
     def _dispatch(self, connection: _Connection, frame: dict) -> None:
         op = frame.get("op")
         request_id = frame.get("id")
-        began = asyncio.get_running_loop().time()
+        began = self._loop.time()
         if op == wire.OP_PING:
             self._respond(connection, request_id, wire.STATUS_OK, began, pong=True)
             return
@@ -542,7 +571,7 @@ class SketchServer:
             # Confidence queries carry intervals and provenance; they are
             # answered inline (one vectorized pass, no coalescing) so the
             # value lane's demux stays a flat float slice.
-            if deadline is not None and asyncio.get_running_loop().time() > deadline:
+            if deadline is not None and self._loop.time() > deadline:
                 raise DeadlineExceededError("deadline passed before serving")
             estimates = self._engine.query(
                 [EdgeQuery(source, target) for source, target in edges]
@@ -573,8 +602,9 @@ class SketchServer:
         ):
             # The requester's connection vanishes after admission — the
             # cancel-on-disconnect path must cancel this very request
-            # instead of answering into a closed write queue.
-            self._abort_connection(connection)
+            # instead of answering into a closed transport.
+            self.connections_dropped += 1
+            connection.close(abort=True)
 
     def _answer(
         self,
@@ -607,13 +637,22 @@ class SketchServer:
     ) -> None:
         """Answer a failed request: ``retry_later`` for an admission reject
         (``shutting_down`` while draining), ``deadline_exceeded`` for an
-        expired deadline, ``error`` for anything else."""
+        expired deadline, ``error`` for anything else.
+
+        An ``error`` that is not a bad request (:data:`_BAD_REQUEST`) is the
+        server's own fault: it is logged with its traceback and counted in
+        ``internal_errors``.
+        """
         if isinstance(exc, AdmissionError):
             status = wire.STATUS_SHUTTING_DOWN if self._draining else wire.STATUS_RETRY_LATER
         elif isinstance(exc, DeadlineExceededError):
             status = wire.STATUS_DEADLINE
         else:
             status = wire.STATUS_ERROR
+            if not isinstance(exc, _BAD_REQUEST):
+                self.internal_errors += 1
+                _INTERNAL_ERRORS.inc()
+                _LOG.error("request %r failed in the server", request_id, exc_info=exc)
         self._respond(connection, request_id, status, began, error=str(exc))
 
     def _serve_ingest(
@@ -663,7 +702,8 @@ class SketchServer:
                 # mutated (generation bumped) but the acknowledgement never
                 # reaches the client.  A client that retried here would
                 # double-count the batch — the retry discipline must not.
-                self._abort_connection(connection)
+                self.connections_dropped += 1
+                connection.close(abort=True)
                 return
             self._respond(
                 connection,

@@ -44,6 +44,14 @@ DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 
+#: Bytes of the length prefix in front of every frame body.
+HEADER_BYTES = _HEADER.size
+
+#: One compact encoder for every frame: ``json.dumps`` with ``separators``
+#: builds a new ``JSONEncoder`` per call.  Same bytes as
+#: ``json.dumps(payload, separators=(",", ":"))``.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
 # -- operations -------------------------------------------------------------
 OP_HELLO = "hello"
 OP_PING = "ping"
@@ -71,8 +79,26 @@ class WireError(ValueError):
 
 def encode_frame(payload: dict) -> bytes:
     """One message as bytes: 4-byte big-endian length + compact UTF-8 JSON."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _encode_json(payload).encode("utf-8")
     return _HEADER.pack(len(body)) + body
+
+
+def body_length(data: bytes, offset: int, max_frame_bytes: int) -> int:
+    """The body length announced by the frame header at ``data[offset:]``.
+
+    Raises :class:`WireError` for a length beyond ``max_frame_bytes``,
+    before any of the body is read.
+    """
+    (length,) = _HEADER.unpack_from(data, offset)
+    if length > max_frame_bytes:
+        raise WireError(f"frame of {length} bytes exceeds the {max_frame_bytes} byte cap")
+    return length
+
+
+def truncated(received: int) -> WireError:
+    """The error for a connection closed ``received`` bytes into a frame."""
+    where = "header" if received < HEADER_BYTES else "frame"
+    return WireError(f"connection closed mid-{where}")
 
 
 def decode_body(body: bytes) -> dict:
@@ -97,18 +123,16 @@ async def read_frame(
     an empty message.
     """
     try:
-        header = await reader.readexactly(_HEADER.size)
+        header = await reader.readexactly(HEADER_BYTES)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # clean EOF between frames
-        raise WireError("connection closed mid-header") from exc
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame_bytes:
-        raise WireError(f"frame of {length} bytes exceeds the {max_frame_bytes} byte cap")
+        raise truncated(len(exc.partial)) from exc
+    length = body_length(header, 0, max_frame_bytes)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        raise WireError("connection closed mid-frame") from exc
+        raise truncated(HEADER_BYTES + len(exc.partial)) from exc
     return decode_body(body)
 
 

@@ -14,7 +14,11 @@ The acceptance bars under test:
   slow client is dropped without stalling healthy peers;
 * **admission** — a pipelined burst of every request kind gets exactly one
   typed answer per id with no task created per request, and a gather or an
-  ingest that raises any exception is answered with a typed ``error``;
+  ingest that raises any exception is answered with a typed ``error``; a
+  server fault is logged and counted apart from a bad request;
+* **connections** — frames split across reads at any byte are reassembled
+  into the same answers, EOF inside a frame is answered typed, and an open
+  connection holds no task;
 * **drain** — shutdown answers everything already admitted before closing.
 """
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import socket
@@ -35,6 +40,7 @@ import pytest
 from conftest import make_zipf_stream
 from repro.api.engine import SketchEngine
 from repro.core.config import GSketchConfig
+from repro.observability import metrics as obs_metrics
 from repro.queries.plan import demux_by_counts
 from repro.serving import wire
 from repro.serving.client import (
@@ -50,6 +56,7 @@ from repro.serving.coalesce import (
     CoalescingQueue,
     DeadlineExceededError,
 )
+from repro.serving import server as server_module
 from repro.serving.server import ServingConfig, SketchServer, serve_in_background
 from repro.serving.session import ConsistencyError, SyncSession, _Watermark
 
@@ -900,6 +907,169 @@ class TestAdmissionCallbacks:
             assert answers[request_id]["values"] == values
         assert answers[4]["pong"] is True
         assert later["id"] == 5 and later["pong"] is True
+
+    def test_server_fault_is_logged_and_counted_apart_from_a_bad_request(
+        self, engine, query_keys, monkeypatch, caplog
+    ):
+        """A ``RuntimeError`` from ``ingest_batch`` is a server fault: logged
+        with its traceback and counted in ``internal_errors`` and
+        ``repro_serve_internal_errors_total``.  A malformed request is not."""
+        fault = RuntimeError("ingest backend failed")
+
+        def broken_ingest(batch):
+            raise fault
+
+        counter = server_module._INTERNAL_ERRORS
+        was_enabled = obs_metrics.enabled()
+        counted_before = counter.value
+        handle = serve_in_background(engine, config=ServingConfig(allow_ingest=True))
+        try:
+            obs_metrics.set_enabled(True)
+            monkeypatch.setattr(engine, "ingest_batch", broken_ingest)
+            caplog.set_level(logging.ERROR, logger=server_module.__name__)
+            with socket.create_connection(handle.address, timeout=10.0) as raw:
+                raw.settimeout(5.0)
+                assert _recv_frame(raw)["op"] == wire.OP_HELLO
+                raw.sendall(
+                    wire.encode_frame({"op": wire.OP_QUERY_EDGES, "id": 1, "edges": [[1]]})
+                )
+                malformed = _recv_frame(raw)
+                after_malformed = handle.stats()
+                raw.sendall(
+                    wire.encode_frame(
+                        {"op": wire.OP_INGEST, "id": 2, "edges": [[1, 2, 0.0, 1.0]]}
+                    )
+                )
+                failed = _recv_frame(raw)
+            stats = handle.stats()
+        finally:
+            obs_metrics.set_enabled(was_enabled)
+            monkeypatch.undo()
+            handle.stop()
+        assert malformed["status"] == failed["status"] == wire.STATUS_ERROR
+        assert after_malformed["internal_errors"] == 0
+        assert stats["internal_errors"] == 1
+        assert stats["requests"][wire.STATUS_ERROR] == 2
+        assert counter.value == counted_before + 1
+        records = [
+            record for record in caplog.records if record.name == server_module.__name__
+        ]
+        assert len(records) == 1
+        assert records[0].exc_info is not None and records[0].exc_info[1] is fault
+
+
+# ---------------------------------------------------------------------- #
+# The connection layer: one protocol per connection, frames split anywhere
+# ---------------------------------------------------------------------- #
+class TestConnectionProtocol:
+    def test_pipelined_burst_answers_alike_in_one_write_and_byte_by_byte(
+        self, engine, query_keys
+    ):
+        point_keys = [[key] for key in query_keys[:6]] + [query_keys[40:45]]
+        subgraph_keys = [query_keys[start : start + 4] for start in (8, 12, 16)]
+        requests = [
+            {"op": wire.OP_QUERY_EDGES, "edges": wire.edges_to_wire(keys)}
+            for keys in point_keys
+        ]
+        requests += [
+            {
+                "op": wire.OP_QUERY_SUBGRAPH,
+                "edges": wire.edges_to_wire(keys),
+                "aggregate": "sum",
+            }
+            for keys in subgraph_keys
+        ]
+        requests.insert(3, {"op": wire.OP_PING})
+        requests.append({"op": wire.OP_PING})
+        for request_id, request in enumerate(requests):
+            request["id"] = request_id
+        data = b"".join(wire.encode_frame(request) for request in requests)
+
+        def exchange(address, bytewise):
+            with socket.create_connection(address, timeout=10.0) as raw:
+                raw.settimeout(10.0)
+                raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                assert _recv_frame(raw)["op"] == wire.OP_HELLO
+                if bytewise:
+                    for index in range(len(data)):
+                        raw.sendall(data[index : index + 1])
+                else:
+                    raw.sendall(data)
+                answers = {}
+                while len(answers) < len(requests):
+                    frame = _recv_frame(raw)
+                    answers[frame["id"]] = frame
+                return answers
+
+        handle = serve_in_background(engine)
+        try:
+            whole = exchange(handle.address, bytewise=False)
+            bytewise = exchange(handle.address, bytewise=True)
+        finally:
+            handle.stop()
+        assert whole == bytewise
+        for request in requests:
+            answer = whole[request["id"]]
+            assert answer["status"] == wire.STATUS_OK
+            if request["op"] == wire.OP_PING:
+                assert answer["pong"] is True
+                continue
+            keys = [tuple(edge) for edge in request["edges"]]
+            direct = list(engine.estimator.query_edges(keys))
+            if request["op"] == wire.OP_QUERY_EDGES:
+                assert answer["values"] == direct
+            else:
+                assert answer["value"] == sum(direct)
+
+    @pytest.mark.parametrize(
+        "keep, error",
+        [(-3, "connection closed mid-frame"), (2, "connection closed mid-header")],
+        ids=["mid-frame", "mid-header"],
+    )
+    def test_eof_inside_a_frame_is_answered_typed_before_the_close(
+        self, engine, keep, error
+    ):
+        frame = wire.encode_frame({"op": wire.OP_PING, "id": 1})
+        handle = serve_in_background(engine)
+        try:
+            with socket.create_connection(handle.address, timeout=10.0) as raw:
+                raw.settimeout(10.0)
+                assert _recv_frame(raw)["op"] == wire.OP_HELLO
+                raw.sendall(frame + frame[:keep])
+                raw.shutdown(socket.SHUT_WR)
+                pong = _recv_frame(raw)
+                refusal = _recv_frame(raw)
+                assert raw.recv(1) == b"", "the connection stayed open"
+        finally:
+            handle.stop()
+        assert pong["id"] == 1 and pong["pong"] is True
+        assert refusal["status"] == wire.STATUS_ERROR
+        assert refusal["error"] == error
+
+    def test_open_connections_hold_no_task_and_shutdown_closes_them_all(self, engine):
+        async def scenario():
+            server = SketchServer(engine, config=ServingConfig())
+            await server.start()
+            idle = len(asyncio.all_tasks())
+            streams = [await asyncio.open_connection(*server.address) for _ in range(16)]
+            for reader, _ in streams:
+                assert (await wire.read_frame(reader))["op"] == wire.OP_HELLO
+            extra_tasks = len(asyncio.all_tasks()) - idle
+            opened = server.stats()["connections_open"]
+            await server.shutdown()
+            after = server.stats()["connections_open"]
+            tails = [await reader.read() for reader, _ in streams]
+            for _, writer in streams:
+                writer.close()
+            return extra_tasks, opened, after, tails
+
+        extra_tasks, opened, after, tails = asyncio.run(
+            asyncio.wait_for(scenario(), timeout=30.0)
+        )
+        assert extra_tasks == 0
+        assert opened == 16
+        assert after == 0
+        assert tails == [b""] * 16, "a connection was left open or sent extra bytes"
 
 
 # ---------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Smoke tests for the throughput, partition-build and query-bench runners."""
+"""Smoke tests for the throughput, partition-build, query- and serve-bench runners."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 from repro.experiments.build_bench import main as build_bench_main
 from repro.experiments.build_bench import run_build_bench
 from repro.experiments.query_bench import run_query_bench
+from repro.experiments.serve_bench import PASSES, run_serve_bench
 from repro.experiments.throughput import main, run_throughput
 from repro.queries.plan import HOT_CACHE_MAX_BATCH
 
@@ -100,3 +101,21 @@ def test_run_query_bench_reports_all_backends():
     )
     # Batch-1 passes over a Zipf workload must produce hot-cache traffic.
     assert telemetry["hot_cache"]["gsketch"]["hits"] > 0
+
+
+def test_run_serve_bench_reports_the_median_of_interleaved_passes():
+    report = run_serve_bench(
+        num_edges=2_000,
+        client_counts=(1, 4),
+        duration_seconds=0.05,
+        num_keys=64,
+        total_cells=8_000,
+    )
+    assert report["parity_ok"] is True
+    assert report["overload"]["ok"] is True
+    assert report["config"]["passes"] == PASSES == 3
+    assert [row["clients"] for row in report["results"]] == [1, 4]
+    for row in report["results"]:
+        assert len(row["pass_qps"]) == PASSES
+        assert row["qps"] == sorted(row["pass_qps"])[1]
+        assert row["parity_mismatches"] == 0 and row["parity_ok"] is True
