@@ -228,7 +228,7 @@ class CoalescingQueue:
         Entries whose future was cancelled while queued — the requester's
         connection dropped before this drain — are counted and skipped, so
         a vanished client neither occupies gather capacity nor has an
-        answer pushed into its closed write queue.
+        answer queued for its closed connection.
         """
         batch: List[_Pending] = []
         taken = 0

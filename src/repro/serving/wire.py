@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.graph.edge import EdgeKey
 
@@ -83,7 +83,7 @@ def encode_frame(payload: dict) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def body_length(data: bytes, offset: int, max_frame_bytes: int) -> int:
+def body_length(data: Union[bytes, bytearray], offset: int, max_frame_bytes: int) -> int:
     """The body length announced by the frame header at ``data[offset:]``.
 
     Raises :class:`WireError` for a length beyond ``max_frame_bytes``,
@@ -101,7 +101,7 @@ def truncated(received: int) -> WireError:
     return WireError(f"connection closed mid-{where}")
 
 
-def decode_body(body: bytes) -> dict:
+def decode_body(body: Union[bytes, bytearray]) -> dict:
     """Parse a frame body; raises :class:`WireError` on malformed JSON."""
     try:
         message = json.loads(body.decode("utf-8"))

@@ -42,6 +42,7 @@ from repro.api.engine import SketchEngine
 from repro.core.config import GSketchConfig
 from repro.observability import metrics as obs_metrics
 from repro.queries.plan import demux_by_counts
+from repro.serving import server as server_module
 from repro.serving import wire
 from repro.serving.client import (
     DeadlineExceeded,
@@ -56,7 +57,6 @@ from repro.serving.coalesce import (
     CoalescingQueue,
     DeadlineExceededError,
 )
-from repro.serving import server as server_module
 from repro.serving.server import ServingConfig, SketchServer, serve_in_background
 from repro.serving.session import ConsistencyError, SyncSession, _Watermark
 
