@@ -116,20 +116,48 @@ class WindowedGSketch:
         timestamp order, so the block is walked per element; the method exists
         so windowed estimators satisfy the same
         :class:`~repro.api.protocol.Estimator` surface as the other backends.
-        Returns the number of elements ingested.  The whole block's
-        frequencies are checked before its first element is observed, so a
-        rejected block changes nothing.
+        Returns the number of elements ingested.  The whole block is checked
+        before its first element is observed (see :meth:`_check_batch`), so
+        a rejected block changes nothing.
         """
         if isinstance(batch, EdgeBatch):
-            frequencies = batch.frequencies
             edges = list(batch.iter_edges())
         else:
             edges = [e if isinstance(e, StreamEdge) else StreamEdge(*e) for e in batch]
-            frequencies = np.asarray([e.frequency for e in edges], dtype=np.float64)
-        require_valid_frequencies(frequencies)
+            batch = EdgeBatch.from_edges(edges)
+        self._check_batch(batch)
         for edge in edges:
             self.observe(edge)
         return len(edges)
+
+    def _check_batch(self, batch: EdgeBatch) -> None:
+        """Raise on any element :meth:`observe` would refuse mid-block.
+
+        Every frequency is finite and >= 0, every label canonicalizes
+        (``TypeError`` otherwise), every timestamp is finite, and the
+        elements' windows never go back: not below the open window, and not
+        below an earlier element's.
+        """
+        require_valid_frequencies(batch.frequencies)
+        batch.hashed_keys()
+        timestamps = batch.timestamps
+        finite = np.isfinite(timestamps)
+        if not finite.all():
+            index = int(np.argmin(finite))
+            raise ValueError(
+                f"batch element {index} carries non-finite timestamp "
+                f"{float(timestamps[index])!r}"
+            )
+        windows = np.floor(timestamps / self.window_length)
+        opened = -np.inf if self._current_window is None else self._current_window
+        before = np.concatenate(([opened], windows[:-1]))
+        backwards = windows < before
+        if backwards.any():
+            index = int(np.argmax(backwards))
+            raise ValueError(
+                f"out-of-order element: timestamp {timestamps[index]} belongs to window "
+                f"{int(windows[index])} but window {int(before[index])} is already open"
+            )
 
     def process(self, stream: GraphStream) -> int:
         """Ingest an entire (timestamp-ordered) stream."""

@@ -2,13 +2,16 @@
 
 ``BENCH_serve.json`` gates the serving tier on a healthy day; this runner
 gates it on a bad one.  It serves a fully ingested, frozen engine in process
-and drives 16 closed-loop clients, each with its own seeded
+and drives 16 closed-loop monotonic-reads sessions
+(:class:`~repro.serving.session.Session`), each with its own seeded
 :class:`~repro.serving.client.RetryPolicy`, while a seeded fault schedule
 runs against the server:
 
 * **torn frames** — ``serving_torn_frame`` faults cut a response write
   mid-way and drop the connection; clients must see a typed disconnect
-  and their retry policy must reconnect and resubmit;
+  and their retry policy must reconnect and resubmit, with each
+  reconnect's hello and every answer checked against the session's
+  generation watermark;
 * **stalled connections** — ``serving_stall_connection`` faults delay
   response writes (slow-loris-adjacent), bounding tail latency rather than
   correctness.
@@ -21,7 +24,8 @@ Four clauses gate the run itself (non-zero exit):
 
 1. **zero incorrect answers** — every response is either bit-exact against
    a pre-computed direct oracle or a *typed* error; a single silently wrong
-   value (or an untyped exception) fails the drill;
+   value (or an untyped exception, a ``ConsistencyError`` included) fails
+   the drill;
 2. **every request resolved** — each request ends in an answer or a typed
    error before the hang deadline; requests still pending then are
    cancelled and counted as ``unresolved``;
@@ -63,6 +67,7 @@ from repro.serving.client import (
     ServingError,
     connect,
 )
+from repro.serving.session import open_session
 
 DEFAULT_EDGES = 40_000
 QUICK_EDGES = 12_000
@@ -157,7 +162,7 @@ async def _run_drill(
     duration_seconds: float,
     seed: int,
 ) -> Tuple[dict, List[float]]:
-    """The drill's load phase: 16 retrying closed-loop clients."""
+    """The drill's load phase: 16 retrying closed-loop sessions."""
     clients: List[ServingClient] = []
     for index in range(NUM_CLIENTS):
         policy = RetryPolicy(
@@ -166,7 +171,7 @@ async def _run_drill(
             max_delay=RETRY.max_delay,
             seed=seed * 1_000 + index,
         )
-        clients.append(await connect(host, port, retry=policy))
+        clients.append(await open_session(host, port, retry=policy))
     loop = asyncio.get_running_loop()
     begin = loop.time()
     end = begin + duration_seconds

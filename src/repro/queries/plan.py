@@ -586,15 +586,7 @@ class PlanServingMixin:
             return estimates
         # Larger batches gather every key from the arena; see
         # HOT_CACHE_MAX_BATCH for why they skip the memo.
-        clock = _stage_clock("query", _QUERY_STAGE_HISTOGRAMS)
-        batch = EdgeBatch.from_edge_keys(edges)
-        keys_array = batch.hashed_keys()
-        clock.lap("hash")
-        slots, _ = plan.route_sources(batch.sources)
-        clock.lap("route")
-        estimates = plan.estimate_keys(keys_array, slots)
-        clock.lap("gather")
-        return estimates
+        return plan.query_edges(edges)
 
     def confidence_columns(
         self, edges: Sequence[EdgeKey]

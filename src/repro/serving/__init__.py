@@ -15,12 +15,20 @@ A small asyncio TCP stack in front of one :class:`~repro.api.engine.SketchEngine
 
 Quick start::
 
-    engine = repro.SketchEngine.builder().global_sketch(...).build()
-    engine.ingest(edges)
+    stream = repro.datasets.load_dataset("gtgraph-tiny").stream
+    engine = (
+        repro.SketchEngine.builder()
+        .config(repro.GSketchConfig.from_memory_bytes(64_000))
+        .dataset(stream)                    # sample + stream-size hint derived
+        .build()
+    )
+    engine.ingest(stream)
     with engine.serve() as handle:          # background thread, port 0
         host, port = handle.address
         with SyncServingClient(host, port) as client:
-            client.query_edges([("a", "b"), ("c", "d")]).values
+            client.query_edges([(3, 17), (5, 9)]).values
+        with SyncSession(host, port) as session:   # monotonic reads
+            session.query_edges([(3, 17)]).generation
 """
 
 from repro.serving.client import (

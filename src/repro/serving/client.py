@@ -17,6 +17,13 @@ Server-side shedding surfaces as typed exceptions:
 thread and exposes blocking calls — the ergonomic path for scripts and the
 CLI's ``query --connect``.
 
+Connection lifecycle
+--------------------
+Every client, sessions included, connects one way: :meth:`ServingClient.open`
+(behind :func:`connect` and :func:`~repro.serving.session.open_session`) and
+every reconnect dial through :meth:`ServingClient._dial`, so the
+:meth:`ServingClient._accept_hello` hook checks each hello in one place.
+
 Retry discipline
 ----------------
 Pass a :class:`RetryPolicy` to :func:`connect` / :class:`SyncServingClient`
@@ -36,7 +43,7 @@ import asyncio
 import random
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.graph.edge import EdgeKey
 from repro.serving import wire
@@ -117,6 +124,9 @@ class WireResult:
         return self.values[0]
 
 
+_Client = TypeVar("_Client", bound="ServingClient")
+_Sync = TypeVar("_Sync", bound="SyncServingClient")
+
 _STATUS_ERRORS = {
     wire.STATUS_RETRY_LATER: RetryLater,
     wire.STATUS_DEADLINE: DeadlineExceeded,
@@ -127,27 +137,21 @@ _STATUS_ERRORS = {
 class ServingClient:
     """Async pipelined client over one connection (see the module docstring).
 
-    Use :func:`connect` (or ``async with``) rather than constructing
-    directly; the hello frame is consumed during :meth:`_start`.
+    The constructor only records the address; :meth:`open` (or
+    :func:`connect`) dials it and completes the hello handshake.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, host: str, port: int, retry: Optional[RetryPolicy] = None) -> None:
+        self._address = (host, port)
+        self._writer: Optional[asyncio.StreamWriter] = None
+        self._reader_task: Optional["asyncio.Task[None]"] = None
         self._next_id = 0
         self._pending: Dict[int, "asyncio.Future[dict]"] = {}
-        self._reader_task: Optional["asyncio.Task[None]"] = None
         self.hello: dict = {}
-        self._closed = False
+        self._closed = True
         self._user_closed = False
         self._retry = retry
         self._rng = random.Random(retry.seed if retry is not None else None)
-        self._address: Optional[Tuple[str, int]] = None
         #: Requests resubmitted under the retry policy (stat, not config).
         self.retries = 0
         #: Transparent reconnects performed by the retry loop.
@@ -156,8 +160,48 @@ class ServingClient:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    async def _start(self) -> None:
-        frame = await wire.read_frame(self._reader)
+    @classmethod
+    async def open(
+        cls: Type[_Client], host: str, port: int, retry: Optional[RetryPolicy] = None
+    ) -> _Client:
+        """Dial ``host:port`` and complete the hello handshake.
+
+        Connecting is idempotent, so under ``retry`` a refused dial or a
+        hello lost to a dying connection backs off and dials again.  The
+        first connection is not a reconnect (:attr:`reconnects` stays 0).
+        """
+        client = cls(host, port, retry)
+        attempt = 1
+        while True:
+            try:
+                await client._dial()
+                return client
+            except (wire.WireError, ServingError, OSError):
+                if retry is None or attempt >= retry.max_attempts:
+                    raise
+                await asyncio.sleep(retry.backoff(attempt, client._rng))
+                attempt += 1
+
+    async def _dial(self) -> None:
+        """Open the stream, check its hello, and start its reader task.
+
+        Whatever the hello check raises closes the new stream again and
+        leaves the client as it was.
+        """
+        reader, writer = await asyncio.open_connection(*self._address)
+        try:
+            frame = await wire.read_frame(reader)
+            self._accept_hello(frame)
+        except BaseException:
+            writer.close()
+            raise
+        self.hello = frame
+        self._writer = writer
+        self._closed = False
+        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop(reader))
+
+    def _accept_hello(self, frame: Optional[dict]) -> None:
+        """Refuse a connection whose hello is missing or speaks another protocol."""
         if frame is None or frame.get("op") != wire.OP_HELLO:
             raise ServingError(f"expected hello frame, got {frame!r}")
         if frame.get("protocol") != wire.PROTOCOL_VERSION:
@@ -165,66 +209,52 @@ class ServingClient:
                 f"protocol mismatch: server speaks {frame.get('protocol')}, "
                 f"client speaks {wire.PROTOCOL_VERSION}"
             )
-        self.hello = frame
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
 
     async def _reopen(self) -> None:
-        """Reconnect to the remembered address after a transient disconnect.
+        """Reconnect to the same address after a transient disconnect.
 
-        Only the retry loop calls this; it tears down the dead transport,
-        dials the same address, and redoes the hello handshake.  Raises
-        whatever :func:`asyncio.open_connection` raises (``OSError``
-        family) when the server is unreachable, and :class:`ServerClosed`
-        when the new connection's hello is torn or refused — the retry loop
-        treats both as one more transient failure.
+        Only the retry loop calls this; it drops the dead transport and dials
+        again.  Raises whatever :func:`asyncio.open_connection` raises
+        (``OSError`` family) when the server is unreachable, and
+        :class:`ServerClosed` when the new connection's hello is torn or
+        refused — the retry loop treats both as one more transient failure.
+        Any other refusal from :meth:`_accept_hello` propagates as raised.
         """
-        if self._address is None or self._user_closed:
+        if self._user_closed:
             raise ServerClosed("client is closed")
-        if self._reader_task is not None:
-            task, self._reader_task = self._reader_task, None
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await self._drop_transport()
         try:
-            self._writer.close()
-        except (ConnectionError, OSError):
-            pass
-        host, port = self._address
-        self._reader, self._writer = await asyncio.open_connection(host, port)
-        try:
-            await self._start()
+            await self._dial()
         except (wire.WireError, ServingError) as exc:
-            # A hello torn or refused on the new connection is one more
-            # transient disconnect: surface it as the type the retry loop
-            # retries, and let its next attempt dial again.
-            self._writer.close()
             raise ServerClosed(f"reconnect failed: {exc}") from exc
-        self._closed = False
         self.reconnects += 1
 
-    async def close(self) -> None:
-        # No early return on _closed: a server-side disconnect marks the
-        # client closed without tearing down the transport, and close()
-        # must still release it.  Every step below is idempotent.
-        self._closed = True
-        self._user_closed = True
-        if self._reader_task is not None:
-            task, self._reader_task = self._reader_task, None
+    async def _drop_transport(self) -> None:
+        """Stop the reader task and close the stream (idempotent)."""
+        task, self._reader_task = self._reader_task, None
+        if task is not None:
             task.cancel()
             try:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def close(self) -> None:
+        # A server-side disconnect marks the client closed without tearing
+        # down the transport, so close() releases it whatever _closed says.
+        self._closed = True
+        self._user_closed = True
+        await self._drop_transport()
         self._fail_pending(ServerClosed("connection closed"))
 
-    async def __aenter__(self) -> "ServingClient":
+    async def __aenter__(self: _Client) -> _Client:
         return self
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
@@ -243,10 +273,10 @@ class ServingClient:
             if not future.done():
                 future.set_exception(exc)
 
-    async def _read_loop(self) -> None:
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         try:
             while True:
-                frame = await wire.read_frame(self._reader)
+                frame = await wire.read_frame(reader)
                 if frame is None:
                     self._fail_pending(ServerClosed("server closed the connection"))
                     return
@@ -291,12 +321,15 @@ class ServingClient:
     ) -> dict:
         """Send one request, applying the retry policy when it is safe to.
 
+        A ``deadline_ms`` rides in the frame for the server to enforce.
         Retries fire only for idempotent ops, and only on ``retry_later``
         or a transient disconnect (reconnecting first).  The loop is
         budgeted: with a ``deadline_ms`` it never sleeps past the moment
         the caller's deadline would expire.  ``deadline_exceeded`` and
         typed backend errors are answers, not transients — no retry.
         """
+        if deadline_ms is not None:
+            payload["deadline_ms"] = float(deadline_ms)
         policy = self._retry
         if policy is None or not idempotent:
             return await self._send(payload)
@@ -334,17 +367,10 @@ class ServingClient:
         return await self._request({"op": wire.OP_HEALTH})
 
     async def query_edges(
-        self,
-        edges: Sequence[EdgeKey],
-        deadline_ms: Optional[float] = None,
+        self, edges: Sequence[EdgeKey], deadline_ms: Optional[float] = None
     ) -> WireResult:
         """Point-estimate a batch of edges (rides the coalesced lane)."""
-        payload: dict = {
-            "op": wire.OP_QUERY_EDGES,
-            "edges": wire.edges_to_wire(edges),
-        }
-        if deadline_ms is not None:
-            payload["deadline_ms"] = float(deadline_ms)
+        payload = {"op": wire.OP_QUERY_EDGES, "edges": wire.edges_to_wire(edges)}
         frame = await self._request(payload, deadline_ms=deadline_ms)
         return WireResult(
             values=tuple(float(v) for v in frame["values"]),
@@ -363,13 +389,11 @@ class ServingClient:
         deadline_ms: Optional[float] = None,
     ) -> WireResult:
         """Aggregate subgraph query; the server combines per-edge estimates."""
-        payload: dict = {
+        payload = {
             "op": wire.OP_QUERY_SUBGRAPH,
             "edges": wire.edges_to_wire(edges),
             "aggregate": aggregate,
         }
-        if deadline_ms is not None:
-            payload["deadline_ms"] = float(deadline_ms)
         frame = await self._request(payload, deadline_ms=deadline_ms)
         return WireResult(
             values=(float(frame["value"]),),
@@ -380,13 +404,11 @@ class ServingClient:
         self, edges: Sequence[EdgeKey], deadline_ms: Optional[float] = None
     ) -> List[dict]:
         """Typed estimates with intervals/provenance (served inline, uncoalesced)."""
-        payload: dict = {
+        payload = {
             "op": wire.OP_QUERY_EDGES,
             "edges": wire.edges_to_wire(edges),
             "confidence": True,
         }
-        if deadline_ms is not None:
-            payload["deadline_ms"] = float(deadline_ms)
         frame = await self._request(payload, deadline_ms=deadline_ms)
         return list(frame["estimates"])
 
@@ -409,36 +431,18 @@ class ServingClient:
 async def connect(
     host: str, port: int, retry: Optional[RetryPolicy] = None
 ) -> ServingClient:
-    """Open a connection and complete the hello handshake.
+    """Open a :class:`ServingClient` (see :meth:`ServingClient.open`).
 
     With ``retry``, idempotent requests back off and resubmit on
     ``retry_later``/transient disconnects (reconnecting to the same
-    address first) — see :class:`RetryPolicy`.  Connecting itself is
-    idempotent, so the handshake also retries under the policy (a refused
-    dial or a hello lost to a dying connection is transient).
+    address first) — see :class:`RetryPolicy` — and the handshake itself
+    retries under the policy too.
     """
-    rng = random.Random(retry.seed if retry is not None else None)
-    attempt = 1
-    while True:
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-            client = ServingClient(reader, writer, retry=retry)
-            client._address = (host, port)
-            try:
-                await client._start()
-            except BaseException:
-                writer.close()
-                raise
-            return client
-        except (wire.WireError, ServingError, OSError):
-            if retry is None or attempt >= retry.max_attempts:
-                raise
-            await asyncio.sleep(retry.backoff(attempt, rng))
-            attempt += 1
+    return await ServingClient.open(host, port, retry)
 
 
 class SyncServingClient:
-    """Blocking facade over :class:`ServingClient` (private loop thread).
+    """Blocking facade over an async client on a private loop thread.
 
     Safe to call from multiple threads — every call round-trips through the
     client's event loop.  Also a context manager::
@@ -446,6 +450,9 @@ class SyncServingClient:
         with SyncServingClient("127.0.0.1", 8765) as client:
             print(client.query_edge("a", "b").value)
     """
+
+    #: The async client class the loop thread opens and every call runs on.
+    _client_class: Type[ServingClient] = ServingClient
 
     def __init__(
         self,
@@ -461,7 +468,7 @@ class SyncServingClient:
         )
         self._thread.start()
         try:
-            self._client = self._call(connect(host, port, retry=retry))
+            self._client = self._call(self._client_class.open(host, port, retry))
         except BaseException:
             self._stop_loop()
             raise
@@ -528,7 +535,7 @@ class SyncServingClient:
             finally:
                 self._stop_loop()
 
-    def __enter__(self) -> "SyncServingClient":
+    def __enter__(self: _Sync) -> _Sync:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -1,7 +1,7 @@
 """Sessions: monotonic-reads consistency over the serving wire.
 
 Every server response carries the engine's ingest ``generation`` at answer
-time.  A session wraps a client and *asserts monotonic reads*: once a
+time.  A session is a client that *asserts monotonic reads*: once a
 response at generation *g* has been observed, any later response at a
 generation < *g* raises :class:`ConsistencyError`.
 
@@ -15,7 +15,7 @@ place to read the generation watermark (:attr:`Session.generation_observed`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.graph.edge import EdgeKey
 from repro.serving.client import (
@@ -33,7 +33,7 @@ class ConsistencyError(RuntimeError):
 
 
 class _Watermark:
-    """The shared monotonic-reads check (async and sync sessions)."""
+    """The monotonic-reads check behind every session."""
 
     __slots__ = ("generation_observed",)
 
@@ -52,62 +52,31 @@ class _Watermark:
 class Session(ServingClient):
     """An async client that enforces monotonic reads across its lifetime.
 
-    Constructed from an already-connected client's streams via
-    :meth:`adopt`, or with :func:`repro.serving.client.connect` followed by
-    ``Session.adopt(client)``.
+    Open one with :meth:`Session.open` or :func:`open_session`.  The watermark
+    lives on the session, not the connection: it is seeded from the first
+    hello's generation, and every reconnect's hello is checked against it, so
+    monotonic reads survive failover and reconnecting to a *stale* server
+    raises :class:`ConsistencyError` instead of silently serving old data.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, host: str, port: int, retry: Optional[RetryPolicy] = None) -> None:
+        super().__init__(host, port, retry)
         self._watermark = _Watermark()
-
-    @classmethod
-    def adopt(cls, client: ServingClient) -> "Session":
-        """Rebind a connected client as a session (takes over its streams)."""
-        session = cls.__new__(cls)
-        session.__dict__ = {}
-        # Sessions share no state with the donor client beyond the streams
-        # and reader task; moving the attributes over retires the donor.
-        for name in (
-            "_reader",
-            "_writer",
-            "_next_id",
-            "_pending",
-            "_reader_task",
-            "hello",
-            "_closed",
-            "_user_closed",
-            "_retry",
-            "_rng",
-            "_address",
-            "retries",
-            "reconnects",
-        ):
-            setattr(session, name, getattr(client, name))
-        session._watermark = _Watermark()
-        initial = client.hello.get("generation")
-        if initial is not None:
-            session._watermark.observe(int(initial))
-        return session
 
     @property
     def generation_observed(self) -> int:
         """The highest generation any response in this session carried."""
         return self._watermark.generation_observed
 
+    def _accept_hello(self, frame: Optional[dict]) -> None:
+        super()._accept_hello(frame)
+        generation = frame.get("generation")
+        if generation is not None:
+            self._watermark.observe(int(generation))
+
     def _observe(self, result: WireResult) -> WireResult:
         self._watermark.observe(result.generation)
         return result
-
-    async def _reopen(self) -> None:
-        """Reconnect preserving the watermark: monotonic reads survive
-        failover.  The fresh hello's generation is checked against the old
-        watermark, so reconnecting to a *stale* server raises
-        :class:`ConsistencyError` instead of silently serving old data."""
-        await super()._reopen()
-        initial = self.hello.get("generation")
-        if initial is not None:
-            self._watermark.observe(int(initial))
 
     async def query_edges(
         self, edges: Sequence[EdgeKey], deadline_ms: Optional[float] = None
@@ -120,9 +89,7 @@ class Session(ServingClient):
         aggregate: str = "sum",
         deadline_ms: Optional[float] = None,
     ) -> WireResult:
-        return self._observe(
-            await super().query_subgraph(edges, aggregate, deadline_ms)
-        )
+        return self._observe(await super().query_subgraph(edges, aggregate, deadline_ms))
 
     async def ingest(self, edges: Sequence):
         ingested, generation = await super().ingest(edges)
@@ -133,87 +100,22 @@ class Session(ServingClient):
 async def open_session(
     host: str, port: int, retry: Optional[RetryPolicy] = None
 ) -> Session:
-    """Connect and wrap the connection in a monotonic-reads session."""
-    from repro.serving.client import connect
-
-    return Session.adopt(await connect(host, port, retry=retry))
+    """Open a monotonic-reads :class:`Session` (see :meth:`ServingClient.open`)."""
+    return await Session.open(host, port, retry)
 
 
-class SyncSession:
-    """Blocking session: a :class:`SyncServingClient` plus the watermark.
+class SyncSession(SyncServingClient):
+    """Blocking session: its loop thread runs a :class:`Session`.
 
-    The watermark lives on the session, not the connection — when the
-    underlying client reconnects under its :class:`RetryPolicy`, every
-    post-reconnect response is still checked against the generations this
-    session already observed, so monotonic reads survive failover.
+    Every call, ``ping`` and ``health`` included, is the
+    :class:`SyncServingClient` one; the watermark and its checks (the first
+    hello, every reconnect's hello, every answer) are the session's.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self._client = SyncServingClient(host, port, timeout, retry=retry)
-        self._watermark = _Watermark()
-        initial = self._client.hello.get("generation")
-        if initial is not None:
-            self._watermark.observe(int(initial))
-
-    @property
-    def hello(self) -> dict:
-        return self._client.hello
+    _client_class = Session
+    _client: Session
 
     @property
     def generation_observed(self) -> int:
-        return self._watermark.generation_observed
-
-    @property
-    def retries(self) -> int:
-        return self._client.retries
-
-    @property
-    def reconnects(self) -> int:
-        return self._client.reconnects
-
-    def query_edges(
-        self, edges: Sequence[EdgeKey], deadline_ms: Optional[float] = None
-    ) -> WireResult:
-        result = self._client.query_edges(edges, deadline_ms)
-        self._watermark.observe(result.generation)
-        return result
-
-    def query_edge(
-        self, source: object, target: object, deadline_ms: Optional[float] = None
-    ) -> WireResult:
-        return self.query_edges([(source, target)], deadline_ms)
-
-    def query_subgraph(
-        self,
-        edges: Sequence[EdgeKey],
-        aggregate: str = "sum",
-        deadline_ms: Optional[float] = None,
-    ) -> WireResult:
-        result = self._client.query_subgraph(edges, aggregate, deadline_ms)
-        self._watermark.observe(result.generation)
-        return result
-
-    def query_edges_confidence(
-        self, edges: Sequence[EdgeKey], deadline_ms: Optional[float] = None
-    ) -> List[dict]:
-        return self._client.query_edges_confidence(edges, deadline_ms)
-
-    def ingest(self, edges: Sequence):
-        ingested, generation = self._client.ingest(edges)
-        self._watermark.observe(generation)
-        return ingested, generation
-
-    def close(self) -> None:
-        self._client.close()
-
-    def __enter__(self) -> "SyncSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        """The highest generation any response in this session carried."""
+        return self._client.generation_observed

@@ -98,6 +98,17 @@ def test_lifecycle_roundtrip_through_protocol(
     restored.close()
 
 
+def _ingest_state(engine, keys):
+    """What a rejected batch must leave as it was: the counters, the element
+    count, the generation and the accuracy census."""
+    return (
+        engine.estimator.query_edges_direct(keys),
+        engine.elements_processed,
+        getattr(engine.estimator, "ingest_generation", None),
+        engine.accuracy_tracker.elements_observed,
+    )
+
+
 @pytest.mark.parametrize("frequency", [float("nan"), float("inf"), -1.0])
 @pytest.mark.parametrize("backend", sorted(BACKEND_BUILDERS))
 def test_invalid_frequency_batch_is_rejected_whole(
@@ -110,18 +121,8 @@ def test_invalid_frequency_batch_is_rejected_whole(
     obs_metrics.set_enabled(True)
     try:
         engine.ingest(zipf_stream)
-        estimator = engine.estimator
         keys = query_keys(zipf_stream)
-
-        def state():
-            return (
-                estimator.query_edges_direct(keys),
-                engine.elements_processed,
-                getattr(estimator, "ingest_generation", None),
-                engine.accuracy_tracker.elements_observed,
-            )
-
-        before = state()
+        before = _ingest_state(engine, keys)
         stamp = float(len(zipf_stream))
         batch = [
             StreamEdge(keys[0][0], keys[0][1], stamp, 5.0),
@@ -129,7 +130,45 @@ def test_invalid_frequency_batch_is_rejected_whole(
         ]
         with pytest.raises(ValueError, match="finite and >= 0"):
             engine.ingest_batch(batch)
-        assert state() == before
+        assert _ingest_state(engine, keys) == before
+    finally:
+        obs_metrics.set_enabled(was_enabled)
+        engine.close()
+
+
+@pytest.mark.parametrize(
+    "fault, error, match",
+    [
+        ({"target": None}, TypeError, "sketch keys"),
+        ({"timestamp": float("nan")}, ValueError, "non-finite timestamp"),
+        ({"timestamp": 0.0}, ValueError, "out-of-order"),
+    ],
+    ids=["none-target", "nan-timestamp", "closed-window"],
+)
+def test_windowed_batch_refused_mid_block_is_rejected_whole(
+    fault, error, match, zipf_stream, zipf_sample, small_config
+):
+    """The windowed backend walks a batch per element, so an element it would
+    refuse (a label that does not canonicalize, a non-finite timestamp, a
+    timestamp in a closed window) must reject the batch before the first
+    element lands, also when that first element opens a new window."""
+    engine = BACKEND_BUILDERS["windowed"](zipf_stream, zipf_sample, small_config)
+    was_enabled = obs_metrics.enabled()
+    obs_metrics.set_enabled(True)
+    try:
+        engine.ingest(zipf_stream)
+        keys = query_keys(zipf_stream)
+        before = _ingest_state(engine, keys)
+        windows = engine.estimator.num_windows
+        stamp = float(len(zipf_stream))  # opens the next window
+        batch = [
+            StreamEdge(keys[0][0], keys[0][1], stamp, 5.0),
+            StreamEdge(keys[1][0], keys[1][1], stamp, 1.0)._replace(**fault),
+        ]
+        with pytest.raises(error, match=match):
+            engine.ingest_batch(batch)
+        assert _ingest_state(engine, keys) == before
+        assert engine.estimator.num_windows == windows
     finally:
         obs_metrics.set_enabled(was_enabled)
         engine.close()

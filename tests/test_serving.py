@@ -40,6 +40,7 @@ import pytest
 from conftest import make_zipf_stream
 from repro.api.engine import SketchEngine
 from repro.core.config import GSketchConfig
+from repro.graph.edge import StreamEdge
 from repro.observability import metrics as obs_metrics
 from repro.queries.plan import demux_by_counts
 from repro.serving import server as server_module
@@ -565,6 +566,34 @@ class TestSessions:
         assert acked > hello
         assert answer.generation > hello
         assert estimate["generation"] == answer.generation
+
+    @pytest.mark.parametrize(
+        "fault",
+        [{"target": None}, {"timestamp": "nan"}, {"timestamp": 0.0}],
+        ids=["none-target", "nan-timestamp", "closed-window"],
+    )
+    def test_windowed_wire_ingest_refused_mid_frame_changes_nothing(
+        self, fault, serve_stream, serve_config
+    ):
+        """An element the windowed backend refuses gets its frame a typed
+        ``error`` before the frame's first element lands."""
+        engine = SketchEngine.builder().config(serve_config).windowed(1_000.0).build()
+        engine.ingest(serve_stream)
+        key = sorted(serve_stream.distinct_edges())[0]
+        stamp = float(len(serve_stream))  # opens the next window
+        good = StreamEdge(key[0], key[1], stamp, 1.0)
+        handle = serve_in_background(engine, config=ServingConfig(allow_ingest=True))
+        try:
+            with SyncServingClient(*handle.address) as client:
+                before = client.query_edges([key])
+                with pytest.raises(ServingError):
+                    client.ingest([good, good._replace(**fault)])
+                after = client.query_edges([key])
+                assert after.values == before.values
+                assert after.generation == before.generation
+        finally:
+            handle.stop()
+            engine.close()
 
     def test_sync_session_seeds_watermark_from_hello(self, engine):
         handle = engine.serve()
@@ -1109,8 +1138,9 @@ class TestDrain:
 
         assert asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
 
-    def test_shutdown_waits_for_closing_connection_handlers(self, engine, query_keys):
+    def test_shutdown_leaves_no_task_or_open_connection(self, engine, query_keys):
         async def scenario():
+            own = asyncio.all_tasks()
             server = SketchServer(engine, config=ServingConfig())
             await server.start()
             clients = [await connect(*server.address) for _ in range(4)]
@@ -1119,15 +1149,11 @@ class TestDrain:
             for client in clients:
                 await client.close()
             await server.shutdown()
-            return [
-                task
-                for task in asyncio.all_tasks()
-                if task.get_coro().__qualname__ == "SketchServer._handle_connection"
-            ]
+            return asyncio.all_tasks() - own, server.stats()["connections_open"]
 
-        # A handler still closing its connection after shutdown() returned is
+        # A task still closing a connection after shutdown() returned would be
         # cancelled when the loop closes, mid-close.
-        assert asyncio.run(asyncio.wait_for(scenario(), timeout=30.0)) == []
+        assert asyncio.run(asyncio.wait_for(scenario(), timeout=30.0)) == (set(), 0)
 
     def test_draining_server_sheds_new_queries_typed(self, engine, query_keys):
         async def scenario():

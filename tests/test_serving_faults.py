@@ -19,14 +19,18 @@ client-visible contract:
   coalescing queue itself, in ``tests/test_serving.py``);
 * the **non-idempotent ingest window** is never retried: the engine
   mutated once, the client sees a typed disconnect, nothing double-counts;
-* a :class:`SyncSession`'s generation **watermark survives reconnect** —
-  monotonic reads hold across failover;
+* a session's generation **watermark survives reconnect** — monotonic
+  reads hold across failover, a session whose connection was torn never
+  parks a request on the dead socket, and a reconnect to a *stale* server
+  raises ``ConsistencyError`` and closes the refused connection again;
 * the ``health`` wire op answers in every server state, and the
   ``repro serve --health`` probe maps states to exit codes.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import threading
 import time
 
@@ -44,7 +48,7 @@ from repro.serving.client import (
     SyncServingClient,
 )
 from repro.serving.server import ServingConfig, serve_in_background
-from repro.serving.session import SyncSession
+from repro.serving.session import ConsistencyError, Session, SyncSession, open_session
 
 RETRY = RetryPolicy(max_attempts=6, base_delay=0.01, max_delay=0.05, seed=3)
 
@@ -307,6 +311,85 @@ class TestSessionFailover:
         finally:
             faults.clear()
             handle.stop()
+
+    @pytest.mark.parametrize("retry", [None, RETRY], ids=["bare", "retrying"])
+    def test_async_session_survives_a_torn_connection(self, engine, query_keys, retry):
+        """The reader task a session runs is its own: once the server tears the
+        connection, a bare session answers its next request ``ServerClosed``
+        at once, and a retrying one reconnects and answers bit-exact."""
+        direct = list(engine.estimator.query_edges(query_keys[:6]))
+        handle = serve_in_background(engine)
+
+        async def scenario():
+            session = await open_session(*handle.address, retry=retry)
+            try:
+                await session.query_edges(query_keys[:6])
+                _arm(faults.FaultSpec(site=faults.SITE_SERVING_TORN_FRAME))
+                if retry is None:
+                    for _ in range(2):  # the torn answer, then the next request
+                        with pytest.raises(ServerClosed):
+                            await asyncio.wait_for(session.query_edges(query_keys[:6]), 1.0)
+                    return
+                result = await asyncio.wait_for(session.query_edges(query_keys[:6]), 5.0)
+                assert list(result.values) == direct
+                assert session.reconnects >= 1
+            finally:
+                await session.close()
+
+        try:
+            asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+        finally:
+            faults.clear()
+            handle.stop()
+
+    @pytest.mark.parametrize("session_class", [Session, SyncSession])
+    def test_reconnect_to_a_stale_server_raises_and_leaves_nothing_open(
+        self, engine, query_keys, session_class
+    ):
+        """A reconnect whose hello carries a generation below the watermark is
+        refused with ``ConsistencyError``, and the refused connection is closed
+        again: no reader task, no transport, nothing open on the server."""
+        generation = int(engine.estimator.ingest_generation)
+        assert generation > 0
+        handle = serve_in_background(engine)
+        server = handle.server
+        fresh_hello = server._hello
+        try:
+            with _open_session(session_class, handle.address) as (session, run, client):
+                assert run(session.query_edges(query_keys[:4])).generation == generation
+                server._hello = lambda: {**fresh_hello(), "generation": generation - 1}
+                _arm(faults.FaultSpec(site=faults.SITE_SERVING_TORN_FRAME))
+                with pytest.raises(ConsistencyError, match="monotonic"):
+                    run(session.query_edges(query_keys[:4]))
+                assert session.generation_observed == generation
+                assert client._reader_task is None and client._writer is None
+                deadline = time.monotonic() + 10.0
+                while handle.stats()["connections_open"] and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert handle.stats()["connections_open"] == 0
+        finally:
+            faults.clear()
+            handle.stop()
+
+
+@contextlib.contextmanager
+def _open_session(session_class, address):
+    """Yield ``(session, run, client)`` for either session class: ``run`` turns
+    what a session call returns into its result, and ``client`` is the async
+    client that holds the connection."""
+    if session_class is SyncSession:
+        with SyncSession(*address, retry=RETRY) as session:
+            yield session, (lambda result: result), session._client
+        return
+    loop = asyncio.new_event_loop()
+    try:
+        session = loop.run_until_complete(Session.open(*address, RETRY))
+        try:
+            yield session, loop.run_until_complete, session
+        finally:
+            loop.run_until_complete(session.close())
+    finally:
+        loop.close()
 
 
 # ---------------------------------------------------------------------- #
